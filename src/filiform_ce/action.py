@@ -230,50 +230,64 @@ def act_on_params(t: AdaptedTransform, p: ExtensionParams, tol: Tolerance = DEFA
         raise DomainError(f"transform has n={t.n} but parameters have n={p.n}")
     _require_nondegenerate(t, p.b, tol)
     n = p.n
-    a0, a1 = t.A0, t.A1
-    b1, b2, b3, b4, b5 = (t.coeff_B(k) for k in range(1, 6))
-    b = p.b
+    c = _act(n, t.A0, t.A1, t.B, p.as_tuple())
+    return ExtensionParams(n, c[0], c[1], c[2], c[3 : 3 + (n - 2) // 2], c[-1] if n % 2 else 0j)
+
+
+def _act(n: int, a0: complex, a1: complex, bvec: tuple, v: tuple) -> tuple:
+    """The closed form behind ``act_on_params``, on plain tuples.
+
+    ``bvec`` holds B_1..B_{n-2} and ``v`` the parameters in ``as_tuple``
+    order; the result is in the same order.  Nothing is validated, so
+    callers that build their own intermediate transforms can evaluate it
+    cheaply.
+    """
+    b1, b2, b3, b4, b5 = (tuple(bvec) + (0j,) * 5)[:5]
+    b00, b01, b11, b12 = v[:4]
+    b14 = v[4] if n >= 6 else 0j
+    b16 = v[5] if n == 8 else 0j
+    b = v[-1] if n % 2 == 1 else 0j
     shear = a0 + a1 * b
     nn = a0 ** (n - 2) * shear
 
-    c00 = (a0 * a0 * p.b00 + a0 * a1 * p.b01 + a1 * a1 * p.b11) / (nn * b1)
-    c01 = (a0 * p.b01 + 2 * a1 * p.b11) / nn
-    c11 = b1 * p.b11 / nn
-    cb = b1 * b / shear if n % 2 == 1 else 0j
+    c00 = (a0 * a0 * b00 + a0 * a1 * b01 + a1 * a1 * b11) / (nn * b1)
+    c01 = (a0 * b01 + 2 * a1 * b11) / nn
+    c11 = b1 * b11 / nn
 
     if n == 4:
-        evens = (b1 * p.b12 / a0 ** 2,)
+        evens = (b1 * b12 / a0 ** 2,)
     elif n == 5:
         evens = (
-            (b1 * b1 * p.b12 + (b2 * b2 - 2 * b1 * b3) * b) / (a0 ** 2 * b1 * shear),
+            (b1 * b1 * b12 + (b2 * b2 - 2 * b1 * b3) * b) / (a0 ** 2 * b1 * shear),
         )
     elif n == 6:
         evens = (
-            (b1 * b1 * p.b12 + (2 * b1 * b3 - b2 * b2) * p.b14) / (a0 ** 4 * b1),
-            b1 * p.b14 / a0 ** 2,
+            (b1 * b1 * b12 + (2 * b1 * b3 - b2 * b2) * b14) / (a0 ** 4 * b1),
+            b1 * b14 / a0 ** 2,
         )
     elif n == 7:
         evens = (
             (
-                b1 * b1 * p.b12
-                + (2 * b1 * b3 - b2 * b2) * p.b14
+                b1 * b1 * b12
+                + (2 * b1 * b3 - b2 * b2) * b14
                 + (2 * b2 * b4 - 2 * b1 * b5 - b3 * b3) * b
             )
             / (a0 ** 4 * b1 * shear),
-            (b1 * b1 * p.b14 + (b2 * b2 - 2 * b1 * b3) * b) / (a0 ** 2 * b1 * shear),
+            (b1 * b1 * b14 + (b2 * b2 - 2 * b1 * b3) * b) / (a0 ** 2 * b1 * shear),
         )
     else:  # n == 8
         evens = (
             (
-                b1 * b1 * p.b12
-                + (2 * b1 * b3 - b2 * b2) * p.b14
-                + (2 * b1 * b5 - 2 * b2 * b4 + b3 * b3) * p.b16
+                b1 * b1 * b12
+                + (2 * b1 * b3 - b2 * b2) * b14
+                + (2 * b1 * b5 - 2 * b2 * b4 + b3 * b3) * b16
             )
             / (a0 ** 6 * b1),
-            (b1 * b1 * p.b14 + (2 * b1 * b3 - b2 * b2) * p.b16) / (a0 ** 4 * b1),
-            b1 * p.b16 / a0 ** 2,
+            (b1 * b1 * b14 + (2 * b1 * b3 - b2 * b2) * b16) / (a0 ** 4 * b1),
+            b1 * b16 / a0 ** 2,
         )
-    return ExtensionParams(n, c00, c01, c11, evens, cb)
+    out = (c00, c01, c11) + evens
+    return out + (b1 * b / shear,) if n % 2 == 1 else out
 
 
 def act_by_coefficient_sum(

@@ -9,6 +9,29 @@ transform realizing the normal form, ``orbit_invariant`` evaluates the
 cell's rational orbit function, and ``isomorphic`` decides equivalence of
 two members (up to the finite stabilizer of the normal form, where one
 exists) and returns an explicit witness.
+
+One rule, read off the cell's representative pattern, builds every
+witness in three steps, each evaluated on the closed form of the action:
+
+1. Shear: s = A1/A0 is -b01/(2*b11) if b11 != 0, else -b00/b01 if
+   b01 != 0, else 0.  For odd n it divides the chain by 1 + s*b; where
+   that vanishes (the thin locus) the representative is out of reach and
+   :class:`CanonicalizationError` is raised.
+2. Unipotent shifts: B3, then B5, clear the chain slots (b12, b14, b16,
+   b) one and two steps below the representative's chain "1"; the closed
+   form is affine in the next B, so each step is one linear solve (done
+   last, on the witness itself: the torus leaves the cleared slots at 0).
+3. Torus: upsilon(A0, B1) multiplies a slot by A0^x * B1^y, with weights
+   (x, y) = (3-n, -1) for b00, (2-n, 0) for b01, (1-n, 1) for b11,
+   (m-n, 1) for b1m and (-1, 1) for b.  (A0, B1) set the representative's
+   "1" slots to 1: A0 is the principal |det|-th root of a weight monomial
+   (det of the two weights), and B1 follows from a slot with y != 0.
+
+The witness is (A0, A0*s, B1*(1, 0, B3, 0, B5, ...)).  Principal roots
+read a zero imaginary part as +0, so ``lam`` does not depend on the sign
+of a zero.  Torus elements with A0^|det| = 1 fix the "1" slots and
+multiply ``lam`` by A0^e; the cells where e is not a multiple of |det|
+are the ``STABILIZERS``.
 """
 
 from __future__ import annotations
@@ -18,6 +41,7 @@ from dataclasses import dataclass, replace
 
 from .action import (
     AdaptedTransform,
+    _act,
     act_on_params,
     adapted_matrix,
     identity_transform,
@@ -25,7 +49,7 @@ from .action import (
 )
 from .errors import CanonicalizationError, DomainError, FiliformError
 from .family import ExtensionParams, params_from_tuple
-from .subsets import LAM, PARAM_SLOTS, STABILIZERS, SUBSETS, get_spec, parametric_subsets
+from .subsets import LAM, PARAM_SLOTS, STABILIZERS, SUBSETS, SubsetSpec, get_spec
 from .tolerance import FLAG_WARN_MARGIN, ZERO_FLAG_RTOL
 
 import numpy as np
@@ -72,34 +96,35 @@ def _delta_scale(p: ExtensionParams) -> float:
 
 def nonzero_flags(p: ExtensionParams) -> dict:
     """Slot -> True when numerically nonzero; includes the discriminant."""
-    scale = p.scale()
-    flags = {
-        slot: abs(p.slot(slot)) > ZERO_FLAG_RTOL * scale for slot in PARAM_SLOTS[p.n]
-    }
+    cut = ZERO_FLAG_RTOL * p.scale()
+    flags = {slot: abs(v) > cut for slot, v in zip(PARAM_SLOTS[p.n], p.as_tuple())}
     flags["delta"] = abs(p.delta) > ZERO_FLAG_RTOL * _delta_scale(p)
     return flags
 
 
+def _margin(p: ExtensionParams, flags: dict) -> float:
+    scale = p.scale()
+    rel = [abs(v) / scale for slot, v in zip(PARAM_SLOTS[p.n], p.as_tuple()) if flags[slot]]
+    if flags["delta"]:
+        rel.append(abs(p.delta) / _delta_scale(p))
+    return min([1.0, *rel])
+
+
 def flag_margin(p: ExtensionParams) -> float:
     """Smallest relative magnitude among nonzero-flagged quantities (<= 1)."""
-    flags = nonzero_flags(p)
-    scale = p.scale()
-    margin = 1.0
-    for slot in PARAM_SLOTS[p.n]:
-        if flags[slot]:
-            margin = min(margin, abs(p.slot(slot)) / scale)
-    if flags["delta"]:
-        margin = min(margin, abs(p.delta) / _delta_scale(p))
-    return margin
+    return _margin(p, nonzero_flags(p))
+
+
+def _cell(n: int, flags: dict) -> SubsetSpec:
+    for spec in SUBSETS[n]:
+        if all(flags[slot] == want for slot, want in spec.conditions):
+            return spec
+    raise FiliformError(f"no classification cell matched n={n} flags {flags}")
 
 
 def subset_of(p: ExtensionParams) -> str:
     """Name of the classification cell containing ``p``."""
-    flags = nonzero_flags(p)
-    for spec in SUBSETS[p.n]:
-        if all(flags[slot] == want for slot, want in spec.conditions):
-            return spec.name
-    raise FiliformError(f"no classification cell matched n={p.n} flags {flags}")
+    return _cell(p.n, nonzero_flags(p)).name
 
 
 # ---------------------------------------------------------------------------
@@ -151,279 +176,110 @@ def orbit_invariant(p: ExtensionParams, subset: str | None = None) -> complex | 
 
 
 # ---------------------------------------------------------------------------
-# canonicalizing recipes
+# normal forms from the torus weights
+
+_LEAD_WEIGHTS = {"b00": (3, -1), "b01": (2, 0), "b11": (1, 1)}
 
 
-def _bvec(n: int, **entries) -> tuple:
-    """B tuple (length n-2) from keyword slots b1=..., b3=..., ..."""
-    out = [0j] * (n - 2)
-    for key, val in entries.items():
-        out[int(key[1:]) - 1] = val
-    return tuple(out)
+def _weight(n: int, slot: str) -> tuple[int, int]:
+    """(x, y) such that upsilon(A0, B1) multiplies ``slot`` by A0**x * B1**y."""
+    if slot in _LEAD_WEIGHTS:
+        x, y = _LEAD_WEIGHTS[slot]
+        return x - n, y
+    return (n - 1 if slot == "b" else int(slot[2:])) - n, 1
 
 
-def _kill01(a0: complex, p: ExtensionParams) -> complex:
-    """Shear A1 zeroing the transformed b01 (needs b11 != 0)."""
-    return -a0 * p.b01 / (2 * p.b11)
+@dataclass(frozen=True)
+class _Plan:
+    """Normal-form steps of one cell, in ``as_tuple`` slot indices.
+
+    ``shifts``: (k, i), B_k clears slot i.  ``root``: (i, +-1), A0**order
+    is the product of v[i]**+-1.  ``scale``: (i, x, y), B1 solves
+    v[i] * A0**x * B1**y = 1 (None leaves B1 = 1).
+    """
+
+    shifts: tuple
+    root: tuple
+    order: int
+    scale: tuple | None
 
 
-def _kill00(a0: complex, p: ExtensionParams) -> complex:
-    """Shear A1 zeroing the transformed b00 when b11 = 0 (needs b01 != 0)."""
-    return -a0 * p.b00 / p.b01
+def _plan(n: int, spec: SubsetSpec) -> _Plan:
+    ones = [i for i, v in enumerate(spec.representative) if v == 1]
+    # slots 3.. form the chain b12, b14, ... (b on top for odd n); B_{2d+1}
+    # clears the chain slot d steps below the representative's chain "1"
+    pivot = max((i for i in ones if i >= 3), default=3)
+    shifts = tuple((2 * d + 1, pivot - d) for d in range(1, pivot - 2))
+    # fewer than two "1" slots: square the torus system up with A0 = 1 or
+    # B1 = 1, the first of them independent of the rows already there
+    rows = [(i, *_weight(n, PARAM_SLOTS[n][i])) for i in ones] + [(None, 1, 0), (None, 0, 1)]
+    i1, x1, y1 = rows[0]
+    i2, x2, y2 = next(row for row in rows[1:] if x1 * row[2] - row[1] * y1)
+    det = x1 * y2 - x2 * y1
+    sign = 1 if det > 0 else -1
+    root = tuple((i, e) for i, e in ((i1, -sign * y2), (i2, sign * y1)) if i is not None and e)
+    # B1 from the slot with the smallest A0-power keeps the powers of A0 small
+    scalable = [(i, x, y) for i, x, y in rows if i is not None and y]
+    scale = min(scalable, key=lambda row: abs(row[1]), default=None)
+    return _Plan(shifts, root, abs(det), scale)
+
+
+_PLANS = {(n, spec.name): _plan(n, spec) for n in SUBSETS for spec in SUBSETS[n]}
 
 
 def _root(z: complex, k: int) -> complex:
-    """Principal k-th root."""
-    return complex(z) ** (1.0 / k)
+    """Principal k-th root, reading a zero imaginary part as +0."""
+    return complex(z.real, z.imag + 0.0) ** (1.0 / k)
 
 
-def _thin_locus_check(p: ExtensionParams, quantity: complex, description: str) -> None:
-    if abs(quantity) <= ZERO_FLAG_RTOL * max(p.scale(), p.scale() ** 2):
-        raise CanonicalizationError(
-            f"the quantity {description} vanishes for these parameters; it "
-            "transforms by a nonzero multiplier under every adapted "
-            "transform, while the cell representative has it nonzero, so "
-            "this member cannot be moved onto the representative"
-        )
+def _canonical_transform(p: ExtensionParams, flags: dict, plan: _Plan) -> AdaptedTransform:
+    """Adapted transform carrying ``p`` onto its cell representative.
 
-
-def _canonical_transform(p: ExtensionParams, name: str) -> AdaptedTransform:
-    """Adapted transform carrying ``p`` onto its cell representative."""
+    Quotients enter as A0 * num / den and A0**-x / v, the order of rounding
+    that passes the ill-conditioned witness check more often at extreme
+    magnitudes; the shifts are solved on the witness itself for that reason.
+    """
     n = p.n
-    key = (n, name)
-
-    # identity cells (all parameters zero)
-    zero_cell = {4: "U_9", 5: "U_13", 6: "U_13", 7: "U_17", 8: "U_17"}[n]
-    if name == zero_cell:
-        return identity_transform(n)
-
-    # scale-to-(1,0,1,0,..) cells with b11 != 0, everything above killed,
-    # delta != 0
-    u2_type = {4: "U_2", 5: "U_6", 6: "U_3", 7: "U_13", 8: "U_13"}[n]
-    if name == u2_type:
-        a0 = _root(-p.delta / 4, 2 * n - 4)
-        return AdaptedTransform(n, a0, _kill01(a0, p), _bvec(n, b1=a0 ** (n - 1) / p.b11))
-
-    # delta = 0 companions of the previous cells
-    u3_type = {4: "U_3", 5: "U_7", 6: "U_4", 7: "U_14", 8: "U_14"}[n]
-    if name == u3_type:
-        return AdaptedTransform(n, 1, -p.b01 / (2 * p.b11), _bvec(n, b1=1 / p.b11))
-
-    if n == 4:
-        if name == "U_1":
-            a0 = p.b11 / p.b12
-            return AdaptedTransform(n, a0, _kill01(a0, p), _bvec(n, b1=a0 ** 3 / p.b11))
-        if name == "U_4":
-            a0 = _root(p.b01, 2)
-            return AdaptedTransform(n, a0, _kill00(a0, p), _bvec(n, b1=p.b01 / p.b12))
-        if name == "U_5":
-            a0 = _root(p.b01, 2)
-            return AdaptedTransform(n, a0, _kill00(a0, p), _bvec(n, b1=1))
-        if name == "U_6":
-            a0 = _root(p.b00 * p.b12, 3)
-            return AdaptedTransform(n, a0, 0, _bvec(n, b1=p.b00 / a0))
-        if name == "U_7":
-            return AdaptedTransform(n, 1, 0, _bvec(n, b1=p.b00))
-        if name == "U_8":
-            return AdaptedTransform(n, 1, 0, _bvec(n, b1=1 / p.b12))
-
-    if n == 5:
-        if name == "U_1":
-            _thin_locus_check(p, 2 * p.b11 - p.b01 * p.b, "2*b11 - b01*b")
-            a0 = _root(p.b11 / p.b, 3)
-            a1 = _kill01(a0, p)
-            b1 = (a0 + a1 * p.b) / p.b
-            return AdaptedTransform(n, a0, a1, _bvec(n, b1=b1, b3=b1 * p.b12 / (2 * p.b)))
-        if name == "U_2":
-            _thin_locus_check(p, p.b01 - p.b00 * p.b, "b01 - b00*b")
-            q = (p.b01 - p.b00 * p.b) / p.b01
-            a0 = _root(p.b01 / q, 3)
-            b1 = a0 * q / p.b
-            return AdaptedTransform(
-                n, a0, _kill00(a0, p), _bvec(n, b1=b1, b3=b1 * p.b12 / (2 * p.b))
-            )
-        if name == "U_3":
-            a0 = _root(p.b00 * p.b, 3)
-            b1 = a0 / p.b
-            return AdaptedTransform(n, a0, 0, _bvec(n, b1=b1, b3=b1 * p.b12 / (2 * p.b)))
-        if name == "U_4":
-            b1 = 1 / p.b
-            return AdaptedTransform(n, 1, 0, _bvec(n, b1=b1, b3=b1 * p.b12 / (2 * p.b)))
-        if name == "U_5":
-            a0 = p.b11 / p.b12
-            return AdaptedTransform(n, a0, _kill01(a0, p), _bvec(n, b1=a0 ** 4 / p.b11))
-        if name == "U_8":
-            a0 = _root(p.b01, 3)
-            return AdaptedTransform(n, a0, _kill00(a0, p), _bvec(n, b1=p.b01 / p.b12))
-        if name == "U_9":
-            a0 = _root(p.b01, 3)
-            return AdaptedTransform(n, a0, _kill00(a0, p), _bvec(n, b1=1))
-        if name == "U_10":
-            a0 = _root(p.b00 * p.b12, 5)
-            return AdaptedTransform(n, a0, 0, _bvec(n, b1=a0 ** 3 / p.b12))
-        if name == "U_11":
-            return AdaptedTransform(n, 1, 0, _bvec(n, b1=p.b00))
-        if name == "U_12":
-            return AdaptedTransform(n, 1, 0, _bvec(n, b1=1 / p.b12))
-
-    if n == 6:
-        if name == "U_1":
-            a0 = _root(p.b11 / p.b14, 3)
-            b1 = a0 ** 2 / p.b14
-            return AdaptedTransform(
-                n, a0, _kill01(a0, p), _bvec(n, b1=b1, b3=-b1 * p.b12 / (2 * p.b14))
-            )
-        if name == "U_2":
-            a0 = p.b11 / p.b12
-            return AdaptedTransform(n, a0, _kill01(a0, p), _bvec(n, b1=a0 ** 5 / p.b11))
-        if name == "U_5":
-            a0 = _root(p.b01, 4)
-            b1 = a0 ** 2 / p.b14
-            return AdaptedTransform(
-                n, a0, _kill00(a0, p), _bvec(n, b1=b1, b3=-b1 * p.b12 / (2 * p.b14))
-            )
-        if name == "U_6":
-            a0 = _root(p.b01, 4)
-            return AdaptedTransform(n, a0, _kill00(a0, p), _bvec(n, b1=p.b01 / p.b12))
-        if name == "U_7":
-            a0 = _root(p.b01, 4)
-            return AdaptedTransform(n, a0, _kill00(a0, p), _bvec(n, b1=1))
-        if name == "U_8":
-            a0 = _root(p.b00 * p.b14, 5)
-            b1 = a0 ** 2 / p.b14
-            return AdaptedTransform(
-                n, a0, 0, _bvec(n, b1=b1, b3=-b1 * p.b12 / (2 * p.b14))
-            )
-        if name == "U_9":
-            a0 = _root(p.b00 * p.b12, 7)
-            return AdaptedTransform(n, a0, 0, _bvec(n, b1=a0 ** 4 / p.b12))
-        if name == "U_10":
-            return AdaptedTransform(n, 1, 0, _bvec(n, b1=p.b00))
-        if name == "U_11":
-            b1 = 1 / p.b14
-            return AdaptedTransform(n, 1, 0, _bvec(n, b1=b1, b3=-b1 * p.b12 / (2 * p.b14)))
-        if name == "U_12":
-            return AdaptedTransform(n, 1, 0, _bvec(n, b1=1 / p.b12))
-
-    if n == 7:
-        if name in ("U_1", "U_2", "U_3", "U_4"):
-            if name == "U_1":
-                _thin_locus_check(p, 2 * p.b11 - p.b01 * p.b, "2*b11 - b01*b")
-                a0 = _root(p.b11 / p.b, 5)
-                a1 = _kill01(a0, p)
-                b1 = (a0 + a1 * p.b) / p.b
-            elif name == "U_2":
-                _thin_locus_check(p, p.b01 - p.b00 * p.b, "b01 - b00*b")
-                q = (p.b01 - p.b00 * p.b) / p.b01
-                a0 = _root(p.b01 / q, 5)
-                a1 = _kill00(a0, p)
-                b1 = a0 * q / p.b
-            elif name == "U_3":
-                a0 = _root(p.b00 * p.b, 5)
-                a1 = 0j
-                b1 = a0 / p.b
-            else:
-                a0, a1, b1 = 1 + 0j, 0j, 1 / p.b
-            b3 = b1 * p.b14 / (2 * p.b)
-            b5 = (b1 * b1 * p.b12 + 2 * b1 * b3 * p.b14 - b3 * b3 * p.b) / (2 * b1 * p.b)
-            return AdaptedTransform(n, a0, a1, _bvec(n, b1=b1, b3=b3, b5=b5))
-        if name == "U_5":
-            a0 = _root(p.b11 / p.b14, 3)
-            b1 = a0 ** 3 / p.b14
-            return AdaptedTransform(
-                n, a0, _kill01(a0, p), _bvec(n, b1=b1, b3=-b1 * p.b12 / (2 * p.b14))
-            )
-        if name == "U_6":
-            a0 = _root(p.b01, 5)
-            b1 = a0 ** 3 / p.b14
-            return AdaptedTransform(
-                n, a0, _kill00(a0, p), _bvec(n, b1=b1, b3=-b1 * p.b12 / (2 * p.b14))
-            )
-        if name == "U_7":
-            a0 = _root(p.b00 * p.b14, 7)
-            b1 = a0 ** 3 / p.b14
-            return AdaptedTransform(
-                n, a0, 0, _bvec(n, b1=b1, b3=-b1 * p.b12 / (2 * p.b14))
-            )
-        if name == "U_8":
-            b1 = 1 / p.b14
-            return AdaptedTransform(n, 1, 0, _bvec(n, b1=b1, b3=-b1 * p.b12 / (2 * p.b14)))
-        if name == "U_9":
-            a0 = p.b11 / p.b12
-            return AdaptedTransform(n, a0, _kill01(a0, p), _bvec(n, b1=a0 ** 6 / p.b11))
-        if name == "U_10":
-            a0 = _root(p.b01, 5)
-            return AdaptedTransform(n, a0, _kill00(a0, p), _bvec(n, b1=p.b01 / p.b12))
-        if name == "U_11":
-            a0 = _root(p.b00 * p.b12, 9)
-            return AdaptedTransform(n, a0, 0, _bvec(n, b1=a0 ** 5 / p.b12))
-        if name == "U_12":
-            return AdaptedTransform(n, 1, 0, _bvec(n, b1=1 / p.b12))
-        if name == "U_15":
-            a0 = _root(p.b01, 5)
-            return AdaptedTransform(n, a0, _kill00(a0, p), _bvec(n, b1=1))
-        if name == "U_16":
-            return AdaptedTransform(n, 1, 0, _bvec(n, b1=p.b00))
-
-    if n == 8:
-        if name == "U_1":
-            a0 = _root(p.b11 / p.b16, 5)
-            b1 = a0 ** 2 / p.b16
-            b3 = -b1 * p.b14 / (2 * p.b16)
-            b5 = -(b1 * b1 * p.b12 + 2 * b1 * b3 * p.b14 + b3 * b3 * p.b16) / (2 * b1 * p.b16)
-            return AdaptedTransform(n, a0, _kill01(a0, p), _bvec(n, b1=b1, b3=b3, b5=b5))
-        if name in ("U_2", "U_3", "U_4"):
-            if name == "U_2":
-                a0 = _root(p.b01, 6)
-                a1 = _kill00(a0, p)
-            elif name == "U_3":
-                a0 = _root(p.b00 * p.b16, 7)
-                a1 = 0j
-            else:
-                a0, a1 = 1 + 0j, 0j
-            b1 = a0 ** 2 / p.b16
-            b3 = -b1 * p.b14 / (2 * p.b16)
-            b5 = -(b1 * b1 * p.b12 + 2 * b1 * b3 * p.b14 + b3 * b3 * p.b16) / (2 * b1 * p.b16)
-            return AdaptedTransform(n, a0, a1, _bvec(n, b1=b1, b3=b3, b5=b5))
-        if name == "U_5":
-            a0 = _root(p.b11 / p.b14, 3)
-            b1 = a0 ** 4 / p.b14
-            return AdaptedTransform(
-                n, a0, _kill01(a0, p), _bvec(n, b1=b1, b3=-b1 * p.b12 / (2 * p.b14))
-            )
-        if name == "U_6":
-            a0 = _root(p.b01, 6)
-            b1 = a0 ** 4 / p.b14
-            return AdaptedTransform(
-                n, a0, _kill00(a0, p), _bvec(n, b1=b1, b3=-b1 * p.b12 / (2 * p.b14))
-            )
-        if name == "U_7":
-            a0 = _root(p.b00 * p.b14, 9)
-            b1 = a0 ** 4 / p.b14
-            return AdaptedTransform(
-                n, a0, 0, _bvec(n, b1=b1, b3=-b1 * p.b12 / (2 * p.b14))
-            )
-        if name == "U_8":
-            b1 = 1 / p.b14
-            return AdaptedTransform(n, 1, 0, _bvec(n, b1=b1, b3=-b1 * p.b12 / (2 * p.b14)))
-        if name == "U_9":
-            a0 = p.b11 / p.b12
-            return AdaptedTransform(n, a0, _kill01(a0, p), _bvec(n, b1=a0 ** 7 / p.b11))
-        if name == "U_10":
-            a0 = _root(p.b01, 6)
-            return AdaptedTransform(n, a0, _kill00(a0, p), _bvec(n, b1=p.b01 / p.b12))
-        if name == "U_11":
-            a0 = _root(p.b00 * p.b12, 11)
-            return AdaptedTransform(n, a0, 0, _bvec(n, b1=a0 ** 6 / p.b12))
-        if name == "U_12":
-            return AdaptedTransform(n, 1, 0, _bvec(n, b1=1 / p.b12))
-        if name == "U_15":
-            a0 = _root(p.b01, 6)
-            return AdaptedTransform(n, a0, _kill00(a0, p), _bvec(n, b1=1))
-        if name == "U_16":
-            return AdaptedTransform(n, 1, 0, _bvec(n, b1=p.b00))
-
-    raise FiliformError(f"no canonicalizing recipe for n={n} {name}")
+    if flags["b11"]:
+        num, den = -p.b01, 2 * p.b11
+    elif flags["b01"]:
+        num, den = -p.b00, p.b01
+    else:
+        num, den = 0j, 1
+    s = num / den
+    if n % 2 == 1 and abs(1 + s * p.b) <= ZERO_FLAG_RTOL:
+        raise CanonicalizationError(
+            "the shear factor 1 + s*b vanishes (the thin locus of the cell); "
+            "no adapted transform moves this member onto the representative"
+        )
+    v = p.as_tuple()
+    sheared = _act(n, 1, s, (1 + 0j,) + (0j,) * (n - 3), v)
+    # the shifts leave the "1" slots alone, so the torus reads them sheared
+    a0 = 1 + 0j
+    for i, e in plan.root:
+        a0 = a0 * sheared[i] if e > 0 else a0 / sheared[i]
+    a0 = _root(a0, plan.order)
+    b1 = 1 + 0j
+    if plan.scale is not None:
+        i, x, y = plan.scale
+        b1 = a0 ** -x / sheared[i] if y > 0 else sheared[i] / a0 ** -x
+    a1 = a0 * num / den
+    bvec = [b1] + [0j] * (n - 3)
+    for k, i in plan.shifts:
+        f0 = _act(n, a0, a1, bvec, v)[i]
+        if not f0:
+            continue
+        # f(B_k) = f0 - d * B_k: d from a trial at B_k = B1 (good to eps * |f0|),
+        # then from the secant through 0 and f0 / d; then one Newton step
+        bvec[k - 1] = b1
+        d = (f0 - _act(n, a0, a1, bvec, v)[i]) / b1
+        if not d:
+            raise CanonicalizationError(f"chain slot {PARAM_SLOTS[n][i]} too large for its pivot")
+        bvec[k - 1] = first = f0 / d
+        d = (f0 - _act(n, a0, a1, bvec, v)[i]) / first
+        bvec[k - 1] = f0 / d
+        bvec[k - 1] += _act(n, a0, a1, bvec, v)[i] / d
+    return AdaptedTransform(n, a0, a1, tuple(bvec))
 
 
 # ---------------------------------------------------------------------------
@@ -457,9 +313,10 @@ def canonicalize(p: ExtensionParams) -> OrbitLabel:
     not land on the representative pattern (in particular on the thin loci
     of the odd-family top cells, where the representative is unreachable).
     """
-    name = subset_of(p)
-    spec = get_spec(p.n, name)
-    witness = _canonical_transform(p, name)
+    flags = nonzero_flags(p)
+    spec = _cell(p.n, flags)
+    name = spec.name
+    witness = _canonical_transform(p, flags, _PLANS[p.n, name])
     achieved = act_on_params(witness, p)
     lam = achieved.b00 if spec.parametric else None
     rep = representative_params(p.n, name, lam)
@@ -476,12 +333,13 @@ def canonicalize(p: ExtensionParams) -> OrbitLabel:
 def classify(p: ExtensionParams) -> OrbitLabel:
     """Full classification: normal form plus invariant report."""
     label = canonicalize(p)
+    flags = nonzero_flags(p)
     report = InvariantReport(
         delta=p.delta,
-        flags={name: not on for name, on in nonzero_flags(p).items()},
+        flags={name: not on for name, on in flags.items()},
         orbit_value=orbit_invariant(p, label.subset),
         canonical_lambda=label.lam,
-        flag_margin=flag_margin(p),
+        flag_margin=_margin(p, flags),
     )
     return replace(label, invariants=report)
 
@@ -491,17 +349,11 @@ def classify(p: ExtensionParams) -> OrbitLabel:
 
 
 def _stabilizer_transform(n: int, subset: str, mult: complex) -> AdaptedTransform:
-    """Transform fixing the representative pattern with lam -> mult * lam."""
-    if (n, subset) == (6, "U_1"):
-        a0 = mult
-        return AdaptedTransform(n, a0, 0, _bvec(n, b1=a0 ** 2))
-    if (n, subset) == (7, "U_5"):
-        a0 = mult ** 2
-        return AdaptedTransform(n, a0, 0, _bvec(n, b1=1))
-    if (n, subset) == (8, "U_1"):
-        a0 = mult ** 2
-        return AdaptedTransform(n, a0, 0, _bvec(n, b1=a0 ** 2))
-    raise FiliformError(f"no stabilizer data for n={n} {subset}")
+    """Torus element fixing the representative with lam -> mult * lam (mult**order = 1)."""
+    order, e = STABILIZERS[n, subset]
+    a0 = mult ** pow(e, -1, order)
+    _i, x, y = _PLANS[n, subset].scale
+    return AdaptedTransform(n, a0, 0, (a0 ** (-x * y),) + (0,) * (n - 3))
 
 
 def isomorphic(

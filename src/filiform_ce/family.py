@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, FiliformError
-from .subsets import PARAM_SLOTS, SUBSETS, get_spec
+from .subsets import PARAM_SLOTS, get_spec
 from .tensor import StructureTensor, leibniz_residual_tensor
 from .tolerance import RANK_RTOL, require_finite
 
@@ -100,17 +100,6 @@ class ExtensionParams:
         if self.n % 2 == 1:
             out = out + (self.b,)
         return out
-
-    def slot(self, name: str) -> complex:
-        return {
-            "b00": self.b00,
-            "b01": self.b01,
-            "b11": self.b11,
-            "b12": self.b12,
-            "b14": self.b14,
-            "b16": self.b16,
-            "b": self.b,
-        }[name]
 
     @property
     def delta(self) -> complex:
@@ -437,7 +426,3 @@ def _clears_margins(p: ExtensionParams) -> bool:
         if abs(p.delta) < _MARGIN:
             return False
     return True
-
-
-def all_subset_names(n: int) -> list[str]:
-    return [s.name for s in SUBSETS[n]]

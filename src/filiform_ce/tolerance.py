@@ -40,9 +40,6 @@ class Tolerance:
         bound = self.abs_tol + self.rel_tol * np.maximum(np.abs(a), np.abs(b))
         return bool(np.all(np.abs(a - b) <= bound))
 
-    def is_zero(self, a: complex, scale: float = 1.0) -> bool:
-        return abs(a) <= self.abs_tol + self.rel_tol * scale
-
 
 DEFAULT_TOL = Tolerance()
 

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from filiform_ce import (
+    AdaptedTransform,
     CanonicalizationError,
     DomainError,
     act_on_params,
@@ -20,7 +21,8 @@ from filiform_ce import (
     subset_of,
     warn_if_borderline,
 )
-from filiform_ce.subsets import SUBSETS, STABILIZERS, parametric_subsets
+from filiform_ce.classify import _weight
+from filiform_ce.subsets import PARAM_SLOTS, SUBSETS, STABILIZERS, parametric_subsets
 
 
 def tuple_dev(p, q):
@@ -162,8 +164,98 @@ def test_canonicalize_witness_lands_on_representative():
 
 
 def test_canonicalize_thin_locus_raises():
-    with pytest.raises(CanonicalizationError):
-        canonicalize(params_from_tuple(5, [1, 2, 1, 0, 1]))
+    # the shear factor 1 + s*b vanishes: the representative is out of reach
+    for n, values in [
+        (5, [1, 2, 1, 0, 1]),  # U_1
+        (7, [1, 2, 1, 0, 0, 1]),  # U_1
+        (5, [1, 1, 0, 0, 1]),  # U_2
+        (7, [1, 1, 0, 0, 0, 1]),  # U_2
+    ]:
+        with pytest.raises(CanonicalizationError):
+            canonicalize(params_from_tuple(n, values))
+
+
+@pytest.mark.parametrize(
+    "n, cell, slot, ratio",
+    [
+        (6, "U_1", "b12", 3e5),
+        (6, "U_1", "b12", 1e6),
+        (8, "U_1", "b12", 1e6),
+        (8, "U_1", "b14", 1e4),
+        (7, "U_1", "b12", 1e6),
+    ],
+)
+def test_canonicalize_large_cleared_slot(n, cell, slot, ratio):
+    # a chain slot the shifts clear, far larger than its pivot: the shift
+    # solve must leave a residual near eps * |slot|, not eps * |slot|**2 / |pivot|
+    import numpy as np
+
+    i = PARAM_SLOTS[n].index(slot)
+    for seed in range(20):
+        rng = np.random.default_rng(seed)
+        phases = [cmath.exp(1j * rng.uniform(0, 2 * cmath.pi)) for _ in PARAM_SLOTS[n]]
+        values = [v * z for v, z in zip(random_params(n, cell, seed=seed).as_tuple(), phases)]
+        values[i] = ratio * phases[i]
+        p = params_from_tuple(n, values)
+        lab = canonicalize(p)
+        assert lab.subset == cell
+        want = representative_params(n, cell, lab.lam)
+        assert tuple_dev(act_on_params(lab.witness, p), want) < 1e-6 * (1 + want.scale())
+
+
+@pytest.mark.parametrize("n, cell, top", [(6, "U_1", "b14"), (7, "U_5", "b14"), (8, "U_1", "b16")])
+def test_canonical_lambda_ignores_sign_of_zero(n, cell, top):
+    # the rooted quantity is a negative real here; a zero imaginary part
+    # of either sign must give the same principal root, hence the same lam
+    lams = set()
+    for sign11 in (1.0, -1.0):
+        for sign_top in (1.0, -1.0):
+            values = dict.fromkeys(PARAM_SLOTS[n], 0j)
+            values["b00"] = 1 + 0j
+            values["b11"] = complex(2, sign11 * 0.0)
+            values[top] = complex(-1, sign_top * 0.0)
+            lab = canonicalize(params_from_tuple(n, [values[s] for s in PARAM_SLOTS[n]]))
+            assert lab.subset == cell
+            lams.add(lab.lam)
+    assert len(lams) == 1
+
+
+def test_torus_weights_match_action():
+    # upsilon(a0, b1) multiplies each slot by a0**x * b1**y
+    a0, b1 = 1.3 + 0.4j, 0.7 - 0.9j
+    for n in SUBSETS:
+        p = random_params(n, seed=n)
+        t = AdaptedTransform(n, a0, 0, (b1,) + (0,) * (n - 3))
+        moved = act_on_params(t, p).as_tuple()
+        for slot, before, after in zip(PARAM_SLOTS[n], p.as_tuple(), moved):
+            x, y = _weight(n, slot)
+            assert after == pytest.approx(before * a0**x * b1**y, rel=1e-12), (n, slot)
+
+
+def test_torus_weights_give_stabilizers():
+    # the torus elements fixing the "1" slots of a parametric representative
+    # form a cyclic group of order |det|; the generator multiplies lam by
+    # zeta**e, which is nontrivial exactly on the STABILIZERS cells
+    nontrivial = {}
+    for n in SUBSETS:
+        for spec in SUBSETS[n]:
+            if not spec.parametric:
+                continue
+            ones = [s for s, v in zip(PARAM_SLOTS[n], spec.representative) if v == 1]
+            (x1, y1), (x2, y2) = (_weight(n, s) for s in ones)
+            order = abs(x1 * y2 - x2 * y1)
+            # B1 = A0**(-x1*y1) keeps the first "1" slot (y1 = +-1) at 1
+            x00, y00 = _weight(n, "b00")
+            e = (x00 - y00 * x1 * y1) % order
+            zeta = cmath.exp(2j * cmath.pi / order)
+            t = AdaptedTransform(n, zeta, 0, (zeta ** (-x1 * y1),) + (0,) * (n - 3))
+            rep = representative_params(n, spec.name, 1.3)
+            moved = act_on_params(t, rep)
+            want = representative_params(n, spec.name, 1.3 * zeta**e)
+            assert tuple_dev(moved, want) < 1e-12, (n, spec.name)
+            if e:
+                nontrivial[n, spec.name] = (order, e)
+    assert nontrivial == STABILIZERS
 
 
 def test_classify_report_fields():

@@ -60,7 +60,8 @@ def test_params_slot_access():
     assert (p.b12, p.b14, p.b16) == (4, 5, 6)
     assert p.b == 0
     assert p.delta == 2 * 2 - 4 * 1 * 3
-    assert [p.slot(s) for s in PARAM_SLOTS[8]] == [1, 2, 3, 4, 5, 6]
+    # slot names index the tuple in PARAM_SLOTS order
+    assert tuple(getattr(p, s) for s in PARAM_SLOTS[8]) == p.as_tuple() == (1, 2, 3, 4, 5, 6)
 
 
 def test_slot_zero_fill_for_missing_evens():
