@@ -9,16 +9,23 @@ the rest of the image basis being generated by the recursion
 ``f(e_{i+1}) = [f(e_i), f(e_0)]`` inside the extension algebra.  Such a
 transform is nondegenerate when A0, B_1 and A0 + A1*b are all nonzero; it
 then maps the family to itself, and its effect on the free parameters has a
-closed form (``act_on_params``).
+closed form (``act_on_params``).  Every even row follows one rule,
+
+    b'_{1,m} = sum_{k, l>=m} B_k B_{l-m+1} c_{k,l} / (A0^{n-m-n%2} B_1 [A0 + A1 b]),
+
+with c_{k,l} the e_n-coefficient of [e_k, e_l] (linear in the parameters,
+so read once per rank off the unit tables) and the bracket for odd n only.
 
 The group is generated by three kinds of elementary transforms (sigma, tau,
 upsilon below); generators touching only the trailing basis directions act
 trivially on parameters, which is what justifies dropping the tail when
-reducing an arbitrary basis-change matrix back to (A0, A1, B).
+reducing an arbitrary basis-change matrix back to (A0, A1, B).  The
+reference routes for both claims live in :mod:`filiform_ce.verify`.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,8 +36,9 @@ from .errors import (
     TableShapeError,
 )
 from .family import ExtensionParams, build_table, params_from_tuple
-from .tensor import StructureTensor, bracket, change_basis
-from .tolerance import DEFAULT_TOL, Tolerance, require_finite
+from .subsets import PARAM_SLOTS
+from .tensor import StructureTensor, bracket
+from .tolerance import require_finite
 
 
 @dataclass(frozen=True)
@@ -63,17 +71,16 @@ def identity_transform(n: int) -> AdaptedTransform:
     return AdaptedTransform(n, 1, 0, (1,) + (0,) * (n - 3))
 
 
-def _require_nondegenerate(t: AdaptedTransform, b: complex, tol: Tolerance) -> None:
-    checks = (
-        ("A0", t.A0),
-        ("B_1", t.coeff_B(1)),
-        ("A0 + A1*b", t.A0 + t.A1 * b),
-    )
-    for name, v in checks:
-        if abs(v) <= tol.abs_tol:
-            raise DegenerateTransformError(
-                f"adapted transform is degenerate: {name} vanishes"
-            )
+def _require_nondegenerate(t: AdaptedTransform, b: complex) -> None:
+    """A0 and B_1 are scale factors, so only an exact zero degenerates them;
+    the shear vanishes when it cancels to rounding level."""
+    for name, vanishes in (
+        ("A0", t.A0 == 0),
+        ("B_1", t.B[0] == 0),
+        ("A0 + A1*b", abs(t.A0 + t.A1 * b) <= 1e-12 * max(abs(t.A0), abs(t.A1 * b))),
+    ):
+        if vanishes:
+            raise DegenerateTransformError(f"adapted transform is degenerate: {name} vanishes")
 
 
 # ---------------------------------------------------------------------------
@@ -136,7 +143,7 @@ def elementary_to_adapted(e: ElementaryTransform, n: int) -> AdaptedTransform:
     raise DomainError(f"unknown elementary transform kind {e.kind!r}")
 
 
-def elementary_factors(t: AdaptedTransform, corrected: bool = True) -> list[ElementaryTransform]:
+def elementary_factors(t: AdaptedTransform) -> list[ElementaryTransform]:
     """Generator factorization of a nondegenerate transform, in application order.
 
     Composing the parameter actions of the returned factors, first to last,
@@ -144,9 +151,8 @@ def elementary_factors(t: AdaptedTransform, corrected: bool = True) -> list[Elem
     then one shift sigma(c_k, k) per slot, and the scaling upsilon(A0, B_1)
     last.  Two consecutive shifts feed the slot k+l-1, so the exact
     coefficients c_k solve a triangular system; the uncorrected per-slot
-    ratios B_k/B_1 (available with ``corrected=False``) reproduce the
-    parameter action only for n <= 6, where the polluted slots never enter
-    it.
+    ratios B_k/B_1 reproduce the parameter action only for n <= 6, where
+    the polluted slots never enter it.
     """
     if t.A0 == 0 or t.coeff_B(1) == 0:
         raise DegenerateTransformError("cannot factor a degenerate transform")
@@ -156,9 +162,7 @@ def elementary_factors(t: AdaptedTransform, corrected: bool = True) -> list[Elem
     image = np.zeros(n - 1, dtype=complex)
     image[1] = 1.0
     for k in range(2, n - 1):
-        c = t.coeff_B(k) / t.coeff_B(1)
-        if corrected:
-            c -= image[k]
+        c = t.coeff_B(k) / t.coeff_B(1) - image[k]
         shifted = np.zeros_like(image)
         shifted[k - 1 :] = image[: n - k]
         image += c * shifted
@@ -171,7 +175,7 @@ def elementary_factors(t: AdaptedTransform, corrected: bool = True) -> list[Elem
 # matrices
 
 
-def adapted_matrix(t: AdaptedTransform, p: ExtensionParams, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
+def adapted_matrix(t: AdaptedTransform, p: ExtensionParams) -> np.ndarray:
     """Full basis-change matrix of ``t`` on the extension table of ``p``.
 
     Column i holds the old-basis coordinates of the new basis vector
@@ -180,15 +184,13 @@ def adapted_matrix(t: AdaptedTransform, p: ExtensionParams, tol: Tolerance = DEF
     """
     if t.n != p.n:
         raise DomainError(f"transform has n={t.n} but parameters have n={p.n}")
-    _require_nondegenerate(t, p.b, tol)
+    _require_nondegenerate(t, p.b)
     n = p.n
     d = n + 1
     table = build_table(p)
     m = np.zeros((d, d), dtype=complex)
-    m[0, 0] = t.A0
-    m[1, 0] = t.A1
-    for k in range(1, n - 1):
-        m[k, 1] = t.coeff_B(k)
+    m[0, 0], m[1, 0] = t.A0, t.A1
+    m[1 : n - 1, 1] = t.B
     for i in range(1, n):
         m[:, i + 1] = bracket(table, m[:, i], m[:, 0])
     return m
@@ -199,7 +201,7 @@ def transform_from_matrix(m: np.ndarray, n: int) -> AdaptedTransform:
 
     Drops the trailing components of the first two columns; legitimate
     because those directions are spanned by parameter-trivial generators
-    (see ``verify_tail_triviality``).
+    (the harness's ``tail-triviality`` check).
     """
     m = np.asarray(m, dtype=complex)
     return AdaptedTransform(n, m[0, 0], m[1, 0], tuple(m[k, 1] for k in range(1, n - 1)))
@@ -224,207 +226,81 @@ def inverse_transform(t: AdaptedTransform, p: ExtensionParams) -> AdaptedTransfo
 # parameter action
 
 
-def act_on_params(t: AdaptedTransform, p: ExtensionParams, tol: Tolerance = DEFAULT_TOL) -> ExtensionParams:
+def act_on_params(t: AdaptedTransform, p: ExtensionParams) -> ExtensionParams:
     """Closed-form effect of an adapted transform on the free parameters."""
     if t.n != p.n:
         raise DomainError(f"transform has n={t.n} but parameters have n={p.n}")
-    _require_nondegenerate(t, p.b, tol)
+    _require_nondegenerate(t, p.b)
     n = p.n
     c = _act(n, t.A0, t.A1, t.B, p.as_tuple())
     return ExtensionParams(n, c[0], c[1], c[2], c[3 : 3 + (n - 2) // 2], c[-1] if n % 2 else 0j)
 
 
+@functools.cache
+def _sum_terms(n: int) -> tuple:
+    """Per even row m: (n-m-n%2, terms), terms (slot, ((c, i, j), ...)).
+
+    The sum is B^T C B, C[i, j] = c_{i+1, j+m} read off the table of each
+    unit parameter tuple; B_i*B_j and B_j*B_i are merged (0-based i <= j),
+    and each slot multiplies its polynomial in B, as in the paper's forms.
+    """
+    size = len(PARAM_SLOTS[n])
+    units = [build_table(params_from_tuple(n, [s == u for u in range(size)])).gamma[:, :, n].real for s in range(size)]
+    rows = []
+    for m in range(2, n - 1, 2):
+        terms = []
+        for s, unit in enumerate(units):
+            c = np.zeros((n - 2, n - 2))
+            c[:, : n - m] = unit[1 : n - 1, m:n]
+            c = np.triu(c + c.T - np.diag(np.diag(c)))
+            if c.any():
+                terms.append((s, tuple((float(c[i, j]), int(i), int(j)) for i, j in zip(*np.nonzero(c)))))
+        rows.append((n - m - n % 2, tuple(terms)))
+    return tuple(rows)
+
+
 def _act(n: int, a0: complex, a1: complex, bvec: tuple, v: tuple) -> tuple:
-    """The closed form behind ``act_on_params``, on plain tuples.
+    """The closed form behind ``act_on_params``, on plain tuples, unvalidated.
 
     ``bvec`` holds B_1..B_{n-2} and ``v`` the parameters in ``as_tuple``
-    order; the result is in the same order.  Nothing is validated, so
-    callers that build their own intermediate transforms can evaluate it
-    cheaply.
+    order; the result is in the same order.
     """
-    b1, b2, b3, b4, b5 = (tuple(bvec) + (0j,) * 5)[:5]
-    b00, b01, b11, b12 = v[:4]
-    b14 = v[4] if n >= 6 else 0j
-    b16 = v[5] if n == 8 else 0j
-    b = v[-1] if n % 2 == 1 else 0j
+    b00, b01, b11 = v[:3]
+    b1 = bvec[0]
+    b = v[-1] if n % 2 else 0j
     shear = a0 + a1 * b
     nn = a0 ** (n - 2) * shear
-
-    c00 = (a0 * a0 * b00 + a0 * a1 * b01 + a1 * a1 * b11) / (nn * b1)
-    c01 = (a0 * b01 + 2 * a1 * b11) / nn
-    c11 = b1 * b11 / nn
-
-    if n == 4:
-        evens = (b1 * b12 / a0 ** 2,)
-    elif n == 5:
-        evens = (
-            (b1 * b1 * b12 + (b2 * b2 - 2 * b1 * b3) * b) / (a0 ** 2 * b1 * shear),
-        )
-    elif n == 6:
-        evens = (
-            (b1 * b1 * b12 + (2 * b1 * b3 - b2 * b2) * b14) / (a0 ** 4 * b1),
-            b1 * b14 / a0 ** 2,
-        )
-    elif n == 7:
-        evens = (
-            (
-                b1 * b1 * b12
-                + (2 * b1 * b3 - b2 * b2) * b14
-                + (2 * b2 * b4 - 2 * b1 * b5 - b3 * b3) * b
-            )
-            / (a0 ** 4 * b1 * shear),
-            (b1 * b1 * b14 + (b2 * b2 - 2 * b1 * b3) * b) / (a0 ** 2 * b1 * shear),
-        )
-    else:  # n == 8
-        evens = (
-            (
-                b1 * b1 * b12
-                + (2 * b1 * b3 - b2 * b2) * b14
-                + (2 * b1 * b5 - 2 * b2 * b4 + b3 * b3) * b16
-            )
-            / (a0 ** 6 * b1),
-            (b1 * b1 * b14 + (2 * b1 * b3 - b2 * b2) * b16) / (a0 ** 4 * b1),
-            b1 * b16 / a0 ** 2,
-        )
-    out = (c00, c01, c11) + evens
-    return out + (b1 * b / shear,) if n % 2 == 1 else out
-
-
-def act_by_coefficient_sum(
-    t: AdaptedTransform,
-    p: ExtensionParams,
-    bounds: str = "extended",
-    tol: Tolerance = DEFAULT_TOL,
-) -> ExtensionParams:
-    """Even-row action through the classical double coefficient sum.
-
-    Computes each transformed even coefficient as
-
-        b'_{1,m} = A0^{m-1}/(N*B_1) * sum_{k} sum_{l>=m} B_k B_{l-m+1} c_{k,l}
-
-    where ``c_{k,l}`` is the e_n-coefficient of [e_k, e_l] in the expanded
-    table.  Two transcriptions of the inner bounds circulate: ``extended``
-    runs l through n-1 with out-of-range B-indices read as zero, ``narrow``
-    stops at l = n-k-1 and skips k+l = n.  Only the extended reading agrees
-    with the tensor computation when the top coefficient is present; the
-    narrow one is kept for the verification harness's transcription report.
-    """
-    if bounds not in ("extended", "narrow"):
-        raise DomainError(f"bounds must be 'extended' or 'narrow', got {bounds!r}")
-    if t.n != p.n:
-        raise DomainError(f"transform has n={t.n} but parameters have n={p.n}")
-    _require_nondegenerate(t, p.b, tol)
-    n = p.n
-    a0, a1 = t.A0, t.A1
-    b1 = t.coeff_B(1)
-    shear = a0 + a1 * p.b
-    nn = a0 ** (n - 2) * shear
-    ckl = build_table(p).gamma[:, :, n]
-
-    evens = []
-    for m in range(2, n - 1, 2):
+    out = [
+        (a0 * a0 * b00 + a0 * a1 * b01 + a1 * a1 * b11) / (nn * b1),
+        (a0 * b01 + 2 * a1 * b11) / nn,
+        b1 * b11 / nn,
+    ]
+    tail = shear if n % 2 else 1
+    for power, terms in _sum_terms(n):
         total = 0j
-        for k in range(1, n - 1):
-            lmax = n - 1 if bounds == "extended" else n - k - 1
-            for l in range(m, lmax + 1):
-                if bounds == "narrow" and k + l == n:
-                    continue
-                total += t.coeff_B(k) * t.coeff_B(l - m + 1) * ckl[k, l]
-        evens.append(a0 ** (m - 1) / (nn * b1) * total)
-
-    generic = act_on_params(t, p, tol=tol)
-    return ExtensionParams(n, generic.b00, generic.b01, generic.b11, tuple(evens), generic.b)
-
-
-# ---------------------------------------------------------------------------
-# tail triviality
-
-
-def _elementary_full_matrix(e: ElementaryTransform, p: ExtensionParams) -> np.ndarray:
-    """Unreduced basis-change matrix of a generator, tails included."""
-    n = p.n
-    d = n + 1
-    table = build_table(p)
-    m = np.zeros((d, d), dtype=complex)
-    m[0, 0] = 1
-    m[1, 1] = 1
-    if e.kind == "sigma":
-        if not 2 <= e.k <= n:
-            raise DomainError(f"sigma index {e.k} out of range 2..{n}")
-        m[e.k, 1] += e.a
-    elif e.kind == "tau":
-        if not 1 <= e.k <= n:
-            raise DomainError(f"tau index {e.k} out of range 1..{n}")
-        m[e.k, 0] += e.a
-    elif e.kind == "upsilon":
-        m[0, 0] = e.a
-        m[1, 1] = e.b
-    else:
-        raise DomainError(f"unknown elementary transform kind {e.kind!r}")
-    for i in range(1, n):
-        m[:, i + 1] = bracket(table, m[:, i], m[:, 0])
-    return m
-
-
-def default_tail_generators(n: int, seed: int = 0) -> list[ElementaryTransform]:
-    """The generators expected to act trivially, with random coefficients."""
-    rng = np.random.default_rng(seed)
-    gens = [tau(complex(rng.uniform(0.5, 2.0)), k) for k in range(2, n + 1)]
-    gens += [sigma(complex(rng.uniform(0.5, 2.0)), k) for k in (n - 1, n)]
-    return gens
-
-
-def verify_tail_triviality(
-    n: int,
-    seed: int = 0,
-    elementaries: list[ElementaryTransform] | None = None,
-    p: ExtensionParams | None = None,
-    tol: Tolerance | None = None,
-) -> bool:
-    """Check whether given generators leave the free parameters unchanged.
-
-    Each generator is expanded to its full, unreduced basis-change matrix
-    (central corrections included), applied to the extension table, and the
-    parameters are read back off the transformed table.  With the default
-    generator list (tau into e_2..e_n, sigma into e_{n-1}, e_n) the result
-    is True; a generator that genuinely moves parameters, such as
-    ``tau(1, 1)``, makes it False.
-    """
-    from .family import random_params
-
-    if p is None:
-        p = random_params(n, seed=seed)
-    if elementaries is None:
-        elementaries = default_tail_generators(n, seed=seed)
-    if tol is None:
-        tol = Tolerance(abs_tol=1e-8, rel_tol=1e-8)
-    for e in elementaries:
-        m = _elementary_full_matrix(e, p)
-        if abs(np.linalg.det(m)) <= DEFAULT_TOL.abs_tol:
-            raise DegenerateTransformError("elementary transform matrix is singular")
-        try:
-            q = read_params(change_basis(build_table(p), m))
-        except TableShapeError:
-            return False
-        if not all(tol.close(x, y) for x, y in zip(p.as_tuple(), q.as_tuple())):
-            return False
-    return True
+        for s, poly in terms:
+            coeff = 0j
+            for c, i, j in poly:
+                coeff += c * bvec[i] * bvec[j]
+            total += coeff * v[s]
+        out.append(total / (a0 ** power * b1 * tail))
+    if n % 2:
+        out.append(b1 * b / shear)
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
 # reading parameters back off a table
 
-#: default comparison tolerance when validating a table against its rebuild
-READ_TOL = Tolerance(abs_tol=1e-8, rel_tol=1e-6)
 
-
-def read_params(t: StructureTensor, tol: Tolerance = READ_TOL) -> ExtensionParams:
+def read_params(t: StructureTensor) -> ExtensionParams:
     """Extract free parameters from a structure tensor of adapted shape.
 
     The designated entries are read off, the full table is rebuilt from
     them, and every entry is compared; any mismatch (wrong skeleton, broken
-    proportionality, non-central last vector, ...) raises
-    :class:`TableShapeError` listing the offending entries.
+    proportionality, non-central last vector, ...) beyond 1e-8 plus 1e-6
+    times the largest entry raises :class:`TableShapeError` listing the
+    offending entries.
     """
     n = t.dim - 1
     if not 4 <= n <= 8:
@@ -432,19 +308,14 @@ def read_params(t: StructureTensor, tol: Tolerance = READ_TOL) -> ExtensionParam
             f"table dimension {t.dim} outside the supported family (n = 4..8)"
         )
     g = t.gamma
-    values = {
-        "b00": g[0, 0, n],
-        "b01": g[0, 1, n],
-        "b11": g[1, 1, n],
-    }
     evens = tuple(g[1, m, n] for m in range(2, n - 1, 2))
     b = -g[1, n - 1, n] if n % 2 == 1 else 0j
-    p = ExtensionParams(n, values["b00"], values["b01"], values["b11"], evens, b)
+    p = ExtensionParams(n, g[0, 0, n], g[0, 1, n], g[1, 1, n], evens, b)
 
     rebuilt = build_table(p).gamma
     scale = max(float(np.max(np.abs(g))), 1.0)
     diff = np.abs(g - rebuilt)
-    bad = np.argwhere(diff > tol.abs_tol + tol.rel_tol * scale)
+    bad = np.argwhere(diff > 1e-8 + 1e-6 * scale)
     if bad.size:
         entries = [
             ((int(i), int(j), int(k)), complex(g[i, j, k]), complex(rebuilt[i, j, k]))

@@ -137,13 +137,24 @@ def orbit_invariant(p: ExtensionParams, subset: str | None = None) -> complex | 
     Also None at the isolated members where the cell's published function
     is undefined (a vanishing discriminant under the one function that
     divides by it, or the thin locus where the odd-family denominator
-    2*b11 - b01*b vanishes).
+    2*b11 - b01*b vanishes).  A value beyond floating-point range raises
+    :class:`DomainError`.
     """
-    n = p.n
     if subset is None:
         subset = subset_of(p)
-    if not get_spec(n, subset).parametric:
+    if not get_spec(p.n, subset).parametric:
         return None
+    try:
+        value = _orbit_function(p, subset)
+        if value is None or cmath.isfinite(value):
+            return value
+    except OverflowError:
+        pass
+    raise DomainError(f"orbit function of cell {subset} at n={p.n} overflows at this magnitude")
+
+
+def _orbit_function(p: ExtensionParams, subset: str) -> complex | None:
+    n = p.n
     d = p.delta
     if (n, subset) in ((5, "U_1"), (7, "U_1")):
         den = p.b01 * p.b - 2 * p.b11

@@ -221,7 +221,7 @@ def solve_leibniz_constraints(n: int) -> ConstraintReport:
         cols.append(np.real(r).reshape(-1))
     a = np.column_stack(cols)
 
-    _, s, vh = np.linalg.svd(a, full_matrices=True)
+    _, s, vh = np.linalg.svd(a, full_matrices=False)
     tol = RANK_RTOL * (s[0] if s.size else 1.0)
     rank = int(np.sum(s > tol))
     null_rows = vh[rank:, :]

@@ -1,9 +1,12 @@
 """Adapted transforms and their action on the coefficient tuples.
 
-The per-size closed forms are the fast route; the slow route pushes the
-full structure tensor through a change of basis and reads the coefficients
-back off.  Both must agree everywhere, which is the content of most tests
-here.
+The closed form, with every even row derived from one coefficient-sum rule,
+is the fast route; the slow route pushes the full structure tensor through
+a change of basis and reads the coefficients back off.  Both must agree
+everywhere, which is the content of most tests here.  The references that
+only the verification harness uses (the direct double sum, the unreduced
+generator matrices, the tail test, the naive factors) live in
+``filiform_ce.verify`` and are tested here through its private helpers.
 """
 
 import numpy as np
@@ -16,7 +19,6 @@ from filiform_ce import (
     DegenerateTransformError,
     DomainError,
     TableShapeError,
-    act_by_coefficient_sum,
     act_on_params,
     adapted_matrix,
     build_mu,
@@ -36,8 +38,9 @@ from filiform_ce import (
     tau,
     transform_from_matrix,
     upsilon,
-    verify_tail_triviality,
 )
+from filiform_ce.action import _act
+from filiform_ce.verify import _coefficient_sum, _naive_factors, _tail_generators, _tail_trivial
 
 import oracles
 
@@ -188,6 +191,24 @@ def test_inverse_transform_roundtrip():
         assert tuple_dev(back, p) < 1e-8
 
 
+def test_derived_rule_matches_rank7_closed_forms():
+    # the rank-7 even rows as the paper prints them
+    for seed in range(20):
+        p = random_params(7, seed=seed)
+        t = random_transform(7, seed=seed + 100, b=p.b)
+        b1, b2, b3, b4, b5 = t.B
+        shear = t.A0 + t.A1 * p.b
+        e12 = (
+            b1 * b1 * p.b12
+            + (2 * b1 * b3 - b2 * b2) * p.b14
+            + (2 * b2 * b4 - 2 * b1 * b5 - b3 * b3) * p.b
+        ) / (t.A0**4 * b1 * shear)
+        e14 = (b1 * b1 * p.b14 + (b2 * b2 - 2 * b1 * b3) * p.b) / (t.A0**2 * b1 * shear)
+        got = _act(7, t.A0, t.A1, t.B, p.as_tuple())
+        assert abs(got[3] - e12) <= 1e-12 * (1 + abs(e12))
+        assert abs(got[4] - e14) <= 1e-12 * (1 + abs(e14))
+
+
 # ---------------------------------------------------------------------------
 # general coefficient-sum action
 
@@ -196,7 +217,7 @@ def test_coefficient_sum_matches_closed_forms():
     for n in range(4, 9):
         p = random_params(n, seed=n + 10)
         t = random_transform(n, seed=n + 60, b=p.b)
-        got = act_by_coefficient_sum(t, p)
+        got = _coefficient_sum(t, p)
         want = act_on_params(t, p)
         assert tuple_dev(got, want) < 1e-8
 
@@ -207,7 +228,7 @@ def test_coefficient_sum_narrow_variant_deviates():
     p = random_params(7, seed=70)
     t = random_transform(7, seed=71, b=p.b)
     want = act_on_params(t, p)
-    narrow = act_by_coefficient_sum(t, p, bounds="narrow")
+    narrow = _coefficient_sum(t, p, narrow=True)
     assert tuple_dev(narrow, want) > 1e-4
 
 
@@ -249,19 +270,19 @@ def test_uncorrected_factors_fail_at_larger_sizes():
     p = random_params(7, seed=91)
     t = random_transform(7, seed=92, b=p.b)
     q = p
-    for f in elementary_factors(t, corrected=False):
+    for f in _naive_factors(t):
         q = act_on_params(elementary_to_adapted(f, 7), q)
     assert tuple_dev(q, act_on_params(t, p)) > 1e-3
 
 
 def test_tail_triviality():
     for n in range(4, 9):
-        assert verify_tail_triviality(n)
+        assert _tail_trivial(random_params(n, seed=0), _tail_generators(n, np.random.default_rng(0)))
 
 
 def test_tail_triviality_control():
     # tau at k = 1 genuinely moves the parameters, so the check must refuse it
-    assert not verify_tail_triviality(5, elementaries=[tau(1.0, 1)])
+    assert not _tail_trivial(random_params(5, seed=0), [tau(1.0, 1)])
 
 
 # ---------------------------------------------------------------------------

@@ -110,6 +110,15 @@ def test_orbit_value_none_on_degenerate_locus():
     assert orbit_invariant(thin) is None
 
 
+def test_orbit_value_overflow_is_domain_error():
+    p = random_params(5, "U_1", seed=3)
+    huge = params_from_tuple(5, [v * 1e120 for v in p.as_tuple()])
+    with pytest.raises(DomainError):
+        orbit_invariant(huge)
+    with pytest.raises(DomainError):
+        classify(huge)
+
+
 def test_orbit_constant_along_orbits():
     for n, cell in [(4, "U_1"), (6, "U_2"), (8, "U_9")]:
         p = random_params(n, cell, seed=17)
@@ -198,6 +207,31 @@ def test_canonicalize_large_cleared_slot(n, cell, slot, ratio):
         values[i] = ratio * phases[i]
         p = params_from_tuple(n, values)
         lab = canonicalize(p)
+        assert lab.subset == cell
+        want = representative_params(n, cell, lab.lam)
+        assert tuple_dev(act_on_params(lab.witness, p), want) < 1e-6 * (1 + want.scale())
+
+
+# members scaled by 10**k whose witness has A0 or B_1 below 1e-12 in
+# magnitude: an absolute zero test on those scale factors rejected them
+SCALED_MEMBERS = {
+    20: [
+        (4, "U_1"), (4, "U_3"), (4, "U_8"), (5, "U_4"), (5, "U_5"), (5, "U_7"),
+        (5, "U_12"), (6, "U_1"), (6, "U_2"), (6, "U_4"), (6, "U_11"), (6, "U_12"),
+        (7, "U_3"), (7, "U_4"), (7, "U_5"), (7, "U_8"), (7, "U_9"), (7, "U_12"),
+        (7, "U_14"), (8, "U_1"), (8, "U_2"), (8, "U_4"), (8, "U_5"), (8, "U_8"),
+        (8, "U_9"), (8, "U_12"), (8, "U_14"),
+    ],
+    -20: [(4, "U_6"), (4, "U_7"), (5, "U_3"), (5, "U_11"), (6, "U_10"), (7, "U_16"), (8, "U_16")],
+}
+
+
+@pytest.mark.parametrize("k", sorted(SCALED_MEMBERS))
+def test_classify_scaled_members(k):
+    for n, cell in SCALED_MEMBERS[k]:
+        p = random_params(n, cell, seed=1)
+        p = params_from_tuple(n, [v * 10.0**k for v in p.as_tuple()])
+        lab = classify(p)
         assert lab.subset == cell
         want = representative_params(n, cell, lab.lam)
         assert tuple_dev(act_on_params(lab.witness, p), want) < 1e-6 * (1 + want.scale())

@@ -162,6 +162,14 @@ def test_solver_is_cached():
     assert solve_leibniz_constraints(7) is solve_leibniz_constraints(7)
 
 
+def test_solver_covers_n9():
+    # the top of the solver's range, one rank past the family
+    rep = solve_leibniz_constraints(9)
+    assert rep.free_count == 7
+    assert rep.free_labels == ("b00", "b01", "b11", "b12", "b14", "b16", "b18")
+    assert rep.rank == rep.total_unknowns - 7
+
+
 def test_solver_rejects_out_of_range():
     with pytest.raises(DomainError):
         solve_leibniz_constraints(3)

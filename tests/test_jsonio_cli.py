@@ -212,6 +212,17 @@ def test_cli_exit_codes(monkeypatch, capsys):
     assert code == 3
 
 
+def test_cli_classify_overflow_exits_3(monkeypatch, capsys):
+    # the orbit function of a member this large overflows: a domain error
+    p = random_params(5, "U_1", seed=3)
+    huge = params_from_tuple(5, [v * 1e120 for v in p.as_tuple()])
+    text = json.dumps(jsonio.encode_params(huge))
+    code, out, err = run_cli(["classify"], stdin_text=text, monkeypatch=monkeypatch, capsys=capsys)
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+
+
 def test_cli_output_file(tmp_path, capsys):
     target = tmp_path / "out.json"
     code = main(["representatives", "--n", "4", "--output", str(target)])
