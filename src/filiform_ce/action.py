@@ -60,7 +60,7 @@ class AdaptedTransform:
         object.__setattr__(self, "A0", complex(self.A0))
         object.__setattr__(self, "A1", complex(self.A1))
         object.__setattr__(self, "B", tuple(complex(v) for v in self.B))
-        require_finite(np.array([self.A0, self.A1, *self.B]), "transform coefficients")
+        require_finite((self.A0, self.A1, *self.B), "transform coefficients")
 
     def coeff_B(self, k: int) -> complex:
         """B_k with out-of-range indices read as zero."""

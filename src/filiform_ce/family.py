@@ -76,8 +76,7 @@ class ExtensionParams:
         for name in ("b00", "b01", "b11", "b"):
             object.__setattr__(self, name, complex(getattr(self, name)))
         require_finite(
-            np.array([self.b00, self.b01, self.b11, *self.b_even, self.b]),
-            "extension parameters",
+            (self.b00, self.b01, self.b11, *self.b_even, self.b), "extension parameters"
         )
         if self.n % 2 == 0 and self.b != 0:
             raise DomainError(f"b must be 0 for even n, got {self.b!r}")

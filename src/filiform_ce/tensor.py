@@ -5,6 +5,10 @@ An algebra with basis ``e_0 .. e_{d-1}`` is stored as the rank-3 array
 ``[e_i, e_j]``.  Everything here is generic over that representation: the
 bilinear product, the Leibniz-identity residual, basis changes, the lower
 central series and the filiform test.
+
+Every contraction is a chain of pairwise matrix products (``@``),
+so a basis change costs O(d^4) rather than the O(d^6) of summing over all
+four operands at once (the contraction-order idea of Smith & Gray, JOSS 2018).
 """
 
 from __future__ import annotations
@@ -70,7 +74,8 @@ def bracket(t: StructureTensor, x, y) -> np.ndarray:
         raise DomainError(
             f"coefficient vectors must have length {t.dim}, got {x.shape} and {y.shape}"
         )
-    return np.einsum("i,j,ijk->k", x, y, t.gamma)
+    d = t.dim
+    return y @ (x @ t.gamma.reshape(d, d * d)).reshape(d, d)
 
 
 def leibniz_residual_tensor(t: StructureTensor) -> np.ndarray:
@@ -79,11 +84,14 @@ def leibniz_residual_tensor(t: StructureTensor) -> np.ndarray:
     Entry ``[i, j, k, m]`` is the e_m-component of
     ``[e_i,[e_j,e_k]] - [[e_i,e_j],e_k] + [[e_i,e_k],e_j]``.
     """
+    d = t.dim
     g = t.gamma
-    inner_right = np.einsum("jkl,ilm->ijkm", g, g)   # [e_i, [e_j, e_k]]
-    left_first = np.einsum("ijl,lkm->ijkm", g, g)    # [[e_i, e_j], e_k]
-    swap_last = np.einsum("ikl,ljm->ijkm", g, g)     # [[e_i, e_k], e_j]
-    return inner_right - left_first + swap_last
+    products = g.reshape(d * d, d)  # row (j, k) holds [e_j, e_k]
+    # [e_i, [e_j, e_k]], computed in the order (j, k, i, m)
+    inner_right = (products @ g.transpose(1, 0, 2).reshape(d, d * d)).reshape(d, d, d, d)
+    left_first = (products @ g.reshape(d, d * d)).reshape(d, d, d, d)  # [[e_i, e_j], e_k]
+    # [[e_i, e_k], e_j] is left_first with its middle indices swapped
+    return inner_right.transpose(2, 0, 1, 3) - left_first + left_first.transpose(0, 2, 1, 3)
 
 
 def leibniz_residual(t: StructureTensor) -> float:
@@ -114,14 +122,32 @@ def change_basis(t: StructureTensor, g) -> StructureTensor:
     if g.shape != (t.dim, t.dim):
         raise DomainError(f"basis-change matrix must be {t.dim}x{t.dim}, got {g.shape}")
     require_finite(g, "basis-change matrix")
-    # relative rank test: a uniformly small but well-conditioned matrix is a
-    # perfectly good basis, while abs(det) would reject it for large dim
-    s = np.linalg.svd(g, compute_uv=False)
-    if s[-1] <= 1e-12 * max(1.0, s[0]):
+    _require_nonsingular(g)
+    d = t.dim
+    # sum_{a,b,l} g[a,i] g[b,j] gamma[a,b,l] ginv[k,l], summing a, then b, then l
+    moved = (g.T @ t.gamma.reshape(d, d * d)).reshape(d, d, d)
+    moved = g.T @ moved
+    moved = moved.reshape(d * d, d) @ np.linalg.inv(g).T
+    return StructureTensor(moved.reshape(d, d, d))
+
+
+def _require_nonsingular(g: np.ndarray) -> None:
+    """Relative rank test, blind to row and column scaling.
+
+    Witnesses scale basis vectors by powers of A0, so the rows and columns of
+    ``g`` may differ by many orders of magnitude; each is scaled to largest
+    entry 1 before the singular values are compared.  A zero row or column
+    is singular outright.
+    """
+    h = g
+    for axis in (1, 0):
+        peak = np.max(np.abs(h), axis=axis, keepdims=True)
+        if not peak.all():
+            raise SingularMatrixError("basis-change matrix is singular")
+        h = h / peak
+    s = np.linalg.svd(h, compute_uv=False)
+    if s[-1] <= 1e-12 * s[0]:
         raise SingularMatrixError("basis-change matrix is singular")
-    ginv = np.linalg.inv(g)
-    new_gamma = np.einsum("ai,bj,abl,kl->ijk", g, g, t.gamma, ginv)
-    return StructureTensor(new_gamma)
 
 
 def _row_space(rows: np.ndarray, floor: float = 0.0) -> tuple[int, np.ndarray]:
@@ -153,7 +179,7 @@ def lower_central_series(t: StructureTensor) -> list[int]:
     floor = RANK_RTOL * max(1.0, float(np.max(np.abs(t.gamma))))
     while True:
         # products [v, e_j] for v in the current term's basis
-        products = np.einsum("ri,ijk->rjk", basis, t.gamma).reshape(-1, d)
+        products = (basis @ t.gamma.reshape(d, d * d)).reshape(-1, d)
         rank, basis = _row_space(products, floor=floor)
         dims.append(rank)
         if rank == 0 or rank == dims[-2]:

@@ -8,7 +8,11 @@ single test (``change_basis``, ``read_params``) sit next to that test.
 
 from __future__ import annotations
 
+import cmath
+
 import numpy as np
+
+from .errors import DomainError
 
 #: Relative singular-value threshold for rank decisions.
 RANK_RTOL = 1e-8
@@ -21,9 +25,14 @@ FLAG_WARN_MARGIN = 1e-6
 
 
 def require_finite(values, what: str) -> None:
-    """Reject NaN/infinity before they enter any tensor or parameter."""
-    arr = np.asarray(values, dtype=complex)
-    if not (np.all(np.isfinite(arr.real)) and np.all(np.isfinite(arr.imag))):
-        from .errors import DomainError
+    """Reject NaN/infinity before they enter any tensor or parameter.
 
+    ``values`` is an ndarray or an iterable of Python numbers; a complex
+    value is finite only when both its real and imaginary parts are.
+    """
+    if isinstance(values, np.ndarray):
+        finite = np.isfinite(values).all()
+    else:
+        finite = all(map(cmath.isfinite, values))
+    if not finite:
         raise DomainError(f"{what} must be finite (no NaN or infinity)")

@@ -1,10 +1,10 @@
 """Slow reference implementations used to cross-check the library.
 
 Everything in here is written with explicit Python loops and
-``numpy.linalg.solve`` so that no code path is shared with the einsum
-based routines in ``filiform_ce``.  Tests compare the two routes on
-random inputs; expected constants frozen into the test modules were
-produced with these functions (or by hand) before the fast versions
+``numpy.linalg.solve`` so that no code path is shared with the pairwise
+matrix-product kernels in ``filiform_ce.tensor``.  Tests compare the two
+routes on random inputs; expected constants frozen into the test modules
+were produced with these functions (or by hand) before the fast versions
 were trusted.
 """
 

@@ -10,12 +10,16 @@ from filiform_ce import (
     CanonicalizationError,
     DomainError,
     act_on_params,
+    adapted_matrix,
+    build_table,
     canonicalize,
+    change_basis,
     classify,
     isomorphic,
     orbit_invariant,
     params_from_tuple,
     random_params,
+    read_params,
     representative_params,
     representatives,
     subset_of,
@@ -235,6 +239,18 @@ def test_classify_scaled_members(k):
         assert lab.subset == cell
         want = representative_params(n, cell, lab.lam)
         assert tuple_dev(act_on_params(lab.witness, p), want) < 1e-6 * (1 + want.scale())
+
+
+@pytest.mark.parametrize("n, k", [(4, 8), (8, 8)] + [(n, -120) for n in range(4, 9)])
+def test_scaled_witness_on_tensor_route(n, k):
+    # the witness scales basis vectors by powers of A0; the singularity test
+    # of change_basis must not read that spread of scales as a rank defect
+    p = random_params(n, seed=3)
+    p = params_from_tuple(n, [v * 10.0**k for v in p.as_tuple()])
+    lab = classify(p)
+    moved = read_params(change_basis(build_table(p), adapted_matrix(lab.witness, p)))
+    want = representative_params(n, lab.subset, lab.lam)
+    assert tuple_dev(moved, want) < 1e-12 * (1 + want.scale())
 
 
 @pytest.mark.parametrize("n, cell, top", [(6, "U_1", "b14"), (7, "U_5", "b14"), (8, "U_1", "b16")])

@@ -1,7 +1,8 @@
 """Tensor layer: brackets, the Leibniz residual, basis changes, series.
 
-Fast einsum routes are checked against the loop-based references in
-``oracles.py`` on random inputs, plus a handful of frozen cases.
+The pairwise-contraction kernels are checked against the loop-based
+references in ``oracles.py`` on random inputs, up to the harness's size
+d = 9, plus a handful of frozen cases.
 """
 
 import numpy as np
@@ -10,9 +11,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from filiform_ce import (
+    AdaptedTransform,
     DomainError,
+    ExtensionParams,
     SingularMatrixError,
     StructureTensor,
+    adapted_matrix,
     bracket,
     build_mu,
     build_table,
@@ -23,6 +27,7 @@ from filiform_ce import (
     leibniz_residual_tensor,
     lower_central_series,
     random_params,
+    random_transform,
     worst_leibniz_triple,
 )
 
@@ -42,7 +47,7 @@ def rand_tensor(rng, d, scale=1.0):
 @settings(max_examples=25, deadline=None)
 def test_bracket_matches_loop_reference(seed):
     rng = np.random.default_rng(seed)
-    d = int(rng.integers(2, 6))
+    d = int(rng.integers(2, 10))
     t = rand_tensor(rng, d)
     x = rng.normal(size=d) + 1j * rng.normal(size=d)
     y = rng.normal(size=d) + 1j * rng.normal(size=d)
@@ -83,6 +88,39 @@ def test_tensor_rejects_non_finite():
         StructureTensor(g)
 
 
+NAN, INF = float("nan"), float("inf")
+
+
+def _tensor_with(v):
+    g = np.zeros((3, 3, 3), dtype=complex)
+    g[0, 1, 2] = v
+    return StructureTensor(g)
+
+
+def _basis_change_with(v):
+    g = np.eye(5, dtype=complex)
+    g[2, 3] = v
+    return change_basis(build_mu(4), g)
+
+
+# one non-finite part is enough, whichever part it is; the array path
+# (tensors, matrices) and the scalar-tuple path (parameters, transforms)
+@pytest.mark.parametrize("value", [complex(0, NAN), complex(-INF, 0), complex(INF, NAN)])
+@pytest.mark.parametrize(
+    "make",
+    [
+        _tensor_with,
+        _basis_change_with,
+        lambda v: ExtensionParams(5, 1, 0, 0, (v,), b=2),
+        lambda v: AdaptedTransform(5, 1, 0, (1, 0, v)),
+    ],
+    ids=["StructureTensor", "change_basis", "ExtensionParams", "AdaptedTransform"],
+)
+def test_non_finite_parts_rejected(make, value):
+    with pytest.raises(DomainError):
+        make(value)
+
+
 # ---------------------------------------------------------------------------
 # Leibniz residual
 
@@ -92,6 +130,12 @@ def test_tensor_rejects_non_finite():
 def test_residual_matches_loop_reference(seed):
     rng = np.random.default_rng(seed)
     t = rand_tensor(rng, 4)
+    assert abs(leibniz_residual(t) - oracles.naive_residual_max(t.gamma)) < 1e-10
+
+
+@pytest.mark.parametrize("d", [6, 7, 8, 9])
+def test_residual_matches_loop_reference_at_harness_size(d):
+    t = rand_tensor(np.random.default_rng(100 + d), d)
     assert abs(leibniz_residual(t) - oracles.naive_residual_max(t.gamma)) < 1e-10
 
 
@@ -145,6 +189,15 @@ def test_change_basis_matches_loop_reference(seed):
     npt.assert_allclose(got, oracles.naive_change_basis(t.gamma, g), atol=1e-8)
 
 
+def test_change_basis_matches_loop_reference_at_harness_size():
+    # d = 9: an n = 8 family table moved by the adapted matrix of a transform
+    p = random_params(8, seed=4)
+    t = build_table(p)
+    g = adapted_matrix(random_transform(8, b=p.b, rng=np.random.default_rng(5)), p)
+    want = oracles.naive_change_basis(t.gamma, g)
+    npt.assert_allclose(change_basis(t, g).gamma, want, rtol=0, atol=1e-12 * (1 + np.max(np.abs(want))))
+
+
 def test_change_basis_identity_is_noop():
     rng = np.random.default_rng(5)
     t = rand_tensor(rng, 4)
@@ -174,6 +227,29 @@ def test_change_basis_rejects_singular_matrix():
     g = np.ones((5, 5))
     with pytest.raises(SingularMatrixError):
         change_basis(t, g)
+
+
+@pytest.mark.parametrize("k", [100, -100])
+def test_change_basis_rejects_scaled_singular_matrix(k):
+    # scaling rows and columns cannot hide a rank defect, nor a zero column
+    rng = np.random.default_rng(7)
+    g = rng.normal(size=(5, 5))
+    g[:, 4] = g[:, 0] - 2 * g[:, 1]
+    scales = 10.0 ** (k * np.array([1, -1, 1, -1, 0]))
+    for bad in (g * scales, (g * scales).T, np.diag(scales) @ g):
+        with pytest.raises(SingularMatrixError):
+            change_basis(build_mu(4), bad)
+    g[:, 4] = 0
+    with pytest.raises(SingularMatrixError):
+        change_basis(build_mu(4), g * scales)
+
+
+@pytest.mark.parametrize("k", [30, -30])
+def test_change_basis_accepts_graded_diagonal(k):
+    # u_i = 10^(k*i) e_i is a basis however far apart its scales are;
+    # it rescales every product [u_i, u_0] = u_{i+1} by 10^-k
+    g = np.diag(10.0 ** (k * np.arange(5)))
+    npt.assert_allclose(change_basis(build_mu(4), g).gamma, build_mu(4).gamma * 10.0**-k, rtol=1e-14)
 
 
 # ---------------------------------------------------------------------------
