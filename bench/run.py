@@ -1,12 +1,14 @@
-"""Per-call timings of the tensor kernels and the finiteness check.
+"""Per-call timings of the library's layers.
 
-Times ``change_basis``, ``leibniz_residual``, ``bracket``,
-``lower_central_series`` and ``require_finite`` (on a parameter tuple and
-on a structure tensor) at n = 4 and n = 8, on a seeded family table and
-the adapted matrix of a seeded transform.  Each figure is the median over
-``--repeats`` rounds of the mean time per call in microseconds.
+Times, at n = 4 and n = 8 on a seeded family member and a seeded
+transform: the tensor kernels (``change_basis``, ``leibniz_residual``,
+``bracket``, ``lower_central_series``), the finiteness check
+``require_finite`` (on a parameter tuple and on a structure tensor), and
+``build_table``, ``adapted_matrix``, ``act_on_params``, ``read_params``,
+``classify`` and ``isomorphic``.  Each figure is the median over
+``REPEATS`` rounds of the mean time per call in microseconds.
 
-    python3 bench/kernels.py [--src DIR] [--label NAME] [--out FILE]
+    python3 bench/run.py [--src DIR] [--label NAME] [--out FILE]
 
 ``--src`` selects the checkout whose ``filiform_ce`` is timed (default:
 this one), so two checkouts can be timed on the same machine; with
@@ -26,9 +28,10 @@ import sys
 import timeit
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
+REPEATS = 7
 
 
-def measure(repeats: int) -> dict:
+def measure() -> dict:
     import numpy as np
 
     import filiform_ce as fc
@@ -38,8 +41,10 @@ def measure(repeats: int) -> dict:
     out = {}
     for n in (4, 8):
         p = fc.random_params(n, seed=1)
+        q = fc.random_params(n, seed=2)
         t = fc.build_table(p)
-        g = fc.adapted_matrix(random_transform(n, b=p.b, rng=np.random.default_rng(2)), p)
+        tr = random_transform(n, b=p.b, rng=np.random.default_rng(2))
+        g = fc.adapted_matrix(tr, p)
         x, y = g[:, 0], g[:, 1]
         values = p.as_tuple()
         calls = {
@@ -49,10 +54,16 @@ def measure(repeats: int) -> dict:
             "lower_central_series": lambda: fc.lower_central_series(t),
             "require_finite_params": lambda: require_finite(values, "parameters"),
             "require_finite_tensor": lambda: require_finite(t.gamma, "structure constants"),
+            "build_table": lambda: fc.build_table(p),
+            "adapted_matrix": lambda: fc.adapted_matrix(tr, p),
+            "act_on_params": lambda: fc.act_on_params(tr, p),
+            "read_params": lambda: fc.read_params(t),
+            "classify": lambda: fc.classify(p),
+            "isomorphic": lambda: fc.isomorphic(p, q),
         }
         for name, fn in calls.items():
             number, _ = timeit.Timer(fn).autorange()
-            rounds = timeit.Timer(fn).repeat(repeat=repeats, number=number)
+            rounds = timeit.Timer(fn).repeat(repeat=REPEATS, number=number)
             out[f"{name}.n{n}_us"] = round(statistics.median(rounds) / number * 1e6, 3)
     return out
 
@@ -72,14 +83,13 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--src", default=str(ROOT / "src"), help="directory holding filiform_ce")
     ap.add_argument("--label", default="current")
-    ap.add_argument("--repeats", type=int, default=7)
     ap.add_argument("--out", help="JSON file to merge the result into")
     args = ap.parse_args(argv)
     sys.path.insert(0, args.src)
     result = {
         "machine": machine(),
-        "unit": "microseconds per call, median over repeats",
-        args.label: measure(args.repeats),
+        "unit": f"microseconds per call, median over {REPEATS} rounds",
+        args.label: measure(),
     }
     if args.out:
         path = pathlib.Path(args.out)

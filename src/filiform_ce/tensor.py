@@ -117,37 +117,58 @@ def change_basis(t: StructureTensor, g) -> StructureTensor:
     returned tensor holds ``[u_i, u_j]`` expanded over the ``u`` basis.  This
     is a right action on tensors: transforming by ``h`` and then by ``g``
     equals transforming once by the matrix product ``h @ g``.
+
+    The accuracy of the result is governed by the condition number of ``g``
+    after its rows and columns are scaled to peak near 1 (see
+    ``_scaled_inverse``), not by that of ``g`` itself: basis vectors spread
+    over many orders of magnitude cost nothing, nearly dependent ones do.
     """
     g = np.asarray(g, dtype=complex)
     if g.shape != (t.dim, t.dim):
         raise DomainError(f"basis-change matrix must be {t.dim}x{t.dim}, got {g.shape}")
     require_finite(g, "basis-change matrix")
-    _require_nonsingular(g)
+    ginv = _scaled_inverse(g)
     d = t.dim
     # sum_{a,b,l} g[a,i] g[b,j] gamma[a,b,l] ginv[k,l], summing a, then b, then l
     moved = (g.T @ t.gamma.reshape(d, d * d)).reshape(d, d, d)
     moved = g.T @ moved
-    moved = moved.reshape(d * d, d) @ np.linalg.inv(g).T
+    moved = moved.reshape(d * d, d) @ ginv.T
     return StructureTensor(moved.reshape(d, d, d))
 
 
-def _require_nonsingular(g: np.ndarray) -> None:
-    """Relative rank test, blind to row and column scaling.
+def _scaled_inverse(g: np.ndarray) -> np.ndarray:
+    """Inverse of ``g`` by way of ``g = diag(2**r) @ h @ diag(2**c)``.
 
     Witnesses scale basis vectors by powers of A0, so the rows and columns of
-    ``g`` may differ by many orders of magnitude; each is scaled to largest
-    entry 1 before the singular values are compared.  A zero row or column
-    is singular outright.
+    ``g`` may differ by many orders of magnitude.  Rows, then columns, are
+    scaled by powers of two to peak in [0.5, 1); the relative rank test and
+    the inversion run on ``h``, and ``inv(g) = diag(2**-c) @ inv(h) @
+    diag(2**-r)`` is rescaled exactly.  A zero row or column is singular
+    outright.  Since the scales are powers of two, contracting with ``g``
+    rounds exactly as contracting with ``h`` would.
     """
     h = g
+    exps = []
     for axis in (1, 0):
         peak = np.max(np.abs(h), axis=axis, keepdims=True)
         if not peak.all():
             raise SingularMatrixError("basis-change matrix is singular")
-        h = h / peak
+        _, e = np.frexp(peak)
+        h = _times_power_of_two(h, -e)
+        exps.append(e)
     s = np.linalg.svd(h, compute_uv=False)
     if s[-1] <= 1e-12 * s[0]:
         raise SingularMatrixError("basis-change matrix is singular")
+    r, c = exps
+    return _times_power_of_two(np.linalg.inv(h), -(c.T + r.T))
+
+
+def _times_power_of_two(a: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """``a * 2**e`` entrywise, exact unless the result leaves the float range."""
+    out = np.empty_like(a)
+    np.ldexp(a.real, e, out=out.real)
+    np.ldexp(a.imag, e, out=out.imag)
+    return out
 
 
 def _row_space(rows: np.ndarray, floor: float = 0.0) -> tuple[int, np.ndarray]:

@@ -9,6 +9,7 @@ from filiform_ce import (
     AdaptedTransform,
     CanonicalizationError,
     DomainError,
+    SingularMatrixError,
     act_on_params,
     adapted_matrix,
     build_table,
@@ -241,16 +242,37 @@ def test_classify_scaled_members(k):
         assert tuple_dev(act_on_params(lab.witness, p), want) < 1e-6 * (1 + want.scale())
 
 
-@pytest.mark.parametrize("n, k", [(4, 8), (8, 8)] + [(n, -120) for n in range(4, 9)])
-def test_scaled_witness_on_tensor_route(n, k):
-    # the witness scales basis vectors by powers of A0; the singularity test
-    # of change_basis must not read that spread of scales as a rank defect
-    p = random_params(n, seed=3)
+def _witness_through_tensor_route(n, seed, k):
+    """Relative miss of the representative when the witness of ``random_params(n, seed)``
+    scaled by 10^k moves its table through ``change_basis``."""
+    p = random_params(n, seed=seed)
     p = params_from_tuple(n, [v * 10.0**k for v in p.as_tuple()])
     lab = classify(p)
     moved = read_params(change_basis(build_table(p), adapted_matrix(lab.witness, p)))
     want = representative_params(n, lab.subset, lab.lam)
-    assert tuple_dev(moved, want) < 1e-12 * (1 + want.scale())
+    return tuple_dev(moved, want) / (1 + want.scale())
+
+
+@pytest.mark.parametrize("n, k", [(4, 8), (8, 8)] + [(n, -120) for n in range(4, 9)])
+def test_scaled_witness_on_tensor_route(n, k):
+    # the witness scales basis vectors by powers of A0; the singularity test
+    # of change_basis must not read that spread of scales as a rank defect
+    assert _witness_through_tensor_route(n, 3, k) < 1e-12
+
+
+@pytest.mark.parametrize("n, seed, k", [(5, 11, -30), (5, 11, -120), (6, 11, -30), (7, 10, -120)])
+def test_ill_conditioned_witness_on_tensor_route(n, seed, k):
+    # B_1 near 10^-k against A0, A1 near 1: cond(g) reaches 1e30..1e120, but
+    # only in the row and column scales, which change_basis divides out
+    # before it inverts
+    assert _witness_through_tensor_route(n, seed, k) < 1e-12
+
+
+@pytest.mark.xfail(raises=SingularMatrixError, strict=True)
+def test_witness_at_1e30_on_tensor_route():
+    # n = 6 and 8 U_1 members at 1e30: the witness matrix stays nearly
+    # singular after row and column scaling, and change_basis rejects it
+    assert _witness_through_tensor_route(6, 3, 30) < 1e-12
 
 
 @pytest.mark.parametrize("n, cell, top", [(6, "U_1", "b14"), (7, "U_5", "b14"), (8, "U_1", "b16")])
