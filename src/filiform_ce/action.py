@@ -35,7 +35,7 @@ from .errors import (
     DomainError,
     TableShapeError,
 )
-from .family import ExtensionParams, build_table, params_from_tuple
+from .family import ExtensionParams, _rand_nonzero, build_table, params_from_tuple
 from .subsets import PARAM_SLOTS
 from .tensor import StructureTensor, bracket
 from .tolerance import require_finite
@@ -345,15 +345,15 @@ def random_transform(
     if rng is None:
         rng = np.random.default_rng(seed)
 
-    def nz():
-        return complex(rng.uniform(0.5, 2.0) * rng.choice([-1.0, 1.0]))
-
     def any_size():
         return complex(rng.uniform(-2.0, 2.0))
 
     for _ in range(200):
         t = AdaptedTransform(
-            n, nz(), any_size(), (nz(),) + tuple(any_size() for _ in range(n - 3))
+            n,
+            _rand_nonzero(rng),
+            any_size(),
+            (_rand_nonzero(rng),) + tuple(any_size() for _ in range(n - 3)),
         )
         if abs(t.A0 + t.A1 * b) >= 0.05:
             return t

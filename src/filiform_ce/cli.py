@@ -16,7 +16,7 @@ import numpy as np
 
 from . import jsonio
 from .classify import classify, isomorphic, representatives, warn_if_borderline
-from .errors import DomainError, FiliformError, InputFormatError
+from .errors import FiliformError, InputFormatError
 from .family import build_table, random_params, solve_leibniz_constraints
 from .tensor import is_filiform, leibniz_residual, lower_central_series
 from .action import act_on_params
@@ -43,8 +43,6 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--n", type=int, default=None, help="rank of the base algebra (4..8)")
     ap.add_argument("--seed", type=int, default=None, help="random seed where applicable")
     ap.add_argument("--trials", type=int, default=100, help="sampling effort for verify-paper")
-    ap.add_argument("--tol-rel", type=float, default=1e-9, help="relative tolerance for check")
-    ap.add_argument("--tol-abs", type=float, default=1e-12, help="absolute tolerance for check")
     ap.add_argument("--input", default="-", metavar="FILE|-", help="JSON input (default stdin)")
     ap.add_argument("--output", default="-", metavar="FILE|-", help="output path (default stdout)")
     ap.add_argument("--format", choices=("json", "table"), default="json", dest="fmt")
@@ -122,7 +120,7 @@ def _cmd_check(args) -> tuple[object, int]:
         "filiform": is_filiform(t),
         "series": lower_central_series(t),
     }
-    ok = residual <= max(args.tol_abs, args.tol_rel * scale)
+    ok = residual <= max(1e-12, 1e-9 * scale)
     return payload, 0 if ok else 1
 
 
@@ -201,9 +199,6 @@ def main(argv=None) -> int:
     except InputFormatError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except DomainError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
     except FiliformError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

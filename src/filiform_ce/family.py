@@ -7,7 +7,9 @@ e_n-components subject to the Leibniz identity yields a family of
 non-Lie Leibniz algebras.  ``solve_leibniz_constraints`` derives, by plain
 linear algebra on the identity's residual, which e_n-components are free;
 ``ExtensionParams`` holds exactly those free coordinates and
-``build_table`` expands them into a full structure tensor.
+``build_table`` expands them into a full structure tensor: the chain
+skeleton plus each coordinate times its solved null-space direction, so
+the forced coefficients and their signs are never written out by hand.
 
 Parameter naming: ``bIJ`` is the e_n-coefficient of [e_I, e_J].  After
 reduction the free ones are b00, b01, b11, the even-index row
@@ -184,7 +186,8 @@ class ConstraintReport:
     free_labels: tuple[str, ...]
     free_basis: tuple[dict, ...] = field(repr=False)
     implied_relations: tuple[Relation, ...] = field(repr=False)
-    #: row sign s(i): gamma[i, j, n] = s(i) * b_{1, i+j-1} off the top chain
+    #: row sign s(i) of the solved tables: gamma[i, j, n] = s(i) * b_{1, i+j-1}
+    #: off the top chain (a description; ``build_table`` reads ``free_basis``)
     sign: dict = field(repr=False, default_factory=dict)
 
 
@@ -241,7 +244,9 @@ def solve_leibniz_constraints(n: int) -> ConstraintReport:
             f"n={n}: chosen free coordinates do not parameterize the null space"
         )
     coeff = nmat[dep_idx, :] @ np.linalg.inv(n_free)
-    coeff[np.abs(coeff) < 1e-9] = 0.0
+    # the relations have integer coefficients; drop the SVD's rounding once
+    near = np.round(coeff)
+    coeff = np.where(np.abs(coeff - near) < 1e-9, near, coeff)
 
     relations = []
     for row, k in enumerate(dep_idx):
@@ -249,7 +254,6 @@ def solve_leibniz_constraints(n: int) -> ConstraintReport:
         for col, src in enumerate(free_labels):
             c = coeff[row, col]
             if c != 0.0:
-                c = round(c) if abs(c - round(c)) < 1e-9 else c
                 terms.append((src, float(c)))
         relations.append(Relation(labels[k], tuple(terms)))
 
@@ -314,46 +318,33 @@ def _extract_signs(n: int, relations) -> dict:
 # table builder
 
 
-def build_table(p: ExtensionParams, sign_table=None) -> StructureTensor:
+@functools.lru_cache(maxsize=None)
+def _unit_tables(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The skeleton and, per slot of ``PARAM_SLOTS[n]``, its table direction.
+
+    Each direction is the solver's null-space vector for that slot's free
+    label, spread over the unit directions of every coefficient it
+    involves.  Slot ``b`` is -b_{1,n-1}, hence its factor -1.
+    """
+    report = solve_leibniz_constraints(n)
+    basis = dict(zip(report.free_labels, report.free_basis))
+    units = []
+    for slot in PARAM_SLOTS[n]:
+        label, factor = (f"b1{n - 1}", -1.0) if slot == "b" else (slot, 1.0)
+        units.append(factor * sum(c * _direction(n, lab) for lab, c in basis[label].items()))
+    return _skeleton(n), np.array(units, dtype=complex).reshape(len(units), -1)
+
+
+def build_table(p: ExtensionParams) -> StructureTensor:
     """Full structure tensor of the central extension described by ``p``.
 
-    The last basis vector e_n is central; brackets of the underlying algebra
-    acquire e_n-components determined by the free coordinates through the
-    solver's proportionality relations.  ``sign_table`` overrides row signs
-    s(i) for the rows it lists (testing hook; unlisted rows keep the
-    solver's own values).
+    The last basis vector e_n is central.  The table is the chain skeleton
+    plus each free coordinate times its direction in the solved null space
+    of the Leibniz constraints, so every forced coefficient follows from
+    the solve rather than from a rule restated here.
     """
-    n = p.n
-    solved = solve_leibniz_constraints(n).sign
-    sign_table = solved if sign_table is None else {**solved, **sign_table}
-    d = n + 1
-    gamma = _skeleton(n).astype(complex)
-    gamma[0, 0, n] = p.b00
-    gamma[0, 1, n] += p.b01
-    gamma[1, 1, n] = p.b11
-
-    def b_row1(m: int) -> complex:
-        # b_{1,m}: nonzero only for even m <= n-2
-        if m % 2 == 0 and 2 <= m <= n - 2:
-            return p.b_even[m // 2 - 1]
-        return 0j
-
-    for i in range(1, n - 1):
-        for j in range(i + 1, n):
-            if i + j == n:
-                continue
-            v = sign_table[i] * b_row1(i + j - 1)
-            if v != 0:
-                gamma[i, j, n] = v
-                gamma[j, i, n] = -v
-    if n % 2 == 1:
-        for i in range(1, n):
-            if n - i <= i:
-                break
-            v = (-1) ** i * p.b
-            gamma[i, n - i, n] = v
-            gamma[n - i, i, n] = -v
-    return StructureTensor(gamma)
+    skeleton, units = _unit_tables(p.n)
+    return StructureTensor(skeleton + (p.as_tuple() @ units).reshape(skeleton.shape))
 
 
 # ---------------------------------------------------------------------------

@@ -172,7 +172,6 @@ class _Check:
 class _Ctx:
     rng: np.random.Generator
     trials: int
-    sign_table: dict | None
 
 
 _REGISTRY: dict[str, _Check] = {}
@@ -187,15 +186,6 @@ def _register(check_id: str, n: int | None, fn) -> None:
 def _check_seed(seed: int, check_id: str) -> int:
     digest = hashlib.sha256(f"{seed}:{check_id}".encode()).digest()
     return int.from_bytes(digest[:8], "little")
-
-
-def _signs_for(n: int, hook: dict | None) -> dict | None:
-    """Merge the sign-table override hook over the solved row signs."""
-    if hook is None:
-        return None
-    merged = dict(solve_leibniz_constraints(n).sign)
-    merged.update({i: s for i, s in hook.items() if 1 <= i <= n - 2})
-    return merged
 
 
 def _dev(x, y) -> float:
@@ -226,7 +216,6 @@ def _chk_leibniz_validity(ctx: _Ctx) -> tuple[float, bool, str]:
     ok = True
     count = 0
     for n in N_RANGE:
-        signs = _signs_for(n, ctx.sign_table)
         for _ in range(ctx.trials):
             p = random_params(n, rng=ctx.rng)
             # mix in exact zeros so degenerate corners are exercised too
@@ -235,7 +224,7 @@ def _chk_leibniz_validity(ctx: _Ctx) -> tuple[float, bool, str]:
                 if ctx.rng.random() < 0.25:
                     vals[i] = 0j
             p = params_from_tuple(n, vals)
-            table = build_table(p, sign_table=signs)
+            table = build_table(p)
             scale = max(1.0, float(np.max(np.abs(table.gamma))))
             res = leibniz_residual(table) / scale
             worst = max(worst, res)
@@ -378,11 +367,10 @@ def _chk_constraint_reduction(ctx: _Ctx) -> tuple[float, bool, str]:
         if hit is None:
             return 1.0, False, f"proportionality coefficients differ at n={n}: {got}"
         worst = max(worst, hit)
-        # the solved signs must produce genuinely closed tables
-        signs = _signs_for(n, ctx.sign_table)
+        # the solved relations must produce genuinely closed tables
         for _ in range(max(1, ctx.trials // 10)):
             p = random_params(n, rng=ctx.rng)
-            table = build_table(p, sign_table=signs)
+            table = build_table(p)
             scale = max(1.0, float(np.max(np.abs(table.gamma))))
             res = leibniz_residual(table) / scale
             worst = max(worst, res)
@@ -937,15 +925,13 @@ MANIFEST = (
 )
 
 
-def verify_all(seed: int = 1, trials: int = 100, sign_table: dict | None = None) -> VerificationReport:
+def verify_all(seed: int = 1, trials: int = 100) -> VerificationReport:
     """Run every registered check and collect a deterministic report.
 
     ``trials`` scales the sampling effort of each check but never its
     presence: the report always contains one line per manifest entry.
-    ``sign_table`` optionally overrides solved row signs (a testing hook:
-    mapping row index to +-1, merged over the solved table at each rank);
-    a wrong sign surfaces as a failed validity check naming the basis
-    triple where the bracket identity breaks.
+    A table builder that breaks the bracket identity surfaces as a failed
+    validity check naming the basis triple where the identity breaks.
 
     Failures never raise -- they are recorded with witnessing inputs.
     """
@@ -957,11 +943,7 @@ def verify_all(seed: int = 1, trials: int = 100, sign_table: dict | None = None)
     results = []
     for check_id in sorted(_REGISTRY):
         check = _REGISTRY[check_id]
-        ctx = _Ctx(
-            rng=np.random.default_rng(_check_seed(seed, check_id)),
-            trials=trials,
-            sign_table=sign_table,
-        )
+        ctx = _Ctx(rng=np.random.default_rng(_check_seed(seed, check_id)), trials=trials)
         try:
             residual, ok, notes = check.fn(ctx)
         except Exception as exc:  # a crashed check is a failed check

@@ -129,3 +129,34 @@ def expected_relations(n: int) -> dict[str, dict[str, complex]]:
             else:
                 out[name] = {}
     return out
+
+
+def naive_build_table(p) -> np.ndarray:
+    """Structure constants of the family member ``p``, entry by entry.
+
+    The chain [e_i, e_0] = e_{i+1} = -[e_0, e_i], then every e_n-coefficient
+    b_{i,j}: a free one read off ``p``, a forced one as the combination of
+    free ones that :func:`expected_relations` gives, set at [e_i, e_j] and
+    negated at [e_j, e_i].  ``p.b`` is -b_{1,n-1}.
+    """
+    n = p.n
+    free = dict(zip(expected_free_labels(n), p.as_tuple()))
+    if n % 2 == 1:
+        free["b1%d" % (n - 1)] = -p.b
+    values = dict(free)
+    for target, terms in expected_relations(n).items():
+        values[target] = sum(c * free[src] for src, c in terms.items())
+    d = n + 1
+    gamma = np.zeros((d, d, d), dtype=complex)
+    for i in range(1, n):
+        gamma[i, 0, i + 1] = 1
+        gamma[0, i, i + 1] = -1
+    gamma[0, 0, n] = values["b00"]
+    gamma[0, 1, n] = values["b01"]
+    gamma[1, 1, n] = values["b11"]
+    for i in range(1, n - 1):
+        for j in range(i + 1, n):
+            v = values["b%d%d" % (i, j)]
+            gamma[i, j, n] = v
+            gamma[j, i, n] = -v
+    return gamma

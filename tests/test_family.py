@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from filiform_ce import (
     DomainError,
     ExtensionParams,
+    StructureTensor,
     build_mu,
     build_table,
     from_entries,
@@ -205,16 +206,42 @@ def test_tables_satisfy_leibniz(n, seed):
     assert leibniz_residual(t) <= 1e-9 * t.scale()
 
 
+@pytest.mark.parametrize("n", range(4, 9))
+def test_build_table_matches_loop_reference(n):
+    # exact agreement with the hand-derived relations, over exact zeros and
+    # magnitudes 1e-100..1e100; the builder reads the solved null space and
+    # never the report's row signs, so the signs are checked against it here
+    sign = solve_leibniz_constraints(n).sign
+    rng = np.random.default_rng(n)
+    k = len(PARAM_SLOTS[n])
+    for _ in range(60):
+        vals = (rng.normal(size=k) + 1j * rng.normal(size=k)) * 10.0 ** rng.choice(
+            [-100, -8, 0, 8, 100], size=k
+        )
+        vals[rng.random(k) < 0.3] = 0
+        p = params_from_tuple(n, vals)
+        g = build_table(p).gamma
+        assert np.array_equal(g, oracles.naive_build_table(p))
+        b1 = {2 * (m + 1): v for m, v in enumerate(p.b_even)}
+        for i in range(1, n - 1):
+            for j in range(i + 1, n):
+                if i + j != n:
+                    assert g[i, j, n] == sign[i] * b1.get(i + j - 1, 0), (i, j)
+
+
 def test_table_zero_params_is_antisymmetric_part_only():
     t = build_table(params_from_tuple(6, [0, 0, 0, 0, 0]))
     g = t.gamma
     assert np.max(np.abs(g + np.swapaxes(g, 0, 1))) == 0.0
 
 
-def test_corrupted_sign_table_breaks_identity():
+def test_corrupted_row_sign_breaks_identity():
     p = random_params(6, "U_1", seed=0)
     good = build_table(p)
-    bad = build_table(p, sign_table={2: 1})  # row 2 must carry a minus sign
+    g = good.gamma.copy()
+    for j in (3, 5):  # row 2 must carry a minus sign; j = 4 is the top chain
+        g[2, j, 6], g[j, 2, 6] = -g[2, j, 6], -g[j, 2, 6]
+    bad = StructureTensor(g)
     assert leibniz_residual(good) < 1e-12
     assert leibniz_residual(bad) > 0.1 * good.scale()
 

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from filiform_ce import DomainError, MANIFEST, verify_all
+from filiform_ce import DomainError, MANIFEST, StructureTensor, build_table, verify, verify_all
 
 
 def test_manifest_is_complete_and_sorted():
@@ -46,10 +46,22 @@ def test_report_text_form():
         assert check_id in text
 
 
-def test_corrupted_signs_are_caught():
-    # flipping the second-row sign breaks the identity; exactly the checks
-    # that recompute the constraint system or residual must go red
-    report = verify_all(seed=1, trials=2, sign_table={2: 1})
+def _flip_row2(table):
+    # negate row 2's off-chain e_n-coefficients: the solved row sign is -1
+    g = table.gamma.copy()
+    n = g.shape[0] - 1
+    for j in range(3, n):
+        if j + 2 != n:
+            g[2, j, n], g[j, 2, n] = -g[2, j, n], -g[j, 2, n]
+    return StructureTensor(g)
+
+
+def test_corrupted_signs_are_caught(monkeypatch):
+    # flipping the second-row sign breaks the identity; every check sees
+    # the faulty builder, and among them the ones that measure the
+    # residual of built tables must go red and name the broken triple
+    monkeypatch.setattr(verify, "build_table", lambda p: _flip_row2(build_table(p)))
+    report = verify_all(seed=1, trials=2)
     failed = {c.check_id for c in report.failures()}
     assert "leibniz-validity" in failed
     assert "constraint-reduction" in failed
