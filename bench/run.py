@@ -1,17 +1,21 @@
-"""Per-call timings of the library's layers.
+"""Per-call timings of the library's layers, and one end-to-end run.
 
 Times, at n = 4 and n = 8 on a seeded family member and a seeded
 transform: the tensor kernels (``change_basis``, ``leibniz_residual``,
 ``bracket``, ``lower_central_series``), the finiteness check
-``require_finite`` (on a parameter tuple and on a structure tensor), and
+``require_finite`` (on a parameter tuple and on a structure tensor), the
+sampler ``random_params`` (one generator shared across calls), and
 ``build_table``, ``adapted_matrix``, ``act_on_params``, ``read_params``,
-``classify`` and ``isomorphic``.  Each figure is the median over
-``REPEATS`` rounds of the mean time per call in microseconds.
+``canonicalize``, ``classify`` and ``isomorphic``.  Each figure is the
+median over ``REPEATS`` rounds of the mean time per call in microseconds.
+The end-to-end entry ``verify_all.seed1_trials100_s`` is the median of
+``E2E_RUNS`` runs of ``verify_all(seed=1, trials=100)``, in seconds.
 
     python3 bench/run.py [--src DIR] [--label NAME] [--out FILE]
 
 ``--src`` selects the checkout whose ``filiform_ce`` is timed (default:
-this one), so two checkouts can be timed on the same machine; with
+this one), so two checkouts can be timed on the same machine; it may be
+the checkout itself or the directory holding ``filiform_ce``.  With
 ``--out`` the result is stored under ``--label`` in that JSON file,
 beside the entries already there.
 """
@@ -29,6 +33,7 @@ import timeit
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 REPEATS = 7
+E2E_RUNS = 3
 
 
 def measure() -> dict:
@@ -37,9 +42,11 @@ def measure() -> dict:
     import filiform_ce as fc
     from filiform_ce.action import random_transform
     from filiform_ce.tolerance import require_finite
+    from filiform_ce.verify import verify_all
 
     out = {}
     for n in (4, 8):
+        rng = np.random.default_rng(1)
         p = fc.random_params(n, seed=1)
         q = fc.random_params(n, seed=2)
         t = fc.build_table(p)
@@ -54,10 +61,12 @@ def measure() -> dict:
             "lower_central_series": lambda: fc.lower_central_series(t),
             "require_finite_params": lambda: require_finite(values, "parameters"),
             "require_finite_tensor": lambda: require_finite(t.gamma, "structure constants"),
+            "random_params": lambda: fc.random_params(n, rng=rng),
             "build_table": lambda: fc.build_table(p),
             "adapted_matrix": lambda: fc.adapted_matrix(tr, p),
             "act_on_params": lambda: fc.act_on_params(tr, p),
             "read_params": lambda: fc.read_params(t),
+            "canonicalize": lambda: fc.canonicalize(p),
             "classify": lambda: fc.classify(p),
             "isomorphic": lambda: fc.isomorphic(p, q),
         }
@@ -65,6 +74,8 @@ def measure() -> dict:
             number, _ = timeit.Timer(fn).autorange()
             rounds = timeit.Timer(fn).repeat(repeat=REPEATS, number=number)
             out[f"{name}.n{n}_us"] = round(statistics.median(rounds) / number * 1e6, 3)
+    runs = timeit.Timer(lambda: verify_all(seed=1, trials=100)).repeat(repeat=E2E_RUNS, number=1)
+    out["verify_all.seed1_trials100_s"] = round(statistics.median(runs), 3)
     return out
 
 
@@ -81,14 +92,20 @@ def machine() -> dict:
 
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--src", default=str(ROOT / "src"), help="directory holding filiform_ce")
+    ap.add_argument("--src", default=str(ROOT), help="checkout, or directory holding filiform_ce")
     ap.add_argument("--label", default="current")
     ap.add_argument("--out", help="JSON file to merge the result into")
     args = ap.parse_args(argv)
-    sys.path.insert(0, args.src)
+    src = pathlib.Path(args.src)
+    if (src / "src" / "filiform_ce").is_dir():
+        src = src / "src"
+    sys.path.insert(0, str(src))
     result = {
         "machine": machine(),
-        "unit": f"microseconds per call, median over {REPEATS} rounds",
+        "unit": (
+            f"_us: microseconds per call, median over {REPEATS} rounds; "
+            f"_s: seconds per run, median over {E2E_RUNS} runs"
+        ),
         args.label: measure(),
     }
     if args.out:

@@ -37,7 +37,7 @@ from .errors import (
 )
 from .family import ExtensionParams, _rand_nonzero, build_table, params_from_tuple
 from .subsets import PARAM_SLOTS
-from .tensor import StructureTensor, bracket
+from .tensor import StructureTensor
 from .tolerance import require_finite
 
 
@@ -51,16 +51,17 @@ class AdaptedTransform:
     B: tuple[complex, ...]
 
     def __post_init__(self):
-        if not 4 <= self.n <= 8:
-            raise DomainError(f"n must be in 4..8, got {self.n}")
-        if len(self.B) != self.n - 2:
-            raise DomainError(
-                f"B must have length {self.n - 2} for n={self.n}, got {len(self.B)}"
-            )
-        object.__setattr__(self, "A0", complex(self.A0))
-        object.__setattr__(self, "A1", complex(self.A1))
-        object.__setattr__(self, "B", tuple(complex(v) for v in self.B))
-        require_finite((self.A0, self.A1, *self.B), "transform coefficients")
+        n = self.n
+        if not 4 <= n <= 8:
+            raise DomainError(f"n must be in 4..8, got {n}")
+        if len(self.B) != n - 2:
+            raise DomainError(f"B must have length {n - 2} for n={n}, got {len(self.B)}")
+        a0, a1 = map(complex, (self.A0, self.A1))
+        bvec = tuple(map(complex, self.B))
+        require_finite((a0, a1, *bvec), "transform coefficients")
+        object.__setattr__(self, "A0", a0)
+        object.__setattr__(self, "A1", a1)
+        object.__setattr__(self, "B", bvec)
 
     def coeff_B(self, k: int) -> complex:
         """B_k with out-of-range indices read as zero."""
@@ -187,12 +188,15 @@ def adapted_matrix(t: AdaptedTransform, p: ExtensionParams) -> np.ndarray:
     _require_nondegenerate(t, p.b)
     n = p.n
     d = n + 1
-    table = build_table(p)
+    # each column is bracket(table, m[:, i], m[:, 0]), in bracket's order of
+    # operations but without its per-call conversions and shape checks
+    gamma = build_table(p).gamma.reshape(d, d * d)
     m = np.zeros((d, d), dtype=complex)
     m[0, 0], m[1, 0] = t.A0, t.A1
     m[1 : n - 1, 1] = t.B
+    col0 = m[:, 0].copy()
     for i in range(1, n):
-        m[:, i + 1] = bracket(table, m[:, i], m[:, 0])
+        m[:, i + 1] = col0 @ (m[:, i] @ gamma).reshape(d, d)
     return m
 
 

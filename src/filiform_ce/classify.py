@@ -37,6 +37,9 @@ are the ``STABILIZERS``.
 from __future__ import annotations
 
 import cmath
+import functools
+import itertools
+import operator
 from dataclasses import dataclass, replace
 
 from .action import (
@@ -115,11 +118,30 @@ def flag_margin(p: ExtensionParams) -> float:
     return _margin(p, nonzero_flags(p))
 
 
+@functools.cache
+def _cell_table(n: int) -> tuple:
+    """(pattern, table): ``pattern(flags)`` is the flag tuple over
+    (*PARAM_SLOTS[n], "delta"), and ``table`` maps it to its first matching
+    cell, found by scanning ``SUBSETS[n]`` in decision order.  Patterns no
+    cell matches are left out.
+    """
+    keys = (*PARAM_SLOTS[n], "delta")
+    table = {}
+    for pattern in itertools.product((False, True), repeat=len(keys)):
+        flags = dict(zip(keys, pattern))
+        for spec in SUBSETS[n]:
+            if all(flags[slot] == want for slot, want in spec.conditions):
+                table[pattern] = spec
+                break
+    return operator.itemgetter(*keys), table
+
+
 def _cell(n: int, flags: dict) -> SubsetSpec:
-    for spec in SUBSETS[n]:
-        if all(flags[slot] == want for slot, want in spec.conditions):
-            return spec
-    raise FiliformError(f"no classification cell matched n={n} flags {flags}")
+    pattern, table = _cell_table(n)
+    spec = table.get(pattern(flags))
+    if spec is None:
+        raise FiliformError(f"no classification cell matched n={n} flags {flags}")
+    return spec
 
 
 def subset_of(p: ExtensionParams) -> str:

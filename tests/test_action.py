@@ -62,6 +62,32 @@ def test_transform_validation():
         AdaptedTransform(4, float("inf"), 0, (1, 0))
 
 
+# random_transform(n, seed=42), recorded while the sign draw still used
+# Generator.choice: A0, A1, then B_1..B_{n-2}, which every rank reads as a
+# prefix of one stream; all real, with imaginary parts +0.0.
+TRANSFORM_SEED_42 = {
+    "A0": "0x1.a932f9b3a245bp+0",
+    "A1": "0x1.6f344b09bb684p+0",
+    "B": (
+        "-0x1.8bca11152100dp+0",
+        "-0x1.9f8ff92b31b20p+0",
+        "0x1.e7098bb61b1d4p+0",
+        "0x1.0b6834bef1690p+0",
+        "0x1.24ee0a8edeb24p+0",
+        "-0x1.7ccfc7a5f274cp+0",
+    ),
+}
+
+
+def test_random_transform_stream_frozen():
+    for n in range(4, 9):
+        t = random_transform(n, seed=42)
+        assert t.A0.real.hex() == TRANSFORM_SEED_42["A0"], n
+        assert t.A1.real.hex() == TRANSFORM_SEED_42["A1"], n
+        assert [z.real.hex() for z in t.B] == list(TRANSFORM_SEED_42["B"][: n - 2]), n
+        assert all(z.imag.hex() == "0x0.0p+0" for z in (t.A0, t.A1, *t.B)), n
+
+
 def test_identity_transform():
     t = identity_transform(5)
     assert t.A0 == 1 and t.A1 == 0
@@ -123,6 +149,22 @@ def test_matrix_columns_follow_bracket_recursion():
     tab = build_table(p)
     for k in range(1, 7):
         npt.assert_allclose(bracket(tab, m[:, k], m[:, 0]), m[:, k + 1], atol=1e-9)
+
+
+@pytest.mark.parametrize("n", range(4, 9))
+def test_matrix_columns_are_brackets_exactly(n):
+    # adapted_matrix inlines bracket; the inlined products must round the same
+    from filiform_ce import bracket
+
+    for seed in range(10):
+        base = random_params(n, seed=seed)
+        for k in (0, 30, -30):
+            p = params_from_tuple(n, [v * 10.0**k for v in base.as_tuple()])
+            t = random_transform(n, seed=seed + 40, b=p.b)
+            m = adapted_matrix(t, p)
+            tab = build_table(p)
+            for i in range(1, n):
+                assert np.array_equal(m[:, i + 1], bracket(tab, m[:, i], m[:, 0])), (seed, k, i)
 
 
 @given(st.integers(4, 8), st.integers(0, 10**6))

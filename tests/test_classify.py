@@ -1,6 +1,7 @@
 """Classification: cell membership, orbit functions, normal forms, isomorphism."""
 
 import cmath
+import itertools
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,6 +10,7 @@ from filiform_ce import (
     AdaptedTransform,
     CanonicalizationError,
     DomainError,
+    FiliformError,
     SingularMatrixError,
     act_on_params,
     adapted_matrix,
@@ -26,7 +28,7 @@ from filiform_ce import (
     subset_of,
     warn_if_borderline,
 )
-from filiform_ce.classify import _weight
+from filiform_ce.classify import _cell, _cell_table, _weight
 from filiform_ce.subsets import PARAM_SLOTS, SUBSETS, STABILIZERS, parametric_subsets
 
 
@@ -46,6 +48,38 @@ def test_subset_frozen_examples():
     assert subset_of(params_from_tuple(5, [1, 0, 1, 0, 0])) == "U_6"
     assert subset_of(params_from_tuple(8, [1, 0, 1, 0, 1, 0])) == "U_5"
     assert subset_of(params_from_tuple(8, [0, 0, 0, 0, 0, 0])) == "U_17"
+
+
+@pytest.mark.parametrize("n", range(4, 9))
+def test_cell_table_matches_first_match_scan(n):
+    # the table behind _cell against the decision-order scan it replaced
+    keys = (*PARAM_SLOTS[n], "delta")
+    for pattern in itertools.product((False, True), repeat=len(keys)):
+        flags = dict(zip(keys, pattern))
+        want = None
+        for spec in SUBSETS[n]:
+            if all(flags[slot] == nonzero for slot, nonzero in spec.conditions):
+                want = spec
+                break
+        if want is None:
+            with pytest.raises(FiliformError):
+                _cell(n, flags)
+        else:
+            assert _cell(n, flags) is want, pattern
+
+
+def test_cell_without_match_raises(monkeypatch):
+    # every pattern has a cell, so drop the all-zero cell to reach the miss
+    flags = dict.fromkeys((*PARAM_SLOTS[4], "delta"), False)
+    monkeypatch.setitem(SUBSETS, 4, SUBSETS[4][:-1])
+    _cell_table.cache_clear()
+    try:
+        with pytest.raises(FiliformError, match="no classification cell matched n=4"):
+            _cell(4, flags)
+    finally:
+        monkeypatch.undo()
+        _cell_table.cache_clear()
+    assert _cell(4, flags).name == "U_9"
 
 
 def test_subset_counts():
