@@ -52,7 +52,7 @@ from .action import (
 )
 from .errors import CanonicalizationError, DomainError, FiliformError
 from .family import ExtensionParams, params_from_tuple
-from .subsets import LAM, PARAM_SLOTS, STABILIZERS, SUBSETS, SubsetSpec, get_spec
+from .subsets import LAM, PARAM_SLOTS, SUBSETS, SubsetSpec, get_spec
 from .tolerance import FLAG_WARN_MARGIN, ZERO_FLAG_RTOL
 
 import numpy as np
@@ -260,6 +260,20 @@ def _plan(n: int, spec: SubsetSpec) -> _Plan:
 _PLANS = {(n, spec.name): _plan(n, spec) for n in SUBSETS for spec in SUBSETS[n]}
 
 
+def _lam_exponent(n: int, plan: _Plan) -> int:
+    """e: the torus elements fixing the "1" slots (A0**order = 1) multiply lam by A0**e."""
+    (x00, y00), (_i, x, y) = _weight(n, "b00"), plan.scale
+    return (x00 - y00 * x * y) % plan.order
+
+
+#: (n, cell) -> (order, e) for the parametric cells whose stabilizer moves lam
+STABILIZERS = {
+    key: (plan.order, _lam_exponent(key[0], plan))
+    for key, plan in _PLANS.items()
+    if get_spec(*key).parametric and _lam_exponent(key[0], plan)
+}
+
+
 def _root(z: complex, k: int) -> complex:
     """Principal k-th root, reading a zero imaginary part as +0."""
     return complex(z.real, z.imag + 0.0) ** (1.0 / k)
@@ -324,7 +338,7 @@ def representative_params(n: int, subset: str, lam: complex | None = None) -> Ex
     spec = get_spec(n, subset)
     if spec.parametric and lam is None:
         raise DomainError(f"cell {subset} of n={n} needs a lambda value")
-    values = [lam if v is LAM or v == LAM else v for v in spec.representative]
+    values = [lam if v == LAM else v for v in spec.representative]
     return params_from_tuple(n, values)
 
 

@@ -117,7 +117,7 @@ class ExtensionParams:
 
 def params_from_tuple(n: int, values) -> ExtensionParams:
     """Inverse of :meth:`ExtensionParams.as_tuple`."""
-    values = tuple(complex(v) for v in values)
+    values = tuple(values)
     want = len(PARAM_SLOTS[n]) if n in PARAM_SLOTS else -1
     if len(values) != want:
         raise DomainError(
@@ -376,9 +376,6 @@ def _sampling_wants(n: int) -> dict:
     out = {None: ((None,) * len(slots), None)}
     for spec in SUBSETS[n]:
         conditions = dict(spec.conditions)
-        for name in conditions:
-            if name != "delta" and name not in slots:
-                raise DomainError(f"subset {spec.name!r} not defined for n={n}")
         out[spec.name] = tuple(map(conditions.get, slots)), conditions.get("delta")
     return out
 

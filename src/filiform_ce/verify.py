@@ -43,6 +43,7 @@ from .action import (
     upsilon,
 )
 from .classify import (
+    STABILIZERS,
     canonicalize,
     isomorphic,
     nonzero_flags,
@@ -67,7 +68,7 @@ from .family import (
     random_params,
     solve_leibniz_constraints,
 )
-from .subsets import STABILIZERS, SUBSETS, get_spec, parametric_subsets, subset_names
+from .subsets import PARAM_SLOTS, SUBSETS, get_spec, parametric_subsets
 from .tensor import (
     StructureTensor,
     bracket,
@@ -285,7 +286,7 @@ def _chk_central_series(ctx: _Ctx) -> tuple[float, bool, str]:
         mu = build_mu(n)
         if lower_central_series(mu) != expected or not is_filiform(mu):
             return 1.0, False, f"base algebra series wrong at n={n}: {lower_central_series(mu)}"
-        for p in (random_params(n, rng=ctx.rng), params_from_tuple(n, [0] * (3 + (n - 2) // 2 + n % 2))):
+        for p in (random_params(n, rng=ctx.rng), params_from_tuple(n, [0] * len(PARAM_SLOTS[n]))):
             table = build_table(p)
             got = lower_central_series(table)
             if got != expected or not is_filiform(table):
@@ -696,7 +697,7 @@ def _chk_subset_coverage(ctx: _Ctx) -> tuple[float, bool, str]:
     counts = {4: 9, 5: 13, 6: 13, 7: 17, 8: 17}
     for n in N_RANGE:
         specs = SUBSETS[n]
-        if len(specs) != counts[n] or subset_names(n) != [s.name for s in specs]:
+        if [s.name for s in specs] != [f"U_{i}" for i in range(1, counts[n] + 1)]:
             return 1.0, False, f"cell count at n={n}: {len(specs)}"
         if len(parametric_subsets(n)) != {4: 1, 5: 2, 6: 2, 7: 3, 8: 3}[n]:
             return 1.0, False, f"parametric cell count wrong at n={n}"
@@ -709,7 +710,7 @@ def _chk_subset_coverage(ctx: _Ctx) -> tuple[float, bool, str]:
                     vals[i] = 0j
             probes.append(params_from_tuple(n, vals))
         probes.extend(rep for _name, rep, _param in representatives(n))
-        probes.append(params_from_tuple(n, [0] * len(SUBSETS[n][0].representative)))
+        probes.append(params_from_tuple(n, [0] * len(PARAM_SLOTS[n])))
         for p in probes:
             flags = nonzero_flags(p)
             hits = [

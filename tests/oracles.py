@@ -160,3 +160,90 @@ def naive_build_table(p) -> np.ndarray:
             gamma[i, j, n] = v
             gamma[j, i, n] = -v
     return gamma
+
+
+#: the classification table as it was written out by hand, cell by cell, for
+#: n = 4..8: (name, conditions, representative, parametric); "lam" marks the
+#: free slot.  The cells in ``filiform_ce.subsets`` derive the last two
+#: fields from the conditions and must reproduce this table.
+FROZEN_SUBSETS = {
+    4: (
+        ("U_1", (("b11", True), ("b12", True)), ("lam", 0, 1, 1), True),
+        ("U_2", (("b11", True), ("b12", False), ("delta", True)), (1, 0, 1, 0), False),
+        ("U_3", (("b11", True), ("b12", False), ("delta", False)), (0, 0, 1, 0), False),
+        ("U_4", (("b11", False), ("b01", True), ("b12", True)), (0, 1, 0, 1), False),
+        ("U_5", (("b11", False), ("b01", True), ("b12", False)), (0, 1, 0, 0), False),
+        ("U_6", (("b11", False), ("b01", False), ("b00", True), ("b12", True)), (1, 0, 0, 1), False),
+        ("U_7", (("b11", False), ("b01", False), ("b00", True), ("b12", False)), (1, 0, 0, 0), False),
+        ("U_8", (("b11", False), ("b01", False), ("b00", False), ("b12", True)), (0, 0, 0, 1), False),
+        ("U_9", (("b11", False), ("b01", False), ("b00", False), ("b12", False)), (0, 0, 0, 0), False),
+    ),
+    5: (
+        ("U_1", (("b", True), ("b11", True)), ("lam", 0, 1, 0, 1), True),
+        ("U_2", (("b", True), ("b11", False), ("b01", True)), (0, 1, 0, 0, 1), False),
+        ("U_3", (("b", True), ("b11", False), ("b01", False), ("b00", True)), (1, 0, 0, 0, 1), False),
+        ("U_4", (("b", True), ("b11", False), ("b01", False), ("b00", False)), (0, 0, 0, 0, 1), False),
+        ("U_5", (("b", False), ("b11", True), ("b12", True)), ("lam", 0, 1, 1, 0), True),
+        ("U_6", (("b", False), ("b11", True), ("b12", False), ("delta", True)), (1, 0, 1, 0, 0), False),
+        ("U_7", (("b", False), ("b11", True), ("b12", False), ("delta", False)), (0, 0, 1, 0, 0), False),
+        ("U_8", (("b", False), ("b11", False), ("b01", True), ("b12", True)), (0, 1, 0, 1, 0), False),
+        ("U_9", (("b", False), ("b11", False), ("b01", True), ("b12", False)), (0, 1, 0, 0, 0), False),
+        ("U_10", (("b", False), ("b11", False), ("b01", False), ("b00", True), ("b12", True)), (1, 0, 0, 1, 0), False),
+        ("U_11", (("b", False), ("b11", False), ("b01", False), ("b00", True), ("b12", False)), (1, 0, 0, 0, 0), False),
+        ("U_12", (("b", False), ("b11", False), ("b01", False), ("b00", False), ("b12", True)), (0, 0, 0, 1, 0), False),
+        ("U_13", (("b", False), ("b11", False), ("b01", False), ("b00", False), ("b12", False)), (0, 0, 0, 0, 0), False),
+    ),
+    6: (
+        ("U_1", (("b11", True), ("b14", True)), ("lam", 0, 1, 0, 1), True),
+        ("U_2", (("b11", True), ("b14", False), ("b12", True)), ("lam", 0, 1, 1, 0), True),
+        ("U_3", (("b11", True), ("b14", False), ("b12", False), ("delta", True)), (1, 0, 1, 0, 0), False),
+        ("U_4", (("b11", True), ("b14", False), ("b12", False), ("delta", False)), (0, 0, 1, 0, 0), False),
+        ("U_5", (("b11", False), ("b01", True), ("b14", True)), (0, 1, 0, 0, 1), False),
+        ("U_6", (("b11", False), ("b01", True), ("b14", False), ("b12", True)), (0, 1, 0, 1, 0), False),
+        ("U_7", (("b11", False), ("b01", True), ("b14", False), ("b12", False)), (0, 1, 0, 0, 0), False),
+        ("U_8", (("b11", False), ("b01", False), ("b00", True), ("b14", True)), (1, 0, 0, 0, 1), False),
+        ("U_9", (("b11", False), ("b01", False), ("b00", True), ("b14", False), ("b12", True)), (1, 0, 0, 1, 0), False),
+        ("U_10", (("b11", False), ("b01", False), ("b00", True), ("b14", False), ("b12", False)), (1, 0, 0, 0, 0), False),
+        ("U_11", (("b11", False), ("b01", False), ("b00", False), ("b14", True)), (0, 0, 0, 0, 1), False),
+        ("U_12", (("b11", False), ("b01", False), ("b00", False), ("b14", False), ("b12", True)), (0, 0, 0, 1, 0), False),
+        ("U_13", (("b11", False), ("b01", False), ("b00", False), ("b14", False), ("b12", False)), (0, 0, 0, 0, 0), False),
+    ),
+    7: (
+        ("U_1", (("b", True), ("b11", True)), ("lam", 0, 1, 0, 0, 1), True),
+        ("U_2", (("b", True), ("b11", False), ("b01", True)), (0, 1, 0, 0, 0, 1), False),
+        ("U_3", (("b", True), ("b11", False), ("b01", False), ("b00", True)), (1, 0, 0, 0, 0, 1), False),
+        ("U_4", (("b", True), ("b11", False), ("b01", False), ("b00", False)), (0, 0, 0, 0, 0, 1), False),
+        ("U_5", (("b", False), ("b14", True), ("b11", True)), ("lam", 0, 1, 0, 1, 0), True),
+        ("U_6", (("b", False), ("b14", True), ("b11", False), ("b01", True)), (0, 1, 0, 0, 1, 0), False),
+        ("U_7", (("b", False), ("b14", True), ("b11", False), ("b01", False), ("b00", True)), (1, 0, 0, 0, 1, 0), False),
+        ("U_8", (("b", False), ("b14", True), ("b11", False), ("b01", False), ("b00", False)), (0, 0, 0, 0, 1, 0), False),
+        ("U_9", (("b", False), ("b14", False), ("b12", True), ("b11", True)), ("lam", 0, 1, 1, 0, 0), True),
+        ("U_10", (("b", False), ("b14", False), ("b12", True), ("b11", False), ("b01", True)), (0, 1, 0, 1, 0, 0), False),
+        ("U_11", (("b", False), ("b14", False), ("b12", True), ("b11", False), ("b01", False), ("b00", True)), (1, 0, 0, 1, 0, 0), False),
+        ("U_12", (("b", False), ("b14", False), ("b12", True), ("b11", False), ("b01", False), ("b00", False)), (0, 0, 0, 1, 0, 0), False),
+        ("U_13", (("b", False), ("b14", False), ("b12", False), ("b11", True), ("delta", True)), (1, 0, 1, 0, 0, 0), False),
+        ("U_14", (("b", False), ("b14", False), ("b12", False), ("b11", True), ("delta", False)), (0, 0, 1, 0, 0, 0), False),
+        ("U_15", (("b", False), ("b14", False), ("b12", False), ("b11", False), ("b01", True)), (0, 1, 0, 0, 0, 0), False),
+        ("U_16", (("b", False), ("b14", False), ("b12", False), ("b11", False), ("b01", False), ("b00", True)), (1, 0, 0, 0, 0, 0), False),
+        ("U_17", (("b", False), ("b14", False), ("b12", False), ("b11", False), ("b01", False), ("b00", False)), (0, 0, 0, 0, 0, 0), False),
+    ),
+    8: (
+        ("U_1", (("b16", True), ("b11", True)), ("lam", 0, 1, 0, 0, 1), True),
+        ("U_2", (("b16", True), ("b11", False), ("b01", True)), (0, 1, 0, 0, 0, 1), False),
+        ("U_3", (("b16", True), ("b11", False), ("b01", False), ("b00", True)), (1, 0, 0, 0, 0, 1), False),
+        ("U_4", (("b16", True), ("b11", False), ("b01", False), ("b00", False)), (0, 0, 0, 0, 0, 1), False),
+        ("U_5", (("b16", False), ("b14", True), ("b11", True)), ("lam", 0, 1, 0, 1, 0), True),
+        ("U_6", (("b16", False), ("b14", True), ("b11", False), ("b01", True)), (0, 1, 0, 0, 1, 0), False),
+        ("U_7", (("b16", False), ("b14", True), ("b11", False), ("b01", False), ("b00", True)), (1, 0, 0, 0, 1, 0), False),
+        ("U_8", (("b16", False), ("b14", True), ("b11", False), ("b01", False), ("b00", False)), (0, 0, 0, 0, 1, 0), False),
+        ("U_9", (("b16", False), ("b14", False), ("b12", True), ("b11", True)), ("lam", 0, 1, 1, 0, 0), True),
+        ("U_10", (("b16", False), ("b14", False), ("b12", True), ("b11", False), ("b01", True)), (0, 1, 0, 1, 0, 0), False),
+        ("U_11", (("b16", False), ("b14", False), ("b12", True), ("b11", False), ("b01", False), ("b00", True)), (1, 0, 0, 1, 0, 0), False),
+        ("U_12", (("b16", False), ("b14", False), ("b12", True), ("b11", False), ("b01", False), ("b00", False)), (0, 0, 0, 1, 0, 0), False),
+        ("U_13", (("b16", False), ("b14", False), ("b12", False), ("b11", True), ("delta", True)), (1, 0, 1, 0, 0, 0), False),
+        ("U_14", (("b16", False), ("b14", False), ("b12", False), ("b11", True), ("delta", False)), (0, 0, 1, 0, 0, 0), False),
+        ("U_15", (("b16", False), ("b14", False), ("b12", False), ("b11", False), ("b01", True)), (0, 1, 0, 0, 0, 0), False),
+        ("U_16", (("b16", False), ("b14", False), ("b12", False), ("b11", False), ("b01", False), ("b00", True)), (1, 0, 0, 0, 0, 0), False),
+        ("U_17", (("b16", False), ("b14", False), ("b12", False), ("b11", False), ("b01", False), ("b00", False)), (0, 0, 0, 0, 0, 0), False),
+    ),
+}

@@ -31,7 +31,8 @@ from filiform_ce import (
     verify_all,
 )
 from filiform_ce.action import AdaptedTransform
-from filiform_ce.subsets import SUBSETS, STABILIZERS, parametric_subsets
+from filiform_ce.classify import STABILIZERS
+from filiform_ce.subsets import SUBSETS, parametric_subsets
 
 N_RANGE = range(4, 9)
 

@@ -28,8 +28,10 @@ from filiform_ce import (
     subset_of,
     warn_if_borderline,
 )
-from filiform_ce.classify import _cell, _cell_table, _weight
-from filiform_ce.subsets import PARAM_SLOTS, SUBSETS, STABILIZERS, parametric_subsets
+from filiform_ce.classify import STABILIZERS, _cell, _cell_table, _weight
+from filiform_ce.subsets import PARAM_SLOTS, SUBSETS, parametric_subsets
+
+import oracles
 
 
 def tuple_dev(p, q):
@@ -362,6 +364,16 @@ def test_torus_weights_give_stabilizers():
             if e:
                 nontrivial[n, spec.name] = (order, e)
     assert nontrivial == STABILIZERS
+    assert STABILIZERS == {(6, "U_1"): (3, 1), (7, "U_5"): (3, 2), (8, "U_1"): (5, 3)}
+
+
+def test_cells_derive_from_conditions():
+    # representatives and parametric flags come from the conditions alone;
+    # they must reproduce the table that used to be written out cell by cell
+    assert SUBSETS.keys() == oracles.FROZEN_SUBSETS.keys()
+    for n, specs in SUBSETS.items():
+        table = tuple((s.name, s.conditions, s.representative, s.parametric) for s in specs)
+        assert table == oracles.FROZEN_SUBSETS[n], n
 
 
 def test_classify_report_fields():

@@ -1,10 +1,13 @@
 """Contract of the bundled verification harness."""
 
 import json
+from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from filiform_ce import DomainError, MANIFEST, StructureTensor, build_table, verify, verify_all
+from filiform_ce.subsets import SUBSETS
 
 
 def test_manifest_is_complete_and_sorted():
@@ -67,6 +70,17 @@ def test_corrupted_signs_are_caught(monkeypatch):
     assert "constraint-reduction" in failed
     notes = {c.check_id: c.notes for c in report.failures()}
     assert "(0, 1, 3)" in notes["leibniz-validity"]
+
+
+def test_misnamed_cells_are_caught(monkeypatch):
+    # the coverage check reads the names against the paper's U_1 .. U_k
+    specs = list(SUBSETS[4])
+    specs[0], specs[1] = replace(specs[0], name="U_2"), replace(specs[1], name="U_1")
+    monkeypatch.setitem(SUBSETS, 4, tuple(specs))
+    ctx = verify._Ctx(rng=np.random.default_rng(1), trials=1)
+    _residual, ok, notes = verify._REGISTRY["subset-coverage"].fn(ctx)
+    assert not ok
+    assert notes == "cell count at n=4: 9"
 
 
 def test_trials_must_be_positive():
