@@ -6,7 +6,7 @@ transform: the tensor kernels (``change_basis``, ``leibniz_residual``,
 ``require_finite`` (on a parameter tuple and on a structure tensor), the
 sampler ``random_params`` (one generator shared across calls), and
 ``build_table``, ``adapted_matrix``, ``act_on_params``, ``read_params``,
-``canonicalize``, ``classify`` and ``isomorphic``.  Each figure is the
+``canonicalize``, ``classify``, ``orbit_invariant`` and ``isomorphic``.  Each figure is the
 median over ``REPEATS`` rounds of the mean time per call in microseconds.
 The end-to-end entry ``verify_all.seed1_trials100_s`` is the median of
 ``E2E_RUNS`` runs of ``verify_all(seed=1, trials=100)``, in seconds.
@@ -68,6 +68,7 @@ def measure() -> dict:
             "read_params": lambda: fc.read_params(t),
             "canonicalize": lambda: fc.canonicalize(p),
             "classify": lambda: fc.classify(p),
+            "orbit_invariant": lambda: fc.orbit_invariant(p),
             "isomorphic": lambda: fc.isomorphic(p, q),
         }
         for name, fn in calls.items():

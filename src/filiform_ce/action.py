@@ -281,16 +281,29 @@ def _act(n: int, a0: complex, a1: complex, bvec: tuple, v: tuple) -> tuple:
     ]
     tail = shear if n % 2 else 1
     for power, terms in _sum_terms(n):
-        total = 0j
-        for s, poly in terms:
-            coeff = 0j
-            for c, i, j in poly:
-                coeff += c * bvec[i] * bvec[j]
-            total += coeff * v[s]
-        out.append(total / (a0 ** power * b1 * tail))
+        out.append(_even_row(power, terms, a0, b1, tail, bvec, v))
     if n % 2:
         out.append(b1 * b / shear)
     return tuple(out)
+
+
+def _act_even_slot(n: int, a0: complex, a1: complex, bvec: tuple, v: tuple, i: int) -> complex:
+    """Slot ``i`` of ``_act(n, a0, a1, bvec, v)``, an even-row slot, alone."""
+    tail = a0 + a1 * v[-1] if n % 2 else 1
+    power, terms = _sum_terms(n)[i - 3]
+    return _even_row(power, terms, a0, bvec[0], tail, bvec, v)
+
+
+def _even_row(
+    power: int, terms: tuple, a0: complex, b1: complex, tail, bvec: tuple, v: tuple
+) -> complex:
+    total = 0j
+    for s, poly in terms:
+        coeff = 0j
+        for c, i, j in poly:
+            coeff += c * bvec[i] * bvec[j]
+        total += coeff * v[s]
+    return total / (a0**power * b1 * tail)
 
 
 # ---------------------------------------------------------------------------

@@ -5,10 +5,20 @@ For each family the parameter space splits into the cells of
 with a fixed 0/1 representative; every parametric cell is a one-parameter
 family of orbits indexed by a canonical value ``lam`` sitting in the b00
 slot of its representative.  ``canonicalize`` produces the witness
-transform realizing the normal form, ``orbit_invariant`` evaluates the
-cell's rational orbit function, and ``isomorphic`` decides equivalence of
-two members (up to the finite stabilizer of the normal form, where one
-exists) and returns an explicit witness.
+transform realizing the normal form, ``orbit_invariant`` gives the value
+of the cell's rational orbit function, and ``isomorphic`` decides
+equivalence of two members (up to the finite stabilizer of the normal
+form, where one exists) and returns an explicit witness.
+
+Each published orbit function is invariant, so it takes the value it has
+on the normal form, where it is a monomial c * lam**k:
+
+    (n, cell)  4 U_1  5 U_1  5 U_5  6 U_1  6 U_2  7 U_1  7 U_5  7 U_9  8 U_1  8 U_5  8 U_9
+    c          -4     -1     -4     -64    -4     -1     -64    -4     -1024  -1/4   -4
+    k          1      1      1      3      1      1      3      1      5      -1     1
+
+The published formulas themselves live in :mod:`filiform_ce.verify`,
+which checks this table against them.
 
 One rule, read off the cell's representative pattern, builds every
 witness in three steps, each evaluated on the closed form of the action:
@@ -45,6 +55,7 @@ from dataclasses import dataclass, replace
 from .action import (
     AdaptedTransform,
     _act,
+    _act_even_slot,
     act_on_params,
     adapted_matrix,
     identity_transform,
@@ -152,60 +163,55 @@ def subset_of(p: ExtensionParams) -> str:
 # ---------------------------------------------------------------------------
 # orbit functions on the parametric cells
 
+#: (n, cell) -> (c, k): the cell's published orbit function is an invariant,
+#: and on the normal form it reads c * lam**k
+_ORBIT_MONOMIALS = {
+    (4, "U_1"): (-4, 1),
+    (5, "U_1"): (-1, 1),
+    (5, "U_5"): (-4, 1),
+    (6, "U_1"): (-64, 3),
+    (6, "U_2"): (-4, 1),
+    (7, "U_1"): (-1, 1),
+    (7, "U_5"): (-64, 3),
+    (7, "U_9"): (-4, 1),
+    (8, "U_1"): (-1024, 5),
+    (8, "U_5"): (-0.25, -1),
+    (8, "U_9"): (-4, 1),
+}
 
-def orbit_invariant(p: ExtensionParams, subset: str | None = None) -> complex | None:
+
+def orbit_invariant(p: ExtensionParams) -> complex | None:
     """Value of the cell's orbit function; None off the parametric cells.
 
-    Also None at the isolated members where the cell's published function
-    is undefined (a vanishing discriminant under the one function that
-    divides by it, or the thin locus where the odd-family denominator
-    2*b11 - b01*b vanishes).  A value beyond floating-point range raises
-    :class:`DomainError`.
+    Also None where the normal form is out of reach (the thin locus, where
+    :func:`canonicalize` raises :class:`CanonicalizationError`) and where
+    the function divides by a vanishing ``lam``.  A value beyond
+    floating-point range raises :class:`DomainError`.
     """
-    if subset is None:
-        subset = subset_of(p)
-    if not get_spec(p.n, subset).parametric:
+    if not _cell(p.n, nonzero_flags(p)).parametric:
         return None
     try:
-        value = _orbit_function(p, subset)
-        if value is None or cmath.isfinite(value):
+        label = canonicalize(p)
+    except CanonicalizationError:
+        return None
+    return _orbit_value(label)
+
+
+def _orbit_value(label: OrbitLabel) -> complex | None:
+    if label.lam is None:
+        return None
+    c, k = _ORBIT_MONOMIALS[label.n, label.subset]
+    if k < 0 and label.lam == 0:
+        return None
+    try:
+        value = c * label.lam**k
+        if cmath.isfinite(value):
             return value
     except OverflowError:
         pass
-    raise DomainError(f"orbit function of cell {subset} at n={p.n} overflows at this magnitude")
-
-
-def _orbit_function(p: ExtensionParams, subset: str) -> complex | None:
-    n = p.n
-    d = p.delta
-    if (n, subset) in ((5, "U_1"), (7, "U_1")):
-        den = p.b01 * p.b - 2 * p.b11
-        if abs(den) <= ZERO_FLAG_RTOL * p.scale():
-            return None
-        return d * p.b ** 2 / den ** 2
-    if (n, subset) == (4, "U_1"):
-        return (p.b12 / p.b11) ** 4 * d
-    if (n, subset) == (5, "U_5"):
-        return (p.b12 / p.b11) ** 6 * d
-    if (n, subset) == (6, "U_1"):
-        return (p.b14 / p.b11) ** 8 * d ** 3
-    if (n, subset) == (6, "U_2"):
-        return (p.b12 / p.b11) ** 8 * d
-    if (n, subset) == (7, "U_5"):
-        return (p.b14 / p.b11) ** 10 * d ** 3
-    if (n, subset) == (7, "U_9"):
-        # the first power of the discriminant; see verification notes on the
-        # drifting third-power variant
-        return (p.b12 / p.b11) ** 10 * d
-    if (n, subset) == (8, "U_1"):
-        return (p.b16 / p.b11) ** 12 * d ** 5
-    if (n, subset) == (8, "U_5"):
-        if abs(d) <= ZERO_FLAG_RTOL * _delta_scale(p):
-            return None
-        return (p.b11 / p.b14) ** 4 / d
-    if (n, subset) == (8, "U_9"):
-        return (p.b12 / p.b11) ** 12 * d
-    raise FiliformError(f"missing orbit function for n={n} {subset}")
+    raise DomainError(
+        f"orbit function of cell {label.subset} at n={label.n} overflows at this magnitude"
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -313,19 +319,19 @@ def _canonical_transform(p: ExtensionParams, flags: dict, plan: _Plan) -> Adapte
     a1 = a0 * num / den
     bvec = [b1] + [0j] * (n - 3)
     for k, i in plan.shifts:
-        f0 = _act(n, a0, a1, bvec, v)[i]
+        f0 = _act_even_slot(n, a0, a1, bvec, v, i)
         if not f0:
             continue
         # f(B_k) = f0 - d * B_k: d from a trial at B_k = B1 (good to eps * |f0|),
         # then from the secant through 0 and f0 / d; then one Newton step
         bvec[k - 1] = b1
-        d = (f0 - _act(n, a0, a1, bvec, v)[i]) / b1
+        d = (f0 - _act_even_slot(n, a0, a1, bvec, v, i)) / b1
         if not d:
             raise CanonicalizationError(f"chain slot {PARAM_SLOTS[n][i]} too large for its pivot")
         bvec[k - 1] = first = f0 / d
-        d = (f0 - _act(n, a0, a1, bvec, v)[i]) / first
+        d = (f0 - _act_even_slot(n, a0, a1, bvec, v, i)) / first
         bvec[k - 1] = f0 / d
-        bvec[k - 1] += _act(n, a0, a1, bvec, v)[i] / d
+        bvec[k - 1] += _act_even_slot(n, a0, a1, bvec, v, i) / d
     return AdaptedTransform(n, a0, a1, tuple(bvec))
 
 
@@ -364,7 +370,12 @@ def canonicalize(p: ExtensionParams) -> OrbitLabel:
     spec = _cell(p.n, flags)
     name = spec.name
     witness = _canonical_transform(p, flags, _PLANS[p.n, name])
-    achieved = act_on_params(witness, p)
+    try:
+        achieved = act_on_params(witness, p)
+    except DomainError as exc:  # a slot of the normal form is not finite
+        raise DomainError(
+            f"the normal form of cell {name} at n={p.n} is beyond floating-point range"
+        ) from exc
     lam = achieved.b00 if spec.parametric else None
     rep = representative_params(p.n, name, lam)
     err = max(abs(x - y) for x, y in zip(achieved.as_tuple(), rep.as_tuple()))
@@ -384,7 +395,7 @@ def classify(p: ExtensionParams) -> OrbitLabel:
     report = InvariantReport(
         delta=p.delta,
         flags={name: not on for name, on in flags.items()},
-        orbit_value=orbit_invariant(p, label.subset),
+        orbit_value=_orbit_value(label),
         canonical_lambda=label.lam,
         flag_margin=_margin(p, flags),
     )

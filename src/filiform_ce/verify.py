@@ -5,7 +5,9 @@ tables, the constraint solve, the adapted-transform calculus, and the
 per-cell classification with its orbit functions -- is re-checked here
 through an independent numerical route: residual tensors are contracted
 directly, parameter actions are compared against explicit basis changes,
-and normal forms are re-derived from random samples.
+and normal forms are re-derived from random samples.  The paper's orbit
+functions live here, as the reference for the library's normal-form
+values.
 
 The suite is deterministic: the seed fixes every random draw (each check
 derives its own generator from a hash of ``seed`` and the check id, so
@@ -45,6 +47,7 @@ from .action import (
 from .classify import (
     STABILIZERS,
     canonicalize,
+    classify,
     isomorphic,
     nonzero_flags,
     orbit_invariant,
@@ -585,31 +588,65 @@ def _make_closed_forms_check(n: int):
 # checks: classification
 
 
+#: the paper's orbit function of each parametric cell, evaluated on a member:
+#: the reference for the library's normal-form values
+_PUBLISHED_ORBIT = {
+    (4, "U_1"): lambda p: (p.b12 / p.b11) ** 4 * p.delta,
+    (5, "U_1"): lambda p: p.delta * p.b**2 / (p.b01 * p.b - 2 * p.b11) ** 2,
+    (5, "U_5"): lambda p: (p.b12 / p.b11) ** 6 * p.delta,
+    (6, "U_1"): lambda p: (p.b14 / p.b11) ** 8 * p.delta**3,
+    (6, "U_2"): lambda p: (p.b12 / p.b11) ** 8 * p.delta,
+    (7, "U_1"): lambda p: p.delta * p.b**2 / (p.b01 * p.b - 2 * p.b11) ** 2,
+    (7, "U_5"): lambda p: (p.b14 / p.b11) ** 10 * p.delta**3,
+    # the first power of the discriminant; the variant report shows the
+    # third power drifting along orbits
+    (7, "U_9"): lambda p: (p.b12 / p.b11) ** 10 * p.delta,
+    (8, "U_1"): lambda p: (p.b16 / p.b11) ** 12 * p.delta**5,
+    (8, "U_5"): lambda p: (p.b11 / p.b14) ** 4 / p.delta,
+    (8, "U_9"): lambda p: (p.b12 / p.b11) ** 12 * p.delta,
+}
+
+
 def _make_orbit_family_check(n: int, cell: str):
+    published = _PUBLISHED_ORBIT[n, cell]
+
     def run(ctx: _Ctx) -> tuple[float, bool, str]:
         worst = 0.0
         for _ in range(ctx.trials):
             p = random_params(n, cell, rng=ctx.rng)
-            label = canonicalize(p)
+            label = classify(p)
             if label.subset != cell or label.lam is None:
                 return 1.0, False, f"member classified as {label.subset} for {_show(p)}"
             dev = _tuple_dev(act_on_params(label.witness, p), label.representative)
             worst = max(worst, dev)
             if dev > 1e-6:
                 return worst, False, f"witness misses the normal form by {dev:.3e} for {_show(p)}"
+            dev = _dev(label.invariants.orbit_value, published(p))
+            worst = max(worst, dev)
+            if dev > 1e-9:
+                return worst, False, f"orbit value off the published function by {dev:.3e} for {_show(p)}"
         for _ in range(max(1, ctx.trials // 2)):
             p = random_params(n, cell, rng=ctx.rng)
             t = random_transform(n, b=p.b, rng=ctx.rng)
             q = act_on_params(t, p)
             if subset_of(q) != cell:
                 return worst, False, f"cell membership not stable for {_show(p)}, {_show_t(t)}"
-            drift = _dev(orbit_invariant(p), orbit_invariant(q))
+            vp, vq = orbit_invariant(p), orbit_invariant(q)
+            drift = _dev(vp, vq)
             worst = max(worst, drift)
             if drift > 1e-6:
                 return (
                     worst,
                     False,
                     f"orbit function drifts by {drift:.3e} for {_show(p)}, {_show_t(t)}",
+                )
+            dev = max(_dev(vp, published(p)), _dev(vq, published(q)))
+            worst = max(worst, dev)
+            if dev > 1e-9:
+                return (
+                    worst,
+                    False,
+                    f"orbit value off the published function by {dev:.3e} for {_show(p)}, {_show_t(t)}",
                 )
             same, _w = isomorphic(p, q)
             if not same:
@@ -618,23 +655,34 @@ def _make_orbit_family_check(n: int, cell: str):
         for _ in range(max(1, ctx.trials // 2)):
             lam = complex((0.3 + 1.7 * ctx.rng.random()) * np.exp(2j * np.pi * ctx.rng.random()))
             rep = representative_params(n, cell, lam)
-            back = canonicalize(rep)
+            back = classify(rep)
             dev = _dev(back.lam, lam)
             worst = max(worst, dev)
             if dev > 1e-9:
                 return worst, False, f"normal-form value not recovered: {lam!r} -> {back.lam!r}"
-            same, _w = isomorphic(rep, representative_params(n, cell, 1.3 * lam))
+            other = representative_params(n, cell, 1.3 * lam)
+            same, _w = isomorphic(rep, other)
             if same:
                 return worst, False, f"distinct normal forms conflated at lam={lam!r}"
+            dev = max(
+                _dev(back.invariants.orbit_value, published(rep)),
+                _dev(orbit_invariant(other), published(other)),
+            )
             if order > 1:
                 root = complex(np.exp(2j * np.pi / order))
-                same, _w = isomorphic(rep, representative_params(n, cell, root * lam))
+                image = representative_params(n, cell, root * lam)
+                same, _w = isomorphic(rep, image)
                 if not same:
                     return worst, False, f"stabilizer root refused at lam={lam!r}"
-                ov = _dev(orbit_invariant(rep), orbit_invariant(representative_params(n, cell, root * lam)))
+                value = orbit_invariant(image)
+                ov = _dev(back.invariants.orbit_value, value)
                 worst = max(worst, ov)
                 if ov > 1e-9:
                     return worst, False, f"orbit function not stabilizer-blind at lam={lam!r}"
+                dev = max(dev, _dev(value, published(image)))
+            worst = max(worst, dev)
+            if dev > 1e-9:
+                return worst, False, f"orbit value off the published function at lam={lam!r}"
         return worst, True, "constancy, recovery, separation, and stabilizer orbits hold"
 
     run.__doc__ = f"Orbit function and normal-form value behave on the {cell} family at n={n}."
@@ -813,12 +861,13 @@ def _chk_variant_report(ctx: _Ctx) -> tuple[float, bool, str]:
         return shipped_worst, False, bad
 
     # discriminant power in the rank-7 third-family orbit function
+    published = _PUBLISHED_ORBIT[7, "U_9"]
     ship = var = 0.0
     for _ in range(reps):
         p = random_params(7, "U_9", rng=ctx.rng)
         t = random_transform(7, b=p.b, rng=ctx.rng)
         q = act_on_params(t, p)
-        ship = max(ship, _dev(orbit_invariant(p), orbit_invariant(q)))
+        ship = max(ship, _dev(published(p), published(q)))
         vp = (p.b12 / p.b11) ** 10 * p.delta**3
         vq = (q.b12 / q.b11) ** 10 * q.delta**3
         var = max(var, _dev(vp, vq))

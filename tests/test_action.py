@@ -39,7 +39,7 @@ from filiform_ce import (
     transform_from_matrix,
     upsilon,
 )
-from filiform_ce.action import _act
+from filiform_ce.action import _act, _act_even_slot
 from filiform_ce.verify import _coefficient_sum, _naive_factors, _tail_generators, _tail_trivial
 
 import oracles
@@ -249,6 +249,18 @@ def test_derived_rule_matches_rank7_closed_forms():
         got = _act(7, t.A0, t.A1, t.B, p.as_tuple())
         assert abs(got[3] - e12) <= 1e-12 * (1 + abs(e12))
         assert abs(got[4] - e14) <= 1e-12 * (1 + abs(e14))
+
+
+def test_single_even_slot_is_bit_identical_to_full_action():
+    # the shift solve in canonicalize reads one slot; it must be the same float
+    for n in range(4, 9):
+        for seed in range(10):
+            p = random_params(n, seed=seed)
+            t = random_transform(n, seed=seed + 200, b=p.b)
+            v = tuple(x * 10.0 ** (30 * (seed - 5)) for x in p.as_tuple())
+            full = _act(n, t.A0, t.A1, t.B, v)
+            for i in range(3, 3 + (n - 2) // 2):
+                assert _act_even_slot(n, t.A0, t.A1, t.B, v, i) == full[i]
 
 
 # ---------------------------------------------------------------------------

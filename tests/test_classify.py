@@ -2,6 +2,8 @@
 
 import cmath
 import itertools
+import math
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -28,8 +30,9 @@ from filiform_ce import (
     subset_of,
     warn_if_borderline,
 )
-from filiform_ce.classify import STABILIZERS, _cell, _cell_table, _weight
+from filiform_ce.classify import _ORBIT_MONOMIALS, STABILIZERS, _cell, _cell_table, _weight
 from filiform_ce.subsets import PARAM_SLOTS, SUBSETS, parametric_subsets
+from filiform_ce.verify import _PUBLISHED_ORBIT
 
 import oracles
 
@@ -152,12 +155,30 @@ def test_orbit_value_none_on_degenerate_locus():
 
 
 def test_orbit_value_overflow_is_domain_error():
-    p = random_params(5, "U_1", seed=3)
-    huge = params_from_tuple(5, [v * 1e120 for v in p.as_tuple()])
+    # lam stays finite (near 2e79), the orbit value -1024*lam**5 does not
+    p = random_params(8, "U_1", seed=3)
+    huge = params_from_tuple(8, [v * 1e40 for v in p.as_tuple()])
     with pytest.raises(DomainError):
         orbit_invariant(huge)
     with pytest.raises(DomainError):
         classify(huge)
+
+
+@pytest.mark.parametrize("n, cell", sorted(_ORBIT_MONOMIALS))
+@pytest.mark.parametrize("scale", [1e-150, 1e-60, 1.0, 1e60, 1e150])
+@pytest.mark.parametrize("seed", [3, 4, 5])
+def test_orbit_value_is_published_function_on_normal_form(n, cell, scale, seed):
+    p = random_params(n, cell, seed=seed)
+    member = params_from_tuple(n, [v * scale for v in p.as_tuple()])
+    label = canonicalize(member)
+    c, k = _ORBIT_MONOMIALS[n, cell]
+    if math.log10(abs(c)) + k * math.log10(abs(label.lam)) > math.log10(sys.float_info.max):
+        with pytest.raises(DomainError):
+            classify(member)
+        return
+    value = classify(member).invariants.orbit_value
+    want = _PUBLISHED_ORBIT[n, cell](label.representative)
+    assert abs(value - want) <= 1e-9 * abs(want)
 
 
 def test_orbit_constant_along_orbits():

@@ -213,14 +213,38 @@ def test_cli_exit_codes(monkeypatch, capsys):
 
 
 def test_cli_classify_overflow_exits_3(monkeypatch, capsys):
-    # the orbit function of a member this large overflows: a domain error
-    p = random_params(5, "U_1", seed=3)
-    huge = params_from_tuple(5, [v * 1e120 for v in p.as_tuple()])
+    # lam is near 2e79, so the orbit function -1024*lam**5 overflows: a domain error
+    p = random_params(8, "U_1", seed=3)
+    huge = params_from_tuple(8, [v * 1e40 for v in p.as_tuple()])
     text = json.dumps(jsonio.encode_params(huge))
     code, out, err = run_cli(["classify"], stdin_text=text, monkeypatch=monkeypatch, capsys=capsys)
     assert code == 3
     assert out == ""
     assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+
+
+def test_cli_classify_normal_form_out_of_range_exits_3(monkeypatch, capsys):
+    # a finite member whose normal form holds lam near 1e400
+    p = random_params(8, "U_1", seed=3)
+    huge = params_from_tuple(8, [v * 1e200 for v in p.as_tuple()])
+    text = json.dumps(jsonio.encode_params(huge))
+    code, out, err = run_cli(["classify"], stdin_text=text, monkeypatch=monkeypatch, capsys=capsys)
+    assert code == 3
+    assert out == ""
+    assert "normal form of cell U_1 at n=8 is beyond floating-point range" in err
+
+
+def test_cli_classify_large_odd_member_exits_0(monkeypatch, capsys):
+    # as s grows, the published n=5 U_1 function delta*b**2/(b01*b - 2*b11)**2
+    # of s*p tends to delta/b01**2 of p, which is degree 0 in s; its direct
+    # evaluation overflows at 1e120, the value from the normal form does not
+    p = random_params(5, "U_1", seed=3)
+    huge = params_from_tuple(5, [v * 1e120 for v in p.as_tuple()])
+    text = json.dumps(jsonio.encode_params(huge))
+    code, out, _ = run_cli(["classify"], stdin_text=text, monkeypatch=monkeypatch, capsys=capsys)
+    assert code == 0
+    value = jsonio.load_complex(json.loads(out)["orbit_value"], "orbit_value")
+    assert value == pytest.approx(p.delta / p.b01**2, rel=1e-12)
 
 
 def test_cli_output_file(tmp_path, capsys):

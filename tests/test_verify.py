@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from filiform_ce import DomainError, MANIFEST, StructureTensor, build_table, verify, verify_all
+from filiform_ce.classify import _ORBIT_MONOMIALS
 from filiform_ce.subsets import SUBSETS
 
 
@@ -70,6 +71,14 @@ def test_corrupted_signs_are_caught(monkeypatch):
     assert "constraint-reduction" in failed
     notes = {c.check_id: c.notes for c in report.failures()}
     assert "(0, 1, 3)" in notes["leibniz-validity"]
+
+
+def test_orbit_table_is_checked_against_published_functions(monkeypatch):
+    # a wrong power in the library's table is caught by the published formula
+    monkeypatch.setitem(_ORBIT_MONOMIALS, (6, "U_1"), (-64, 1))
+    report = verify_all(seed=1, trials=2)
+    assert [c.check_id for c in report.checks if not c.passed] == ["orbit-family-n6-U1"]
+    assert "off the published function" in report.failures()[0].notes
 
 
 def test_misnamed_cells_are_caught(monkeypatch):
