@@ -6,7 +6,12 @@ transform: the tensor kernels (``change_basis``, ``leibniz_residual``,
 ``require_finite`` (on a parameter tuple and on a structure tensor), the
 sampler ``random_params`` (one generator shared across calls), and
 ``build_table``, ``adapted_matrix``, ``act_on_params``, ``read_params``,
-``canonicalize``, ``classify``, ``orbit_invariant`` and ``isomorphic``.  Each figure is the
+the group law ``compose`` and ``inverse_transform``, ``canonicalize``,
+``classify``, ``orbit_invariant`` and ``isomorphic``.  ``isomorphic``
+compares two seeded members (at n = 4 and 8 both U_1 with different
+``lam``, so it answers False before building a witness);
+``isomorphic_image`` compares a member with its image under the seeded
+transform, so it also builds and checks the witness.  Each figure is the
 median over ``REPEATS`` rounds of the mean time per call in microseconds.
 The end-to-end entry ``verify_all.seed1_trials100_s`` is the median of
 ``E2E_RUNS`` runs of ``verify_all(seed=1, trials=100)``, in seconds.
@@ -51,6 +56,8 @@ def measure() -> dict:
         q = fc.random_params(n, seed=2)
         t = fc.build_table(p)
         tr = random_transform(n, b=p.b, rng=np.random.default_rng(2))
+        image = fc.act_on_params(tr, p)
+        tr2 = random_transform(n, b=image.b, rng=np.random.default_rng(3))
         g = fc.adapted_matrix(tr, p)
         x, y = g[:, 0], g[:, 1]
         values = p.as_tuple()
@@ -66,10 +73,13 @@ def measure() -> dict:
             "adapted_matrix": lambda: fc.adapted_matrix(tr, p),
             "act_on_params": lambda: fc.act_on_params(tr, p),
             "read_params": lambda: fc.read_params(t),
+            "compose": lambda: fc.compose(tr, tr2, p),
+            "inverse_transform": lambda: fc.inverse_transform(tr, p),
             "canonicalize": lambda: fc.canonicalize(p),
             "classify": lambda: fc.classify(p),
             "orbit_invariant": lambda: fc.orbit_invariant(p),
             "isomorphic": lambda: fc.isomorphic(p, q),
+            "isomorphic_image": lambda: fc.isomorphic(p, image),
         }
         for name, fn in calls.items():
             number, _ = timeit.Timer(fn).autorange()

@@ -9,7 +9,11 @@ the rest of the image basis being generated by the recursion
 ``f(e_{i+1}) = [f(e_i), f(e_0)]`` inside the extension algebra.  Such a
 transform is nondegenerate when A0, B_1 and A0 + A1*b are all nonzero; it
 then maps the family to itself, and its effect on the free parameters has a
-closed form (``act_on_params``).  Every even row follows one rule,
+closed form (``act_on_params``).  Products and inverses never read the table:
+e_n is central, so rows 0..n-2 of the matrix hold (A0, A1) in column 0 and
+A0^{i-1} B_{k-i+1} in column i >= 1.  With B(x) = sum_k B_k x^{k-1} (n-2 terms),
+t then t' is (A0 A0', A1 A0' + B_1 A1', B(x) B'(A0 x)), and t^-1 is (1/A0,
+-A1/(A0 B_1), B') with B'(A0 x) = 1/B(x).  Every even row follows one rule,
 
     b'_{1,m} = sum_{k, l>=m} B_k B_{l-m+1} c_{k,l} / (A0^{n-m-n%2} B_1 [A0 + A1 b]),
 
@@ -72,13 +76,15 @@ def identity_transform(n: int) -> AdaptedTransform:
     return AdaptedTransform(n, 1, 0, (1,) + (0,) * (n - 3))
 
 
-def _require_nondegenerate(t: AdaptedTransform, b: complex) -> None:
-    """A0 and B_1 are scale factors, so only an exact zero degenerates them;
-    the shear vanishes when it cancels to rounding level."""
+def _require_nondegenerate(t: AdaptedTransform, p: ExtensionParams) -> None:
+    """Same n as ``p`` and invertible there: only an exact zero degenerates the
+    scale factors A0 and B_1; the shear vanishes when it cancels to rounding level."""
+    if t.n != p.n:
+        raise DomainError(f"transform has n={t.n} but parameters have n={p.n}")
     for name, vanishes in (
         ("A0", t.A0 == 0),
         ("B_1", t.B[0] == 0),
-        ("A0 + A1*b", abs(t.A0 + t.A1 * b) <= 1e-12 * max(abs(t.A0), abs(t.A1 * b))),
+        ("A0 + A1*b", abs(t.A0 + t.A1 * p.b) <= 1e-12 * max(abs(t.A0), abs(t.A1 * p.b))),
     ):
         if vanishes:
             raise DegenerateTransformError(f"adapted transform is degenerate: {name} vanishes")
@@ -183,9 +189,7 @@ def adapted_matrix(t: AdaptedTransform, p: ExtensionParams) -> np.ndarray:
     f(e_i); columns beyond the first two come from the bracket recursion
     and include their central corrections.
     """
-    if t.n != p.n:
-        raise DomainError(f"transform has n={t.n} but parameters have n={p.n}")
-    _require_nondegenerate(t, p.b)
+    _require_nondegenerate(t, p)
     n = p.n
     d = n + 1
     # each column is bracket(table, m[:, i], m[:, 0]), in bracket's order of
@@ -212,18 +216,24 @@ def transform_from_matrix(m: np.ndarray, n: int) -> AdaptedTransform:
 
 
 def compose(t1: AdaptedTransform, t2: AdaptedTransform, p: ExtensionParams) -> AdaptedTransform:
-    """Transform acting on ``p`` like ``t1`` followed by ``t2``."""
-    if not (t1.n == t2.n == p.n):
-        raise DomainError("compose needs matching n on both transforms and the parameters")
-    m1 = adapted_matrix(t1, p)
-    m2 = adapted_matrix(t2, act_on_params(t1, p))
-    return transform_from_matrix(m1 @ m2, p.n)
+    """Transform acting on ``p`` like ``t1`` followed by ``t2`` (product rule above)."""
+    _require_nondegenerate(t2, act_on_params(t1, p))
+    bvec = [0j] * (p.n - 2)  # B(x) * B'(A0*x) by Horner's rule in B'
+    for bj in reversed(t2.B):
+        bvec = [bj * bk + t1.A0 * c for bk, c in zip(t1.B, [0j, *bvec])]
+    return AdaptedTransform(p.n, t1.A0 * t2.A0, t1.A1 * t2.A0 + t1.B[0] * t2.A1, bvec)
 
 
 def inverse_transform(t: AdaptedTransform, p: ExtensionParams) -> AdaptedTransform:
-    """Transform undoing ``t``; valid at ``act_on_params(t, p)``."""
-    m = adapted_matrix(t, p)
-    return transform_from_matrix(np.linalg.inv(m), p.n)
+    """Transform undoing ``t``; valid at ``act_on_params(t, p)`` (inverse rule above)."""
+    _require_nondegenerate(t, p)
+    b, a0, power = t.B, 1 / t.A0, 1  # products, not ``**``, which raises on overflow
+    recip, bvec = [1 / b[0]], [1 / b[0]]
+    for k in range(1, len(b)):
+        recip.append(-sum(b[j] * recip[k - j] for j in range(1, k + 1)) / b[0])
+        power *= a0
+        bvec.append(recip[k] * power)
+    return AdaptedTransform(p.n, a0, -t.A1 * a0 / b[0], bvec)
 
 
 # ---------------------------------------------------------------------------
@@ -232,9 +242,7 @@ def inverse_transform(t: AdaptedTransform, p: ExtensionParams) -> AdaptedTransfo
 
 def act_on_params(t: AdaptedTransform, p: ExtensionParams) -> ExtensionParams:
     """Closed-form effect of an adapted transform on the free parameters."""
-    if t.n != p.n:
-        raise DomainError(f"transform has n={t.n} but parameters have n={p.n}")
-    _require_nondegenerate(t, p.b)
+    _require_nondegenerate(t, p)
     n = p.n
     c = _act(n, t.A0, t.A1, t.B, p.as_tuple())
     return ExtensionParams(n, c[0], c[1], c[2], c[3 : 3 + (n - 2) // 2], c[-1] if n % 2 else 0j)

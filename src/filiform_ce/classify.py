@@ -57,16 +57,14 @@ from .action import (
     _act,
     _act_even_slot,
     act_on_params,
-    adapted_matrix,
+    compose,
     identity_transform,
-    transform_from_matrix,
+    inverse_transform,
 )
 from .errors import CanonicalizationError, DomainError, FiliformError
 from .family import ExtensionParams, params_from_tuple
 from .subsets import LAM, PARAM_SLOTS, SUBSETS, SubsetSpec, get_spec
 from .tolerance import FLAG_WARN_MARGIN, ZERO_FLAG_RTOL
-
-import numpy as np
 
 #: absolute-plus-relative tolerance used when matching canonical values
 MATCH_TOL = 1e-6
@@ -434,7 +432,7 @@ def isomorphic(
         return False, None
 
     spec = get_spec(n, label_p.subset)
-    stab_mult = 1 + 0j
+    witness = label_p.witness
     if spec.parametric:
         lp, lq = label_p.lam, label_q.lam
         order = STABILIZERS.get((n, label_p.subset), (1, 0))[0]
@@ -443,15 +441,11 @@ def isomorphic(
         best = min(range(order), key=lambda j: abs(lp - roots[j] * lq))
         if abs(lp - roots[best] * lq) > tol:
             return False, None
-        if best != 0:
-            stab_mult = roots[(order - best) % order]  # lam_q / lam_p as exact root
+        if best != 0:  # lam_q / lam_p as an exact root
+            stab = _stabilizer_transform(n, label_p.subset, roots[(order - best) % order])
+            witness = compose(witness, stab, p)
 
-    m = adapted_matrix(label_p.witness, p)
-    if stab_mult != 1:
-        s = _stabilizer_transform(n, label_p.subset, stab_mult)
-        m = m @ adapted_matrix(s, label_p.representative)
-    m = m @ np.linalg.inv(adapted_matrix(label_q.witness, q))
-    witness = transform_from_matrix(m, n)
+    witness = compose(witness, inverse_transform(label_q.witness, q), p)
 
     achieved = act_on_params(witness, p)
     err = max(abs(x - y) for x, y in zip(achieved.as_tuple(), q.as_tuple()))

@@ -122,12 +122,14 @@ def change_basis(t: StructureTensor, g) -> StructureTensor:
     after its rows and columns are scaled to peak near 1 (see
     ``_scaled_inverse``), not by that of ``g`` itself: basis vectors spread
     over many orders of magnitude cost nothing, nearly dependent ones do.
+    A lower triangular ``g``, such as every adapted basis change, skips that
+    rank test and is inverted by forward substitution (``_lower_inverse``).
     """
     g = np.asarray(g, dtype=complex)
     if g.shape != (t.dim, t.dim):
         raise DomainError(f"basis-change matrix must be {t.dim}x{t.dim}, got {g.shape}")
     require_finite(g, "basis-change matrix")
-    ginv = _scaled_inverse(g)
+    ginv = _scaled_inverse(g) if np.triu(g, 1).any() else _lower_inverse(g)
     d = t.dim
     # sum_{a,b,l} g[a,i] g[b,j] gamma[a,b,l] ginv[k,l], summing a, then b, then l
     moved = (g.T @ t.gamma.reshape(d, d * d)).reshape(d, d, d)
@@ -161,6 +163,25 @@ def _scaled_inverse(g: np.ndarray) -> np.ndarray:
         raise SingularMatrixError("basis-change matrix is singular")
     r, c = exps
     return _times_power_of_two(np.linalg.inv(h), -(c.T + r.T))
+
+
+def _lower_inverse(g: np.ndarray) -> np.ndarray:
+    """Inverse of a lower triangular ``g`` by forward substitution, row by row.
+
+    Only an exact zero on the diagonal is singular.  A witness with a
+    diagonal near 1e-30 under entries near 1 in its e_n row looks rank
+    deficient to the scaled singular-value test, yet substitution inverts it
+    to working accuracy (Higham, *Accuracy and Stability of Numerical
+    Algorithms*, 2nd ed., ch. 8).
+    """
+    if not np.diagonal(g).all():
+        raise SingularMatrixError("basis-change matrix is singular")
+    inv = np.zeros_like(g)
+    for i in range(len(g)):
+        inv[i] = -(g[i, :i] @ inv[:i])
+        inv[i, i] += 1
+        inv[i] /= g[i, i]
+    return inv
 
 
 def _times_power_of_two(a: np.ndarray, e: np.ndarray) -> np.ndarray:

@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from filiform_ce import act_on_params, adapted_matrix, transform_from_matrix
+
 
 def naive_bracket(gamma: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """[x, y] computed with three nested loops."""
@@ -160,6 +162,18 @@ def naive_build_table(p) -> np.ndarray:
             gamma[i, j, n] = v
             gamma[j, i, n] = -v
     return gamma
+
+
+def matrix_compose(t1, t2, p):
+    """``compose`` by way of the full basis-change matrices: the product of
+    ``adapted_matrix(t1, p)`` and ``adapted_matrix(t2, t1 . p)``, reduced."""
+    m = adapted_matrix(t1, p) @ adapted_matrix(t2, act_on_params(t1, p))
+    return transform_from_matrix(m, p.n)
+
+
+def matrix_inverse(t, p):
+    """``inverse_transform`` by way of the dense inverse of ``adapted_matrix(t, p)``."""
+    return transform_from_matrix(np.linalg.inv(adapted_matrix(t, p)), p.n)
 
 
 #: the classification table as it was written out by hand, cell by cell, for

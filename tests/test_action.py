@@ -30,6 +30,7 @@ from filiform_ce import (
     from_entries,
     identity_transform,
     inverse_transform,
+    isomorphic,
     params_from_tuple,
     random_params,
     random_transform,
@@ -107,8 +108,15 @@ def test_degenerate_transforms_rejected():
 def test_shear_degeneracy_rejected():
     # A0 + b * A1 = 0 collapses the chain even though A0, B1 are fine
     p = params_from_tuple(5, [1, 0, 1, 0, 1])  # b = 1
-    with pytest.raises(DegenerateTransformError):
-        act_on_params(AdaptedTransform(5, 1, -1, (1, 0, 0)), p)
+    bad, ident = AdaptedTransform(5, 1, -1, (1, 0, 0)), identity_transform(5)
+    for call in (
+        lambda: act_on_params(bad, p),
+        lambda: compose(bad, ident, p),
+        lambda: compose(ident, bad, p),  # bad at ident . p = p
+        lambda: inverse_transform(bad, p),
+    ):
+        with pytest.raises(DegenerateTransformError):
+            call()
 
 
 # ---------------------------------------------------------------------------
@@ -214,23 +222,75 @@ def test_action_frozen_diagonal_case():
     assert q.b12 == 0
 
 
+def scaled(p, k):
+    return params_from_tuple(p.n, [v * 10.0**k for v in p.as_tuple()])
+
+
 def test_action_is_functorial():
-    p = random_params(6, seed=30)
-    t1 = random_transform(6, seed=31, b=p.b)
-    q1 = act_on_params(t1, p)
-    t2 = random_transform(6, seed=32, b=q1.b)
-    two_step = act_on_params(t2, q1)
-    combined = act_on_params(compose(t1, t2, p), p)
-    assert tuple_dev(two_step, combined) < 1e-8
+    for k in (0, 30, -30):
+        p = scaled(random_params(6, seed=30), k)
+        t1 = random_transform(6, seed=31, b=p.b)
+        q1 = act_on_params(t1, p)
+        t2 = random_transform(6, seed=32, b=q1.b)
+        two_step = act_on_params(t2, q1)
+        combined = act_on_params(compose(t1, t2, p), p)
+        assert tuple_dev(two_step, combined) < 1e-8 * two_step.scale(), k
 
 
 def test_inverse_transform_roundtrip():
     for n in range(4, 9):
-        p = random_params(n, seed=n)
-        t = random_transform(n, seed=n + 50, b=p.b)
-        q = act_on_params(t, p)
-        back = act_on_params(inverse_transform(t, p), q)
-        assert tuple_dev(back, p) < 1e-8
+        for k in (0, 30, -30):
+            p = scaled(random_params(n, seed=n), k)
+            t = random_transform(n, seed=n + 50, b=p.b)
+            q = act_on_params(t, p)
+            if n % 2 and k == 30:
+                # b ~ 1e30 puts q within rounding of the inverse's degenerate
+                # locus: its shear at q is 1/(A0 + A1*b), far below eps of its terms
+                with pytest.raises(DegenerateTransformError):
+                    act_on_params(inverse_transform(t, p), q)
+                continue
+            back = act_on_params(inverse_transform(t, p), q)
+            assert tuple_dev(back, p) < 1e-8 * p.scale(), (n, k)
+
+
+def transform_dev(s, t):
+    """Largest coefficient difference of two transforms, relative to the larger."""
+    a, b = np.array([s.A0, s.A1, *s.B]), np.array([t.A0, t.A1, *t.B])
+    return float(np.max(np.abs(a - b)) / max(np.max(np.abs(a)), np.max(np.abs(b))))
+
+
+@pytest.mark.parametrize("n", range(4, 9))
+def test_group_law_matches_matrix_route(n):
+    # compose and inverse_transform against the product and the dense inverse
+    # of the full basis-change matrices
+    for seed in range(40):
+        p = scaled(random_params(n, seed=seed), (0, 8, -8, 30, -30)[seed % 5])
+        rng = np.random.default_rng(seed + 500)
+        t = random_transform(n, b=p.b, rng=rng)
+        s = random_transform(n, b=act_on_params(t, p).b, rng=rng)
+        assert transform_dev(compose(t, s, p), oracles.matrix_compose(t, s, p)) < 1e-10, seed
+        assert transform_dev(inverse_transform(t, p), oracles.matrix_inverse(t, p)) < 1e-10, seed
+
+
+def test_group_law_never_reads_the_table(monkeypatch):
+    # the act_on_params calls below cache the rank-7 coefficient sums, the
+    # action's only use of the table; after that nothing may build one
+    import filiform_ce.action as action
+
+    p, q = random_params(7, seed=3), random_params(7, "U_5", seed=4)
+    t = random_transform(7, seed=5, b=p.b)
+    s = random_transform(7, seed=6, b=act_on_params(t, p).b)
+    image = act_on_params(t, q)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the group law built a table or a dense inverse")
+
+    for name in ("build_table", "adapted_matrix"):
+        monkeypatch.setattr(action, name, forbidden)
+    monkeypatch.setattr(np.linalg, "inv", forbidden)
+    compose(t, s, p)
+    inverse_transform(t, p)
+    assert isomorphic(q, image)[0]
 
 
 def test_derived_rule_matches_rank7_closed_forms():

@@ -13,7 +13,6 @@ from filiform_ce import (
     CanonicalizationError,
     DomainError,
     FiliformError,
-    SingularMatrixError,
     act_on_params,
     adapted_matrix,
     build_table,
@@ -325,11 +324,18 @@ def test_ill_conditioned_witness_on_tensor_route(n, seed, k):
     assert _witness_through_tensor_route(n, seed, k) < 1e-12
 
 
-@pytest.mark.xfail(raises=SingularMatrixError, strict=True)
+#: the U_1 members at 1e30 whose witnesses the scaled rank test of
+#: change_basis read as singular; n = 8 seeds 4, 11 and 13 overflow in classify
+WITNESSES_AT_1E30 = [(6, seed) for seed in range(3, 23)] + [
+    (8, seed) for seed in range(3, 23) if seed not in (4, 11, 13)
+]
+
+
 def test_witness_at_1e30_on_tensor_route():
-    # n = 6 and 8 U_1 members at 1e30: the witness matrix stays nearly
-    # singular after row and column scaling, and change_basis rejects it
-    assert _witness_through_tensor_route(6, 3, 30) < 1e-12
+    # entries near 0.8 in the e_n row against a diagonal near 1e-30: no row
+    # and column scaling removes that spread, forward substitution needs none
+    for n, seed in WITNESSES_AT_1E30:
+        assert _witness_through_tensor_route(n, seed, 30) < 1e-12, (n, seed)
 
 
 @pytest.mark.parametrize("n, cell, top", [(6, "U_1", "b14"), (7, "U_5", "b14"), (8, "U_1", "b16")])

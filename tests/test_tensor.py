@@ -227,6 +227,11 @@ def test_change_basis_rejects_singular_matrix():
     g = np.ones((5, 5))
     with pytest.raises(SingularMatrixError):
         change_basis(t, g)
+    # lower triangular, so inverted by forward substitution: a zero pivot
+    g = np.tril(g)
+    g[2, 2] = 0
+    with pytest.raises(SingularMatrixError):
+        change_basis(t, g)
 
 
 @pytest.mark.parametrize("k", [100, -100])
