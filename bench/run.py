@@ -11,23 +11,31 @@ the group law ``compose`` and ``inverse_transform``, ``canonicalize``,
 compares two seeded members (at n = 4 and 8 both U_1 with different
 ``lam``, so it answers False before building a witness);
 ``isomorphic_image`` compares a member with its image under the seeded
-transform, so it also builds and checks the witness.  Each figure is the
-median over ``REPEATS`` rounds of the mean time per call in microseconds.
+transform, so it also builds and checks the witness.
+``canonicalize_cells`` canonicalizes one seeded member of every cell of
+the rank in turn (9 cells at n = 4, 17 at n = 8), so one call is the whole
+sweep.  Each figure is the median over ``REPEATS`` rounds of the mean time
+per call in microseconds.
 The end-to-end entry ``verify_all.seed1_trials100_s`` is the median of
 ``E2E_RUNS`` runs of ``verify_all(seed=1, trials=100)``, in seconds.
 
-    python3 bench/run.py [--src DIR] [--label NAME] [--out FILE]
+    python3 bench/run.py [--src DIR] [--parent DIR] [--label NAME] [--out FILE]
 
 ``--src`` selects the checkout whose ``filiform_ce`` is timed (default:
-this one), so two checkouts can be timed on the same machine; it may be
-the checkout itself or the directory holding ``filiform_ce``.  With
-``--out`` the result is stored under ``--label`` in that JSON file,
-beside the entries already there.
+this one); it may be the checkout itself or the directory holding
+``filiform_ce``.  ``--parent`` loads a second checkout into the same
+process under another package name and times every entry on both, round
+by round, the side that goes first alternating, so drift of the host's
+speed falls on both sides alike; the result then holds ``before`` (the
+parent) and ``after`` (``--src``) in place of ``--label``.  With ``--out``
+the result is merged into that JSON file, beside the entries already
+there.
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import json
 import os
 import pathlib
@@ -41,53 +49,91 @@ REPEATS = 7
 E2E_RUNS = 3
 
 
-def measure() -> dict:
-    import numpy as np
+def package_dir(checkout: str) -> pathlib.Path:
+    """The directory holding ``filiform_ce`` in a checkout (or the directory itself)."""
+    src = pathlib.Path(checkout)
+    return src / "src" if (src / "src" / "filiform_ce").is_dir() else src
 
-    import filiform_ce as fc
-    from filiform_ce.action import random_transform
-    from filiform_ce.tolerance import require_finite
-    from filiform_ce.verify import verify_all
 
+def load_package(src: pathlib.Path, name: str):
+    """Import ``src/filiform_ce`` as package ``name``; its imports are relative."""
+    init = src / "filiform_ce" / "__init__.py"
+    spec = importlib.util.spec_from_file_location(name, init, submodule_search_locations=[str(init.parent)])
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+def _sub(fc, name: str):
+    return sys.modules[f"{fc.__name__}.{name}"]
+
+
+def calls(fc) -> dict:
+    """Entry name -> zero-argument call on package ``fc``."""
     out = {}
     for n in (4, 8):
-        rng = np.random.default_rng(1)
-        p = fc.random_params(n, seed=1)
-        q = fc.random_params(n, seed=2)
-        t = fc.build_table(p)
-        tr = random_transform(n, b=p.b, rng=np.random.default_rng(2))
-        image = fc.act_on_params(tr, p)
-        tr2 = random_transform(n, b=image.b, rng=np.random.default_rng(3))
-        g = fc.adapted_matrix(tr, p)
-        x, y = g[:, 0], g[:, 1]
-        values = p.as_tuple()
-        calls = {
-            "change_basis": lambda: fc.change_basis(t, g),
-            "leibniz_residual": lambda: fc.leibniz_residual(t),
-            "bracket": lambda: fc.bracket(t, x, y),
-            "lower_central_series": lambda: fc.lower_central_series(t),
-            "require_finite_params": lambda: require_finite(values, "parameters"),
-            "require_finite_tensor": lambda: require_finite(t.gamma, "structure constants"),
-            "random_params": lambda: fc.random_params(n, rng=rng),
-            "build_table": lambda: fc.build_table(p),
-            "adapted_matrix": lambda: fc.adapted_matrix(tr, p),
-            "act_on_params": lambda: fc.act_on_params(tr, p),
-            "read_params": lambda: fc.read_params(t),
-            "compose": lambda: fc.compose(tr, tr2, p),
-            "inverse_transform": lambda: fc.inverse_transform(tr, p),
-            "canonicalize": lambda: fc.canonicalize(p),
-            "classify": lambda: fc.classify(p),
-            "orbit_invariant": lambda: fc.orbit_invariant(p),
-            "isomorphic": lambda: fc.isomorphic(p, q),
-            "isomorphic_image": lambda: fc.isomorphic(p, image),
-        }
-        for name, fn in calls.items():
-            number, _ = timeit.Timer(fn).autorange()
-            rounds = timeit.Timer(fn).repeat(repeat=REPEATS, number=number)
-            out[f"{name}.n{n}_us"] = round(statistics.median(rounds) / number * 1e6, 3)
-    runs = timeit.Timer(lambda: verify_all(seed=1, trials=100)).repeat(repeat=E2E_RUNS, number=1)
-    out["verify_all.seed1_trials100_s"] = round(statistics.median(runs), 3)
+        out.update((f"{name}.n{n}_us", fn) for name, fn in _rank_calls(fc, n).items())
+    verify_all = _sub(fc, "verify").verify_all
+    out["verify_all.seed1_trials100_s"] = lambda: verify_all(seed=1, trials=100)
     return out
+
+
+def _rank_calls(fc, n: int) -> dict:
+    import numpy as np
+
+    random_transform = _sub(fc, "action").random_transform
+    require_finite = _sub(fc, "tolerance").require_finite
+    rng = np.random.default_rng(1)
+    p = fc.random_params(n, seed=1)
+    q = fc.random_params(n, seed=2)
+    t = fc.build_table(p)
+    tr = random_transform(n, b=p.b, rng=np.random.default_rng(2))
+    image = fc.act_on_params(tr, p)
+    tr2 = random_transform(n, b=image.b, rng=np.random.default_rng(3))
+    g = fc.adapted_matrix(tr, p)
+    x, y = g[:, 0], g[:, 1]
+    values = p.as_tuple()
+    cells = [fc.random_params(n, spec.name, seed=1) for spec in _sub(fc, "subsets").SUBSETS[n]]
+    return {
+        "change_basis": lambda: fc.change_basis(t, g),
+        "leibniz_residual": lambda: fc.leibniz_residual(t),
+        "bracket": lambda: fc.bracket(t, x, y),
+        "lower_central_series": lambda: fc.lower_central_series(t),
+        "require_finite_params": lambda: require_finite(values, "parameters"),
+        "require_finite_tensor": lambda: require_finite(t.gamma, "structure constants"),
+        "random_params": lambda: fc.random_params(n, rng=rng),
+        "build_table": lambda: fc.build_table(p),
+        "adapted_matrix": lambda: fc.adapted_matrix(tr, p),
+        "act_on_params": lambda: fc.act_on_params(tr, p),
+        "read_params": lambda: fc.read_params(t),
+        "compose": lambda: fc.compose(tr, tr2, p),
+        "inverse_transform": lambda: fc.inverse_transform(tr, p),
+        "canonicalize": lambda: fc.canonicalize(p),
+        "canonicalize_cells": lambda: [fc.canonicalize(member) for member in cells],
+        "classify": lambda: fc.classify(p),
+        "orbit_invariant": lambda: fc.orbit_invariant(p),
+        "isomorphic": lambda: fc.isomorphic(p, q),
+        "isomorphic_image": lambda: fc.isomorphic(p, image),
+    }
+
+
+def measure(packages: dict) -> dict:
+    """Label -> entry -> figure; each round times every package in turn."""
+    tables = {label: calls(fc) for label, fc in packages.items()}
+    first = next(iter(tables.values()))
+    samples = {label: {key: [] for key in first} for label in tables}
+    for key, fn in first.items():
+        e2e = key.endswith("_s")
+        number = 1 if e2e else timeit.Timer(fn).autorange()[0]
+        for r in range(E2E_RUNS if e2e else REPEATS):
+            for label, table in list(tables.items())[:: 1 if r % 2 == 0 else -1]:
+                seconds = timeit.Timer(table[key]).timeit(number) / number
+                samples[label][key].append(seconds if e2e else seconds * 1e6)
+    return {
+        label: {key: round(statistics.median(runs), 3) for key, runs in entries.items()}
+        for label, entries in samples.items()
+    }
 
 
 def machine() -> dict:
@@ -104,20 +150,24 @@ def machine() -> dict:
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--src", default=str(ROOT), help="checkout, or directory holding filiform_ce")
+    ap.add_argument("--parent", help="second checkout, timed in turn with --src")
     ap.add_argument("--label", default="current")
     ap.add_argument("--out", help="JSON file to merge the result into")
     args = ap.parse_args(argv)
-    src = pathlib.Path(args.src)
-    if (src / "src" / "filiform_ce").is_dir():
-        src = src / "src"
+    src = package_dir(args.src)
     sys.path.insert(0, str(src))
+    import filiform_ce
+
+    packages = {args.label: filiform_ce}
+    if args.parent:
+        packages = {"before": load_package(package_dir(args.parent), "filiform_ce_parent"), "after": filiform_ce}
     result = {
         "machine": machine(),
         "unit": (
             f"_us: microseconds per call, median over {REPEATS} rounds; "
             f"_s: seconds per run, median over {E2E_RUNS} runs"
         ),
-        args.label: measure(),
+        **measure(packages),
     }
     if args.out:
         path = pathlib.Path(args.out)

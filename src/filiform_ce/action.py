@@ -244,7 +244,10 @@ def act_on_params(t: AdaptedTransform, p: ExtensionParams) -> ExtensionParams:
     """Closed-form effect of an adapted transform on the free parameters."""
     _require_nondegenerate(t, p)
     n = p.n
-    c = _act(n, t.A0, t.A1, t.B, p.as_tuple())
+    try:
+        c = _act(n, t.A0, t.A1, t.B, p.as_tuple())
+    except OverflowError as exc:  # ``**`` raises where a power of A0 leaves float range
+        raise DomainError(f"the action at n={n} overflows floating-point range") from exc
     return ExtensionParams(n, c[0], c[1], c[2], c[3 : 3 + (n - 2) // 2], c[-1] if n % 2 else 0j)
 
 
@@ -277,29 +280,32 @@ def _act(n: int, a0: complex, a1: complex, bvec: tuple, v: tuple) -> tuple:
     ``bvec`` holds B_1..B_{n-2} and ``v`` the parameters in ``as_tuple``
     order; the result is in the same order.
     """
-    b00, b01, b11 = v[:3]
+    return _act_slot(n, a0, a1, bvec, v, None)
+
+
+def _act_slot(n: int, a0: complex, a1: complex, bvec: tuple, v: tuple, i: int | None) -> complex | tuple:
+    """Slot ``i`` of ``_act(n, a0, a1, bvec, v)`` (every slot for None) by the
+    same expressions: an even row alone, any other slot with b00, b01, b11, b."""
     b1 = bvec[0]
-    b = v[-1] if n % 2 else 0j
-    shear = a0 + a1 * b
+    shear = a0 + a1 * (v[-1] if n % 2 else 0j)
+    tail = shear if n % 2 else 1
+    rows = _sum_terms(n)
+    if i is not None and 3 <= i < 3 + len(rows):
+        power, terms = rows[i - 3]
+        return _even_row(power, terms, a0, b1, tail, bvec, v)
+    b00, b01, b11 = v[:3]
     nn = a0 ** (n - 2) * shear
     out = [
         (a0 * a0 * b00 + a0 * a1 * b01 + a1 * a1 * b11) / (nn * b1),
         (a0 * b01 + 2 * a1 * b11) / nn,
         b1 * b11 / nn,
     ]
-    tail = shear if n % 2 else 1
-    for power, terms in _sum_terms(n):
-        out.append(_even_row(power, terms, a0, b1, tail, bvec, v))
+    if i is None:
+        for power, terms in rows:
+            out.append(_even_row(power, terms, a0, b1, tail, bvec, v))
     if n % 2:
-        out.append(b1 * b / shear)
-    return tuple(out)
-
-
-def _act_even_slot(n: int, a0: complex, a1: complex, bvec: tuple, v: tuple, i: int) -> complex:
-    """Slot ``i`` of ``_act(n, a0, a1, bvec, v)``, an even-row slot, alone."""
-    tail = a0 + a1 * v[-1] if n % 2 else 1
-    power, terms = _sum_terms(n)[i - 3]
-    return _even_row(power, terms, a0, bvec[0], tail, bvec, v)
+        out.append(b1 * v[-1] / shear)
+    return tuple(out) if i is None else out[min(i, 3)]
 
 
 def _even_row(

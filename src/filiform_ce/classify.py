@@ -35,7 +35,8 @@ witness in three steps, each evaluated on the closed form of the action:
    (x, y) = (3-n, -1) for b00, (2-n, 0) for b01, (1-n, 1) for b11,
    (m-n, 1) for b1m and (-1, 1) for b.  (A0, B1) set the representative's
    "1" slots to 1: A0 is the principal |det|-th root of a weight monomial
-   (det of the two weights), and B1 follows from a slot with y != 0.
+   (det of the two weights), and B1 follows from a slot with y != 0.  It
+   reads only the sheared "1" slots, each by the single-slot form.
 
 The witness is (A0, A0*s, B1*(1, 0, B3, 0, B5, ...)).  Principal roots
 read a zero imaginary part as +0, so ``lam`` does not depend on the sign
@@ -54,8 +55,7 @@ from dataclasses import dataclass, replace
 
 from .action import (
     AdaptedTransform,
-    _act,
-    _act_even_slot,
+    _act_slot,
     act_on_params,
     compose,
     identity_transform,
@@ -232,13 +232,14 @@ class _Plan:
 
     ``shifts``: (k, i), B_k clears slot i.  ``root``: (i, +-1), A0**order
     is the product of v[i]**+-1.  ``scale``: (i, x, y), B1 solves
-    v[i] * A0**x * B1**y = 1 (None leaves B1 = 1).
+    v[i] * A0**x * B1**y = 1 (None leaves B1 = 1).  ``ones``: the "1" slots they read.
     """
 
     shifts: tuple
     root: tuple
     order: int
     scale: tuple | None
+    ones: tuple
 
 
 def _plan(n: int, spec: SubsetSpec) -> _Plan:
@@ -258,10 +259,15 @@ def _plan(n: int, spec: SubsetSpec) -> _Plan:
     # B1 from the slot with the smallest A0-power keeps the powers of A0 small
     scalable = [(i, x, y) for i, x, y in rows if i is not None and y]
     scale = min(scalable, key=lambda row: abs(row[1]), default=None)
-    return _Plan(shifts, root, abs(det), scale)
+    return _Plan(shifts, root, abs(det), scale, tuple(ones))
 
 
 _PLANS = {(n, spec.name): _plan(n, spec) for n in SUBSETS for spec in SUBSETS[n]}
+
+#: (n, cell) -> representative of each non-parametric cell, built once
+_FIXED_REPS = {
+    (n, s.name): params_from_tuple(n, s.representative) for n in SUBSETS for s in SUBSETS[n] if not s.parametric
+}
 
 
 def _lam_exponent(n: int, plan: _Plan) -> int:
@@ -304,8 +310,9 @@ def _canonical_transform(p: ExtensionParams, flags: dict, plan: _Plan) -> Adapte
             "no adapted transform moves this member onto the representative"
         )
     v = p.as_tuple()
-    sheared = _act(n, 1, s, (1 + 0j,) + (0j,) * (n - 3), v)
     # the shifts leave the "1" slots alone, so the torus reads them sheared
+    e1 = (1 + 0j,) + (0j,) * (n - 3)
+    sheared = {i: _act_slot(n, 1, s, e1, v, i) for i in plan.ones}
     a0 = 1 + 0j
     for i, e in plan.root:
         a0 = a0 * sheared[i] if e > 0 else a0 / sheared[i]
@@ -317,19 +324,19 @@ def _canonical_transform(p: ExtensionParams, flags: dict, plan: _Plan) -> Adapte
     a1 = a0 * num / den
     bvec = [b1] + [0j] * (n - 3)
     for k, i in plan.shifts:
-        f0 = _act_even_slot(n, a0, a1, bvec, v, i)
+        f0 = _act_slot(n, a0, a1, bvec, v, i)
         if not f0:
             continue
         # f(B_k) = f0 - d * B_k: d from a trial at B_k = B1 (good to eps * |f0|),
         # then from the secant through 0 and f0 / d; then one Newton step
         bvec[k - 1] = b1
-        d = (f0 - _act_even_slot(n, a0, a1, bvec, v, i)) / b1
+        d = (f0 - _act_slot(n, a0, a1, bvec, v, i)) / b1
         if not d:
             raise CanonicalizationError(f"chain slot {PARAM_SLOTS[n][i]} too large for its pivot")
         bvec[k - 1] = first = f0 / d
-        d = (f0 - _act_even_slot(n, a0, a1, bvec, v, i)) / first
+        d = (f0 - _act_slot(n, a0, a1, bvec, v, i)) / first
         bvec[k - 1] = f0 / d
-        bvec[k - 1] += _act_even_slot(n, a0, a1, bvec, v, i) / d
+        bvec[k - 1] += _act_slot(n, a0, a1, bvec, v, i) / d
     return AdaptedTransform(n, a0, a1, tuple(bvec))
 
 
@@ -340,7 +347,9 @@ def _canonical_transform(p: ExtensionParams, flags: dict, plan: _Plan) -> Adapte
 def representative_params(n: int, subset: str, lam: complex | None = None) -> ExtensionParams:
     """Representative tuple of a cell, with ``lam`` filled into the free slot."""
     spec = get_spec(n, subset)
-    if spec.parametric and lam is None:
+    if not spec.parametric:
+        return _FIXED_REPS[n, subset]
+    if lam is None:
         raise DomainError(f"cell {subset} of n={n} needs a lambda value")
     values = [lam if v == LAM else v for v in spec.representative]
     return params_from_tuple(n, values)
@@ -367,16 +376,16 @@ def canonicalize(p: ExtensionParams) -> OrbitLabel:
     flags = nonzero_flags(p)
     spec = _cell(p.n, flags)
     name = spec.name
-    witness = _canonical_transform(p, flags, _PLANS[p.n, name])
-    try:
+    try:  # a power of A0, the witness or a slot of the normal form is not finite
+        witness = _canonical_transform(p, flags, _PLANS[p.n, name])
         achieved = act_on_params(witness, p)
-    except DomainError as exc:  # a slot of the normal form is not finite
+    except (OverflowError, DomainError) as exc:
         raise DomainError(
             f"the normal form of cell {name} at n={p.n} is beyond floating-point range"
         ) from exc
     lam = achieved.b00 if spec.parametric else None
     rep = representative_params(p.n, name, lam)
-    err = max(abs(x - y) for x, y in zip(achieved.as_tuple(), rep.as_tuple()))
+    err = max(map(abs, map(operator.sub, achieved.as_tuple(), rep.as_tuple())))
     if err > MATCH_TOL * (1 + rep.scale()):
         raise CanonicalizationError(
             f"normal form for cell {name} missed its representative pattern "

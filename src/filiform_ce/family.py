@@ -77,9 +77,12 @@ class ExtensionParams:
             )
         b_even = tuple(map(complex, self.b_even))
         b00, b01, b11, b = map(complex, (self.b00, self.b01, self.b11, self.b))
-        require_finite((b00, b01, b11, *b_even, b), "extension parameters")
+        values = (b00, b01, b11, *b_even, b)
+        require_finite(values, "extension parameters")
         if n % 2 == 0 and b != 0:
             raise DomainError(f"b must be 0 for even n, got {b!r}")
+        # built once: a classification reads the tuple a few dozen times
+        object.__setattr__(self, "_values", values if n % 2 else values[:-1])
         object.__setattr__(self, "b00", b00)
         object.__setattr__(self, "b01", b01)
         object.__setattr__(self, "b11", b11)
@@ -100,10 +103,7 @@ class ExtensionParams:
 
     def as_tuple(self) -> tuple[complex, ...]:
         """(b00, b01, b11, *b_even) plus a trailing b for odd n."""
-        out = (self.b00, self.b01, self.b11) + self.b_even
-        if self.n % 2 == 1:
-            out = out + (self.b,)
-        return out
+        return self._values
 
     @property
     def delta(self) -> complex:
@@ -111,7 +111,7 @@ class ExtensionParams:
         return self.b01 * self.b01 - 4 * self.b00 * self.b11
 
     def scale(self) -> float:
-        m = max(abs(v) for v in self.as_tuple())
+        m = max(map(abs, self.as_tuple()))
         return m if m > 0 else 1.0
 
 

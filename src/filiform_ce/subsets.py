@@ -146,11 +146,14 @@ SUBSETS: dict[int, tuple[SubsetSpec, ...]] = {
 }
 
 
+_SPECS = {(n, spec.name): spec for n in SUBSETS for spec in SUBSETS[n]}
+
+
 def get_spec(n: int, name: str) -> SubsetSpec:
-    for s in SUBSETS[n]:
-        if s.name == name:
-            return s
-    raise DomainError(f"unknown subset {name!r} for n={n}")
+    try:
+        return _SPECS[n, name]
+    except (KeyError, TypeError):  # TypeError: an unhashable name
+        raise DomainError(f"unknown subset {name!r} for n={n}") from None
 
 
 def parametric_subsets(n: int) -> list[str]:

@@ -12,7 +12,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from filiform_ce import act_on_params, adapted_matrix, transform_from_matrix
+from filiform_ce import AdaptedTransform, act_on_params, adapted_matrix, transform_from_matrix
+from filiform_ce.action import _act
+from filiform_ce.classify import _PLANS, _cell, _root, nonzero_flags
 
 
 def naive_bracket(gamma: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -174,6 +176,50 @@ def matrix_compose(t1, t2, p):
 def matrix_inverse(t, p):
     """``inverse_transform`` by way of the dense inverse of ``adapted_matrix(t, p)``."""
     return transform_from_matrix(np.linalg.inv(adapted_matrix(t, p)), p.n)
+
+
+def full_action_witness(p):
+    """Normal-form witness of ``p`` with every slot read off the full closed
+    form ``_act``: the torus "1" slots from the whole sheared tuple, each
+    shift-solve value from the whole action at the current witness.
+    ``canonicalize`` evaluates single slots and must agree bit for bit."""
+    flags = nonzero_flags(p)
+    plan = _PLANS[p.n, _cell(p.n, flags).name]
+    n = p.n
+    if flags["b11"]:
+        num, den = -p.b01, 2 * p.b11
+    elif flags["b01"]:
+        num, den = -p.b00, p.b01
+    else:
+        num, den = 0j, 1
+    s = num / den
+    v = p.as_tuple()
+    sheared = _act(n, 1, s, (1 + 0j,) + (0j,) * (n - 3), v)
+    a0 = 1 + 0j
+    for i, e in plan.root:
+        a0 = a0 * sheared[i] if e > 0 else a0 / sheared[i]
+    a0 = _root(a0, plan.order)
+    b1 = 1 + 0j
+    if plan.scale is not None:
+        i, x, y = plan.scale
+        b1 = a0 ** -x / sheared[i] if y > 0 else sheared[i] / a0 ** -x
+    a1 = a0 * num / den
+    bvec = [b1] + [0j] * (n - 3)
+
+    def slot(i):
+        return _act(n, a0, a1, bvec, v)[i]
+
+    for k, i in plan.shifts:
+        f0 = slot(i)
+        if not f0:
+            continue
+        bvec[k - 1] = b1
+        d = (f0 - slot(i)) / b1
+        bvec[k - 1] = first = f0 / d
+        d = (f0 - slot(i)) / first
+        bvec[k - 1] = f0 / d
+        bvec[k - 1] += slot(i) / d
+    return AdaptedTransform(n, a0, a1, tuple(bvec))
 
 
 #: the classification table as it was written out by hand, cell by cell, for

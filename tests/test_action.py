@@ -40,7 +40,7 @@ from filiform_ce import (
     transform_from_matrix,
     upsilon,
 )
-from filiform_ce.action import _act, _act_even_slot
+from filiform_ce.action import _act, _act_slot
 from filiform_ce.verify import _coefficient_sum, _naive_factors, _tail_generators, _tail_trivial
 
 import oracles
@@ -103,6 +103,13 @@ def test_degenerate_transforms_rejected():
         act_on_params(AdaptedTransform(4, 0, 1, (1, 0)), p)
     with pytest.raises(DegenerateTransformError):
         act_on_params(AdaptedTransform(4, 1, 0, (0, 1)), p)
+
+
+def test_action_overflow_is_domain_error():
+    # A0**(n-2) = 1e360 leaves float range, where ``**`` raises OverflowError
+    t = AdaptedTransform(8, 1e60, 0, (1, 0, 0, 0, 0, 0))
+    with pytest.raises(DomainError, match="overflows"):
+        act_on_params(t, random_params(8, seed=1))
 
 
 def test_shear_degeneracy_rejected():
@@ -311,16 +318,18 @@ def test_derived_rule_matches_rank7_closed_forms():
         assert abs(got[4] - e14) <= 1e-12 * (1 + abs(e14))
 
 
-def test_single_even_slot_is_bit_identical_to_full_action():
-    # the shift solve in canonicalize reads one slot; it must be the same float
+def test_single_slot_is_bit_identical_to_full_action():
+    # canonicalize reads the torus "1" slots and the cleared chain slots one
+    # at a time; each must be the same float as in the full closed form
     for n in range(4, 9):
         for seed in range(10):
             p = random_params(n, seed=seed)
             t = random_transform(n, seed=seed + 200, b=p.b)
-            v = tuple(x * 10.0 ** (30 * (seed - 5)) for x in p.as_tuple())
-            full = _act(n, t.A0, t.A1, t.B, v)
-            for i in range(3, 3 + (n - 2) // 2):
-                assert _act_even_slot(n, t.A0, t.A1, t.B, v, i) == full[i]
+            for scale in (1.0, 1e-30, 1e30, 10.0 ** (30 * (seed - 5))):
+                v = tuple(x * scale for x in p.as_tuple())
+                full = _act(n, t.A0, t.A1, t.B, v)
+                for i in range(len(v)):
+                    assert _act_slot(n, t.A0, t.A1, t.B, v, i) == full[i]
 
 
 # ---------------------------------------------------------------------------

@@ -422,6 +422,44 @@ def test_classify_report_fields():
     assert inv.flag_margin == 1.0
 
 
+def test_fixed_representatives_are_their_tuples():
+    # the prebuilt representative of each non-parametric cell is the
+    # parameter tuple its conditions give, with complex entries
+    fixed = [(n, s) for n in SUBSETS for s in SUBSETS[n] if not s.parametric]
+    assert len(fixed) == 58
+    for n, spec in fixed:
+        rep = representative_params(n, spec.name)
+        assert rep.as_tuple() == spec.representative
+        assert all(type(v) is complex for v in rep.as_tuple())
+        assert representative_params(n, spec.name, 2.5) == rep
+
+
+@pytest.mark.parametrize("scale", [1e-30, 1.0, 1e30])
+def test_witness_matches_full_action_oracle(scale):
+    # canonicalize reads single slots of the action; its witness must be the
+    # one every full evaluation of the closed form gives, bit for bit
+    cells = [(n, s.name) for n in SUBSETS for s in SUBSETS[n]]
+    assert len(cells) == 69
+    for n, cell in cells:
+        for seed in range(3):
+            p = random_params(n, cell, seed=seed)
+            member = params_from_tuple(n, [v * scale for v in p.as_tuple()])
+            try:
+                witness = canonicalize(member).witness
+            except CanonicalizationError:
+                continue  # the witness check rejects the same witness
+            assert witness == oracles.full_action_witness(member), (n, cell, seed)
+
+
+def test_normal_form_overflow_names_the_cell():
+    # the weight monomial of this member overflows in the torus root; the
+    # error is typed and names the cell
+    p = random_params(4, "U_6", seed=1)
+    huge = params_from_tuple(4, [v * 1e200 for v in p.as_tuple()])
+    with pytest.raises(DomainError, match="cell U_6 at n=4 is beyond floating-point range"):
+        canonicalize(huge)
+
+
 def test_representative_params_requires_lambda():
     with pytest.raises(DomainError):
         representative_params(4, "U_1")

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from filiform_ce import (
+    AdaptedTransform,
     DomainError,
     InputFormatError,
     build_table,
@@ -162,6 +163,19 @@ def test_cli_act(monkeypatch, capsys):
     want = act_on_params(t, p)
     got = jsonio.decode_params(json.loads(out))
     assert max(abs(x - y) for x, y in zip(got.as_tuple(), want.as_tuple())) < 1e-12
+
+
+def test_cli_act_overflow_exits_3(monkeypatch, capsys):
+    # A0**(n-2) = 1e360 leaves float range: a domain error, not a traceback
+    p = random_params(8, seed=1)
+    t = AdaptedTransform(8, 1e60, 0, (1, 0, 0, 0, 0, 0))
+    text = json.dumps(
+        {"params": jsonio.encode_params(p), "transform": jsonio.encode_transform(t)}
+    )
+    code, out, err = run_cli(["act"], stdin_text=text, monkeypatch=monkeypatch, capsys=capsys)
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error:") and len(err.strip().splitlines()) == 1
 
 
 def test_cli_isomorphic(monkeypatch, capsys):
