@@ -40,7 +40,7 @@ from .errors import (
     TableShapeError,
 )
 from .family import ExtensionParams, _rand_nonzero, build_table, params_from_tuple
-from .subsets import PARAM_SLOTS
+from .subsets import N_RANGE, PARAM_SLOTS, rank_error
 from .tensor import StructureTensor
 from .tolerance import require_finite
 
@@ -56,8 +56,8 @@ class AdaptedTransform:
 
     def __post_init__(self):
         n = self.n
-        if not 4 <= n <= 8:
-            raise DomainError(f"n must be in 4..8, got {n}")
+        if n not in N_RANGE:
+            raise rank_error(n)
         if len(self.B) != n - 2:
             raise DomainError(f"B must have length {n - 2} for n={n}, got {len(self.B)}")
         a0, a1 = map(complex, (self.A0, self.A1))
@@ -334,10 +334,8 @@ def read_params(t: StructureTensor) -> ExtensionParams:
     offending entries.
     """
     n = t.dim - 1
-    if not 4 <= n <= 8:
-        raise DomainError(
-            f"table dimension {t.dim} outside the supported family (n = 4..8)"
-        )
+    if n not in N_RANGE:
+        raise rank_error(n)
     g = t.gamma
     evens = tuple(g[1, m, n] for m in range(2, n - 1, 2))
     b = -g[1, n - 1, n] if n % 2 == 1 else 0j

@@ -63,7 +63,7 @@ from .action import (
 )
 from .errors import CanonicalizationError, DomainError, FiliformError
 from .family import ExtensionParams, params_from_tuple
-from .subsets import LAM, PARAM_SLOTS, SUBSETS, SubsetSpec, get_spec
+from .subsets import LAM, N_RANGE, PARAM_SLOTS, SUBSETS, SubsetSpec, get_spec, rank_error
 from .tolerance import FLAG_WARN_MARGIN, ZERO_FLAG_RTOL
 
 #: absolute-plus-relative tolerance used when matching canonical values
@@ -357,8 +357,8 @@ def representative_params(n: int, subset: str, lam: complex | None = None) -> Ex
 
 def representatives(n: int) -> list[tuple[str, ExtensionParams, bool]]:
     """All cells with a concrete representative; parametric ones at lam = 1."""
-    if n not in SUBSETS:
-        raise DomainError(f"n must be one of {sorted(SUBSETS)}, got {n}")
+    if n not in N_RANGE:
+        raise rank_error(n)
     out = []
     for spec in SUBSETS[n]:
         lam = 1 if spec.parametric else None

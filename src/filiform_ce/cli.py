@@ -17,7 +17,7 @@ import numpy as np
 from . import jsonio
 from .classify import classify, isomorphic, representatives, warn_if_borderline
 from .errors import FiliformError, InputFormatError
-from .family import build_table, random_params, solve_leibniz_constraints
+from .family import N_RANGE, build_table, random_params, solve_leibniz_constraints
 from .tensor import is_filiform, leibniz_residual, lower_central_series
 from .action import act_on_params
 from .verify import verify_all
@@ -40,7 +40,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Construct, check, transform, and classify the central-extension family.",
     )
     ap.add_argument("verb", choices=VERBS, help="operation to run")
-    ap.add_argument("--n", type=int, default=None, help="rank of the base algebra (4..8)")
+    ap.add_argument("--n", type=int, default=None, help=f"rank of the base algebra ({N_RANGE.start}..{N_RANGE[-1]})")
     ap.add_argument("--seed", type=int, default=None, help="random seed where applicable")
     ap.add_argument("--trials", type=int, default=100, help="sampling effort for verify-paper")
     ap.add_argument("--input", default="-", metavar="FILE|-", help="JSON input (default stdin)")

@@ -25,11 +25,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, FiliformError
-from .subsets import PARAM_SLOTS, SUBSETS, get_spec
+# N_RANGE is defined in subsets; callers import it from here
+from .subsets import N_RANGE, PARAM_SLOTS, SUBSETS, free_labels, get_spec, rank_error
 from .tensor import StructureTensor, leibniz_residual_tensor
 from .tolerance import RANK_RTOL, require_finite
-
-N_RANGE = range(4, 9)
 
 
 def build_mu(n: int) -> StructureTensor:
@@ -69,7 +68,7 @@ class ExtensionParams:
     def __post_init__(self):
         n = self.n
         if n not in N_RANGE:
-            raise DomainError(f"n must be one of {list(N_RANGE)}, got {n}")
+            raise rank_error(n)
         want = (n - 2) // 2
         if len(self.b_even) != want:
             raise DomainError(
@@ -117,8 +116,10 @@ class ExtensionParams:
 
 def params_from_tuple(n: int, values) -> ExtensionParams:
     """Inverse of :meth:`ExtensionParams.as_tuple`."""
+    if n not in N_RANGE:
+        raise rank_error(n)
     values = tuple(values)
-    want = len(PARAM_SLOTS[n]) if n in PARAM_SLOTS else -1
+    want = len(PARAM_SLOTS[n])
     if len(values) != want:
         raise DomainError(
             f"expected {want} parameters for n={n}, got {len(values)}"
@@ -194,14 +195,6 @@ class ConstraintReport:
     sign: dict = field(repr=False, default_factory=dict)
 
 
-def _expected_free_labels(n: int) -> list[str]:
-    labels = list(_GENERIC_LABELS)
-    labels += [f"b1{m}" for m in range(2, n - 1, 2)]
-    if n % 2 == 1:
-        labels.append(f"b1{n - 1}")
-    return labels
-
-
 @functools.lru_cache(maxsize=None)
 def solve_leibniz_constraints(n: int) -> ConstraintReport:
     """Reduce the e_n-coefficients of a central extension by the Leibniz identity.
@@ -212,8 +205,8 @@ def solve_leibniz_constraints(n: int) -> ConstraintReport:
     the individual coefficient directions.  Free coordinates, forced zeros
     and proportionality relations are read off that null space.
     """
-    if not 4 <= n <= 9:
-        raise DomainError(f"constraint solver supports 4 <= n <= 9, got {n}")
+    if not N_RANGE.start <= n <= N_RANGE.stop:  # one rank past the family
+        raise rank_error(n, top=N_RANGE.stop)
     labels = _unknown_labels(n)
     t0 = _skeleton(n)
     r0 = leibniz_residual_tensor(StructureTensor(t0.astype(complex)))
@@ -232,12 +225,12 @@ def solve_leibniz_constraints(n: int) -> ConstraintReport:
     null_rows = vh[rank:, :]
     free_count = len(labels) - rank
 
-    free_labels = _expected_free_labels(n)
-    if n in N_RANGE and free_count != len(free_labels):
+    free = free_labels(n)
+    if n in N_RANGE and free_count != len(free):
         raise FiliformError(
-            f"n={n}: expected {len(free_labels)} free coefficients, solver found {free_count}"
+            f"n={n}: expected {len(free)} free coefficients, solver found {free_count}"
         )
-    free_idx = [labels.index(lab) for lab in free_labels]
+    free_idx = [labels.index(lab) for lab in free]
     dep_idx = [k for k in range(len(labels)) if k not in free_idx]
 
     nmat = null_rows.T  # (unknowns, free_count)
@@ -254,14 +247,14 @@ def solve_leibniz_constraints(n: int) -> ConstraintReport:
     relations = []
     for row, k in enumerate(dep_idx):
         terms = []
-        for col, src in enumerate(free_labels):
+        for col, src in enumerate(free):
             c = coeff[row, col]
             if c != 0.0:
                 terms.append((src, float(c)))
         relations.append(Relation(labels[k], tuple(terms)))
 
     basis = []
-    for col, src in enumerate(free_labels):
+    for col, src in enumerate(free):
         vec = {src: 1.0}
         for row, k in enumerate(dep_idx):
             c = coeff[row, col]
@@ -275,7 +268,7 @@ def solve_leibniz_constraints(n: int) -> ConstraintReport:
         total_unknowns=len(labels),
         rank=rank,
         free_count=free_count,
-        free_labels=tuple(free_labels),
+        free_labels=tuple(free),
         free_basis=tuple(basis),
         implied_relations=tuple(relations),
         sign=sign,
@@ -396,7 +389,7 @@ def random_params(
     grazes a removable singularity.
     """
     if n not in N_RANGE:
-        raise DomainError(f"n must be one of {list(N_RANGE)}, got {n}")
+        raise rank_error(n)
     if rng is None:
         rng = np.random.default_rng(seed)
     try:

@@ -5,7 +5,7 @@ are always two-element ``[re, im]`` arrays, optional values are ``null``,
 and decoders reject unknown or missing fields outright.  Structural
 problems (wrong types, bad shapes, stray keys) raise InputFormatError;
 values that are well-formed JSON but violate domain rules (a rank outside
-4..8, a nonzero top coefficient at even rank) surface as DomainError from
+``N_RANGE``, a nonzero top coefficient at even rank) surface as DomainError from
 the constructors, so the two failure modes stay distinguishable.
 """
 

@@ -1,20 +1,26 @@
 """Per-dimension partition of the extension family into classification cells.
 
-Each family (n = 4..8) splits into finitely many cells named ``U_1``,
-``U_2``, ... according to which parameters vanish (plus, in a few places,
-whether the quadratic discriminant ``delta = b01^2 - 4*b00*b11`` vanishes).
-Every cell is either a single orbit of the adapted transformation group or
-a one-parameter ("parametric") family of orbits, indexed by a free slot
-``lam`` of its representative.
+Each family (n in ``N_RANGE``) splits into finitely many cells named
+``U_1``, ``U_2``, ... according to which parameters vanish (plus, in one
+place, whether the quadratic discriminant ``delta = b01^2 - 4*b00*b11``
+vanishes).  Every cell is either a single orbit of the adapted
+transformation group or a one-parameter ("parametric") family of orbits,
+indexed by a free slot ``lam`` of its representative.
 
-A cell is stored as the paper gives it, by its name and the full
-conjunction of its defining conditions, so the cells are pairwise disjoint
-and cover the parameter space; listing order is classification's decision
-order.  The representative follows from the conditions: the highest chain
-slot (b12, b14, b16, then b for odd n) required nonzero is 1 and the rest
-of the chain 0; the first of b11, b01, b00 required nonzero is 1; behind
-b11, b00 is ``lam`` if the chain is nonzero, else 1 exactly when the cell
-requires delta != 0.  The cell is parametric iff that holds ``lam``.
+The cells are the product of two options.  The chain option is the top
+nonzero chain slot (b for odd n, then b1{n-2} down to b12), or none.  The
+lead option is the first nonzero of b11, b01, b00, or none.  The pair
+(no chain, b11) splits on delta != 0 and delta = 0.  A cell's conditions
+spell its options out as zero and nonzero tests, so the cells are pairwise
+disjoint and cover the parameter space; listing order is classification's
+decision order.  The paper decides the top ``k = CHAIN_FIRST[n]`` chain
+slots before the lead option and the remaining chain slots after it; that
+number is all that differs between ranks.
+
+The representative is 1 at the top nonzero chain slot and at the lead slot
+and 0 elsewhere; behind b11, b00 is ``lam`` if the chain is nonzero, else 1
+exactly when the cell requires delta != 0.  The cell is parametric iff that
+holds ``lam``.
 """
 
 from __future__ import annotations
@@ -23,8 +29,38 @@ from dataclasses import dataclass
 
 from .errors import DomainError
 
+#: ranks of the base algebra the paper classifies
+N_RANGE = range(4, 9)
+
 #: placeholder used in representative patterns for the free orbit parameter
 LAM = "lam"
+
+#: per rank, how many top chain slots are decided before the lead option
+CHAIN_FIRST = {4: 0, 5: 1, 6: 0, 7: 3, 8: 3}
+
+_LEAD = ("b11", "b01", "b00")
+
+
+def rank_error(n, top: int = N_RANGE[-1]) -> DomainError:
+    """The error every entry point raises for a rank outside N_RANGE.start..top."""
+    return DomainError(f"n must be in {N_RANGE.start}..{top}, got {n}")
+
+
+def free_labels(n: int) -> list[str]:
+    """Coordinates the Leibniz identity leaves free: b00, b01, b11, each even
+    b1m up to b1{n-2}, and b1{n-1} at odd n."""
+    labels = ["b00", "b01", "b11"] + [f"b1{m}" for m in range(2, n - 1, 2)]
+    if n % 2 == 1:
+        labels.append(f"b1{n - 1}")
+    return labels
+
+
+#: parameter slot names, in tuple order, per family: the free labels with
+#: the top coefficient b1{n-1} of odd n named ``b``
+PARAM_SLOTS: dict[int, tuple[str, ...]] = {
+    n: tuple("b" if label == f"b1{n - 1}" else label for label in free_labels(n))
+    for n in N_RANGE
+}
 
 
 @dataclass(frozen=True)
@@ -37,113 +73,36 @@ class SubsetSpec:
     parametric: bool
 
 
-#: parameter slot names, in tuple order, per family
-PARAM_SLOTS: dict[int, tuple[str, ...]] = {
-    4: ("b00", "b01", "b11", "b12"),
-    5: ("b00", "b01", "b11", "b12", "b"),
-    6: ("b00", "b01", "b11", "b12", "b14"),
-    7: ("b00", "b01", "b11", "b12", "b14", "b"),
-    8: ("b00", "b01", "b11", "b12", "b14", "b16"),
-}
+def _options(slots):
+    """(conditions, slot) for each choice of first nonzero slot, then for none."""
+    for i, slot in enumerate(slots):
+        yield tuple((s, False) for s in slots[:i]) + ((slot, True),), slot
+    yield tuple((s, False) for s in slots), None
 
 
-def _specs(n: int, rows) -> tuple[SubsetSpec, ...]:
-    out = []
-    for name, conds in rows:
-        want = dict(conds)
-        if not set(want) <= {*PARAM_SLOTS[n], "delta"}:
-            raise DomainError(f"subset {name!r} not defined for n={n}")
-        chain = [slot for slot in ("b12", "b14", "b16", "b") if want.get(slot)]
-        lead = [slot for slot in ("b11", "b01", "b00") if want.get(slot)]
-        # the top nonzero chain slot and the first nonzero lead slot are 1
-        rep = dict.fromkeys(PARAM_SLOTS[n], 0) | dict.fromkeys(chain[-1:] + lead[:1], 1)
-        if lead[:1] == ["b11"]:
-            rep["b00"] = LAM if chain else int(want.get("delta", False))
-        out.append(SubsetSpec(name, tuple(conds), tuple(rep.values()), LAM in rep.values()))
-    return tuple(out)
+def _cells(n: int) -> tuple[SubsetSpec, ...]:
+    slots = PARAM_SLOTS[n]
+    chain, k = slots[:2:-1], CHAIN_FIRST[n]  # chain slots, top first
+    cells = []
+    for first, top in _options(chain[:k]):
+        for lead_conds, lead in _options(_LEAD):
+            for last, low in _options(() if top else chain[k:]):
+                conds = first + lead_conds + last
+                rep = dict.fromkeys(slots, 0) | dict.fromkeys(filter(None, (top or low, lead)), 1)
+                if lead != "b11":
+                    cells.append((conds, rep))
+                elif top or low:
+                    cells.append((conds, rep | {"b00": LAM}))
+                else:
+                    cells.append((conds + (("delta", True),), rep | {"b00": 1}))
+                    cells.append((conds + (("delta", False),), rep))
+    return tuple(
+        SubsetSpec(f"U_{i}", conds, tuple(rep.values()), LAM in rep.values())
+        for i, (conds, rep) in enumerate(cells, 1)
+    )
 
 
-SUBSETS: dict[int, tuple[SubsetSpec, ...]] = {
-    4: _specs(4, [
-        ("U_1", [("b11", True), ("b12", True)]),
-        ("U_2", [("b11", True), ("b12", False), ("delta", True)]),
-        ("U_3", [("b11", True), ("b12", False), ("delta", False)]),
-        ("U_4", [("b11", False), ("b01", True), ("b12", True)]),
-        ("U_5", [("b11", False), ("b01", True), ("b12", False)]),
-        ("U_6", [("b11", False), ("b01", False), ("b00", True), ("b12", True)]),
-        ("U_7", [("b11", False), ("b01", False), ("b00", True), ("b12", False)]),
-        ("U_8", [("b11", False), ("b01", False), ("b00", False), ("b12", True)]),
-        ("U_9", [("b11", False), ("b01", False), ("b00", False), ("b12", False)]),
-    ]),
-    5: _specs(5, [
-        ("U_1", [("b", True), ("b11", True)]),
-        ("U_2", [("b", True), ("b11", False), ("b01", True)]),
-        ("U_3", [("b", True), ("b11", False), ("b01", False), ("b00", True)]),
-        ("U_4", [("b", True), ("b11", False), ("b01", False), ("b00", False)]),
-        ("U_5", [("b", False), ("b11", True), ("b12", True)]),
-        ("U_6", [("b", False), ("b11", True), ("b12", False), ("delta", True)]),
-        ("U_7", [("b", False), ("b11", True), ("b12", False), ("delta", False)]),
-        ("U_8", [("b", False), ("b11", False), ("b01", True), ("b12", True)]),
-        ("U_9", [("b", False), ("b11", False), ("b01", True), ("b12", False)]),
-        ("U_10", [("b", False), ("b11", False), ("b01", False), ("b00", True), ("b12", True)]),
-        ("U_11", [("b", False), ("b11", False), ("b01", False), ("b00", True), ("b12", False)]),
-        ("U_12", [("b", False), ("b11", False), ("b01", False), ("b00", False), ("b12", True)]),
-        ("U_13", [("b", False), ("b11", False), ("b01", False), ("b00", False), ("b12", False)]),
-    ]),
-    6: _specs(6, [
-        ("U_1", [("b11", True), ("b14", True)]),
-        ("U_2", [("b11", True), ("b14", False), ("b12", True)]),
-        ("U_3", [("b11", True), ("b14", False), ("b12", False), ("delta", True)]),
-        ("U_4", [("b11", True), ("b14", False), ("b12", False), ("delta", False)]),
-        ("U_5", [("b11", False), ("b01", True), ("b14", True)]),
-        ("U_6", [("b11", False), ("b01", True), ("b14", False), ("b12", True)]),
-        ("U_7", [("b11", False), ("b01", True), ("b14", False), ("b12", False)]),
-        ("U_8", [("b11", False), ("b01", False), ("b00", True), ("b14", True)]),
-        ("U_9", [("b11", False), ("b01", False), ("b00", True), ("b14", False), ("b12", True)]),
-        ("U_10", [("b11", False), ("b01", False), ("b00", True), ("b14", False), ("b12", False)]),
-        ("U_11", [("b11", False), ("b01", False), ("b00", False), ("b14", True)]),
-        ("U_12", [("b11", False), ("b01", False), ("b00", False), ("b14", False), ("b12", True)]),
-        ("U_13", [("b11", False), ("b01", False), ("b00", False), ("b14", False), ("b12", False)]),
-    ]),
-    7: _specs(7, [
-        ("U_1", [("b", True), ("b11", True)]),
-        ("U_2", [("b", True), ("b11", False), ("b01", True)]),
-        ("U_3", [("b", True), ("b11", False), ("b01", False), ("b00", True)]),
-        ("U_4", [("b", True), ("b11", False), ("b01", False), ("b00", False)]),
-        ("U_5", [("b", False), ("b14", True), ("b11", True)]),
-        ("U_6", [("b", False), ("b14", True), ("b11", False), ("b01", True)]),
-        ("U_7", [("b", False), ("b14", True), ("b11", False), ("b01", False), ("b00", True)]),
-        ("U_8", [("b", False), ("b14", True), ("b11", False), ("b01", False), ("b00", False)]),
-        ("U_9", [("b", False), ("b14", False), ("b12", True), ("b11", True)]),
-        ("U_10", [("b", False), ("b14", False), ("b12", True), ("b11", False), ("b01", True)]),
-        ("U_11", [("b", False), ("b14", False), ("b12", True), ("b11", False), ("b01", False), ("b00", True)]),
-        ("U_12", [("b", False), ("b14", False), ("b12", True), ("b11", False), ("b01", False), ("b00", False)]),
-        ("U_13", [("b", False), ("b14", False), ("b12", False), ("b11", True), ("delta", True)]),
-        ("U_14", [("b", False), ("b14", False), ("b12", False), ("b11", True), ("delta", False)]),
-        ("U_15", [("b", False), ("b14", False), ("b12", False), ("b11", False), ("b01", True)]),
-        ("U_16", [("b", False), ("b14", False), ("b12", False), ("b11", False), ("b01", False), ("b00", True)]),
-        ("U_17", [("b", False), ("b14", False), ("b12", False), ("b11", False), ("b01", False), ("b00", False)]),
-    ]),
-    8: _specs(8, [
-        ("U_1", [("b16", True), ("b11", True)]),
-        ("U_2", [("b16", True), ("b11", False), ("b01", True)]),
-        ("U_3", [("b16", True), ("b11", False), ("b01", False), ("b00", True)]),
-        ("U_4", [("b16", True), ("b11", False), ("b01", False), ("b00", False)]),
-        ("U_5", [("b16", False), ("b14", True), ("b11", True)]),
-        ("U_6", [("b16", False), ("b14", True), ("b11", False), ("b01", True)]),
-        ("U_7", [("b16", False), ("b14", True), ("b11", False), ("b01", False), ("b00", True)]),
-        ("U_8", [("b16", False), ("b14", True), ("b11", False), ("b01", False), ("b00", False)]),
-        ("U_9", [("b16", False), ("b14", False), ("b12", True), ("b11", True)]),
-        ("U_10", [("b16", False), ("b14", False), ("b12", True), ("b11", False), ("b01", True)]),
-        ("U_11", [("b16", False), ("b14", False), ("b12", True), ("b11", False), ("b01", False), ("b00", True)]),
-        ("U_12", [("b16", False), ("b14", False), ("b12", True), ("b11", False), ("b01", False), ("b00", False)]),
-        ("U_13", [("b16", False), ("b14", False), ("b12", False), ("b11", True), ("delta", True)]),
-        ("U_14", [("b16", False), ("b14", False), ("b12", False), ("b11", True), ("delta", False)]),
-        ("U_15", [("b16", False), ("b14", False), ("b12", False), ("b11", False), ("b01", True)]),
-        ("U_16", [("b16", False), ("b14", False), ("b12", False), ("b11", False), ("b01", False), ("b00", True)]),
-        ("U_17", [("b16", False), ("b14", False), ("b12", False), ("b11", False), ("b01", False), ("b00", False)]),
-    ]),
-}
+SUBSETS: dict[int, tuple[SubsetSpec, ...]] = {n: _cells(n) for n in N_RANGE}
 
 
 _SPECS = {(n, spec.name): spec for n in SUBSETS for spec in SUBSETS[n]}

@@ -222,6 +222,18 @@ def full_action_witness(p):
     return AdaptedTransform(n, a0, a1, tuple(bvec))
 
 
+#: parameter slot names, in tuple order, as they were written out by hand for
+#: n = 4..8.  ``filiform_ce.subsets.PARAM_SLOTS`` derives them from the
+#: free-label rule and must reproduce this table.
+FROZEN_PARAM_SLOTS = {
+    4: ("b00", "b01", "b11", "b12"),
+    5: ("b00", "b01", "b11", "b12", "b"),
+    6: ("b00", "b01", "b11", "b12", "b14"),
+    7: ("b00", "b01", "b11", "b12", "b14", "b"),
+    8: ("b00", "b01", "b11", "b12", "b14", "b16"),
+}
+
+
 #: the classification table as it was written out by hand, cell by cell, for
 #: n = 4..8: (name, conditions, representative, parametric); "lam" marks the
 #: free slot.  The cells in ``filiform_ce.subsets`` derive the last two

@@ -403,6 +403,11 @@ def test_cells_derive_from_conditions():
         assert table == oracles.FROZEN_SUBSETS[n], n
 
 
+def test_slots_derive_from_free_labels():
+    # the slot list is the solver's free-label rule, b1{n-1} named b
+    assert PARAM_SLOTS == oracles.FROZEN_PARAM_SLOTS
+
+
 def test_classify_report_fields():
     lab = classify(params_from_tuple(4, [0, 0, 0, 1]))
     assert lab.subset == "U_8"

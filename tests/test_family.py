@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from filiform_ce import (
+    AdaptedTransform,
     DomainError,
     ExtensionParams,
     StructureTensor,
@@ -14,6 +15,8 @@ from filiform_ce import (
     leibniz_residual,
     params_from_tuple,
     random_params,
+    read_params,
+    representatives,
     solve_leibniz_constraints,
     subset_of,
 )
@@ -81,6 +84,26 @@ def test_tuple_roundtrip(n, seed):
 def test_tuple_length_is_checked():
     with pytest.raises(DomainError):
         params_from_tuple(5, [1, 2, 3])
+
+
+RANK_ENTRY_POINTS = {
+    "ExtensionParams": lambda n: ExtensionParams(n, 0, 0, 0, (0,) * ((n - 2) // 2)),
+    # five values fit neither rank: the rank must be named, not the length
+    "params_from_tuple": lambda n: params_from_tuple(n, [0] * 5),
+    "AdaptedTransform": lambda n: AdaptedTransform(n, 1, 0, (0,) * (n - 2)),
+    "read_params": lambda n: read_params(from_entries(n + 1, {})),
+    "random_params": lambda n: random_params(n),
+    "representatives": lambda n: representatives(n),
+}
+
+
+@pytest.mark.parametrize("n", [3, 9])
+@pytest.mark.parametrize("entry", sorted(RANK_ENTRY_POINTS))
+def test_rank_contract(entry, n):
+    # every entry point refuses a rank outside the family with one wording
+    with pytest.raises(DomainError) as err:
+        RANK_ENTRY_POINTS[entry](n)
+    assert str(err.value) == f"n must be in 4..8, got {n}"
 
 
 def test_random_params_deterministic():
@@ -194,8 +217,11 @@ def test_solver_covers_n9():
 
 
 def test_solver_rejects_out_of_range():
-    with pytest.raises(DomainError):
-        solve_leibniz_constraints(3)
+    # the solver reaches one rank past the family, with the same wording
+    for n in (3, 10):
+        with pytest.raises(DomainError) as err:
+            solve_leibniz_constraints(n)
+        assert str(err.value) == f"n must be in 4..9, got {n}"
 
 
 # ---------------------------------------------------------------------------
