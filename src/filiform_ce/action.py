@@ -19,6 +19,10 @@ t then t' is (A0 A0', A1 A0' + B_1 A1', B(x) B'(A0 x)), and t^-1 is (1/A0,
 
 with c_{k,l} the e_n-coefficient of [e_k, e_l] (linear in the parameters,
 so read once per rank off the unit tables) and the bracket for odd n only.
+That rule (``_sum_terms``) is the only statement of the action: on first use
+it is written out as straight-line Python, one function for the whole
+action and one per slot (``_compiled``), each compiled once and kept in
+:mod:`linecache` under ``<action n=N>`` so tracebacks show the failing line.
 
 The group is generated by three kinds of elementary transforms (sigma, tau,
 upsilon below); generators touching only the trailing basis directions act
@@ -30,6 +34,7 @@ reference routes for both claims live in :mod:`filiform_ce.verify`.
 from __future__ import annotations
 
 import functools
+import linecache
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,7 +45,7 @@ from .errors import (
     TableShapeError,
 )
 from .family import ExtensionParams, _rand_nonzero, build_table, params_from_tuple
-from .subsets import N_RANGE, PARAM_SLOTS, rank_error
+from .subsets import PARAM_SLOTS, check_rank
 from .tensor import StructureTensor
 from .tolerance import require_finite
 
@@ -56,8 +61,7 @@ class AdaptedTransform:
 
     def __post_init__(self):
         n = self.n
-        if n not in N_RANGE:
-            raise rank_error(n)
+        check_rank(n)
         if len(self.B) != n - 2:
             raise DomainError(f"B must have length {n - 2} for n={n}, got {len(self.B)}")
         a0, a1 = map(complex, (self.A0, self.A1))
@@ -245,7 +249,7 @@ def act_on_params(t: AdaptedTransform, p: ExtensionParams) -> ExtensionParams:
     _require_nondegenerate(t, p)
     n = p.n
     try:
-        c = _act(n, t.A0, t.A1, t.B, p.as_tuple())
+        c = _compiled(n)(t.A0, t.A1, t.B, p.as_tuple())
     except OverflowError as exc:  # ``**`` raises where a power of A0 leaves float range
         raise DomainError(f"the action at n={n} overflows floating-point range") from exc
     return ExtensionParams(n, c[0], c[1], c[2], c[3 : 3 + (n - 2) // 2], c[-1] if n % 2 else 0j)
@@ -274,50 +278,80 @@ def _sum_terms(n: int) -> tuple:
     return tuple(rows)
 
 
-def _act(n: int, a0: complex, a1: complex, bvec: tuple, v: tuple) -> tuple:
-    """The closed form behind ``act_on_params``, on plain tuples, unvalidated.
+@functools.cache
+def _compiled(n: int, wanted=None):
+    """The closed form at rank n as straight-line code, compiled on first use.
 
-    ``bvec`` holds B_1..B_{n-2} and ``v`` the parameters in ``as_tuple``
-    order; the result is in the same order.
+    ``f(a0, a1, bvec, v)`` works on plain tuples in ``as_tuple`` order
+    (``bvec`` holds B_1..B_{n-2}), unvalidated.  It returns the whole action
+    for ``wanted`` None, slot i for an int i, and a tuple of slots for a
+    tuple of ascending slot indices.  The source stays in :mod:`linecache`
+    under ``<action n=N>`` (the whole action) or ``<action n=N slot ...>``,
+    so tracebacks show the failing line.
     """
-    return _act_slot(n, a0, a1, bvec, v, None)
+    name = "act" if wanted is None else f"slot_{wanted}" if isinstance(wanted, int) else "slots"
+    filename = f"<action n={n}>" if wanted is None else f"<action n={n} slot {wanted}>"
+    source = _source(n, name, wanted)
+    linecache.cache[filename] = (len(source), None, source.splitlines(True), filename)
+    namespace: dict = {}
+    exec(compile(source, filename, "exec"), namespace)
+    return namespace[name]
 
 
-def _act_slot(n: int, a0: complex, a1: complex, bvec: tuple, v: tuple, i: int | None) -> complex | tuple:
-    """Slot ``i`` of ``_act(n, a0, a1, bvec, v)`` (every slot for None) by the
-    same expressions: an even row alone, any other slot with b00, b01, b11, b."""
-    b1 = bvec[0]
-    shear = a0 + a1 * (v[-1] if n % 2 else 0j)
-    tail = shear if n % 2 else 1
-    rows = _sum_terms(n)
-    if i is not None and 3 <= i < 3 + len(rows):
-        power, terms = rows[i - 3]
-        return _even_row(power, terms, a0, b1, tail, bvec, v)
-    b00, b01, b11 = v[:3]
-    nn = a0 ** (n - 2) * shear
-    out = [
-        (a0 * a0 * b00 + a0 * a1 * b01 + a1 * a1 * b11) / (nn * b1),
-        (a0 * b01 + 2 * a1 * b11) / nn,
-        b1 * b11 / nn,
+def _source(n: int, name: str, wanted) -> str:
+    """Straight-line Python for the closed form, read off ``_sum_terms(n)``.
+
+    ``wanted`` None gives the whole action, an int one slot, a tuple several.
+    The slots are (a0^2 b00 + a0 a1 b01 + a1^2 b11)/(nn B1), (a0 b01 +
+    2 a1 b11)/nn and B1 b11/nn with nn = a0^(n-2) (a0 + a1 b), each even
+    row its coefficient sum over a0^power B1 (times the shear at odd n), and
+    at odd n B1 b/(a0 + a1 b).  Sums start at 0j and add the terms in rule
+    order, term by term.  A slot that is not an even row is computed
+    together with all such slots, in slot order, so a zero divisor or an
+    overflowing power in any of them raises; an even row stands alone.
+    """
+    slots = PARAM_SLOTS[n]
+    odd = n % 2
+    tail = "shear" if odd else "1"
+
+    def row(power, terms):
+        total = "0j"
+        for s, poly in terms:
+            coeff = "".join(f" + {c!r} * B{i + 1} * B{j + 1}" for c, i, j in poly)
+            total += f" + (0j{coeff}) * {slots[s]}"
+        return f"({total}) / (a0 ** {power} * B1 * {tail})"
+
+    def tuple_of(exprs):
+        return "(\n" + "".join(f"        {e},\n" for e in exprs) + "    )"
+
+    rows = {i: row(*r) for i, r in enumerate(_sum_terms(n), 3)}
+    lead = {
+        0: "(a0 * a0 * b00 + a0 * a1 * b01 + a1 * a1 * b11) / (nn * B1)",
+        1: "(a0 * b01 + 2 * a1 * b11) / nn",
+        2: "B1 * b11 / nn",
+    } | ({len(slots) - 1: "B1 * b / shear"} if odd else {})
+    shear = f"shear = a0 + a1 * {'b' if odd else '0j'}"
+    nn = f"nn = a0 ** {n - 2} * shear"
+    if wanted is None:  # every slot, in slot order
+        body = [shear, nn, "return " + tuple_of(e for _, e in sorted((lead | rows).items()))]
+    elif wanted in rows:
+        body = [shear] * odd + [f"return {rows[wanted]}"]
+    else:  # slot after slot, the slots that are not even rows computed once
+        reads = (wanted,) if isinstance(wanted, int) else wanted
+        body = [shear] * (odd or any(i not in rows for i in reads))
+        for i in reads:
+            if i in rows:
+                body.append(f"u{i} = {rows[i]}")
+            elif nn not in body:
+                body += [nn] + [f"u{k} = {e}" for k, e in lead.items()]
+        result = f"u{wanted}" if isinstance(wanted, int) else tuple_of(f"u{i}" for i in reads)
+        body.append(f"return {result}")
+    head = [
+        f"def {name}(a0, a1, bvec, v):",
+        f"    {', '.join(slots)} = v",
+        f"    {', '.join(f'B{k}' for k in range(1, n - 1))} = bvec",
     ]
-    if i is None:
-        for power, terms in rows:
-            out.append(_even_row(power, terms, a0, b1, tail, bvec, v))
-    if n % 2:
-        out.append(b1 * v[-1] / shear)
-    return tuple(out) if i is None else out[min(i, 3)]
-
-
-def _even_row(
-    power: int, terms: tuple, a0: complex, b1: complex, tail, bvec: tuple, v: tuple
-) -> complex:
-    total = 0j
-    for s, poly in terms:
-        coeff = 0j
-        for c, i, j in poly:
-            coeff += c * bvec[i] * bvec[j]
-        total += coeff * v[s]
-    return total / (a0**power * b1 * tail)
+    return "\n".join(head + [f"    {line}" for line in body]) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -334,8 +368,7 @@ def read_params(t: StructureTensor) -> ExtensionParams:
     offending entries.
     """
     n = t.dim - 1
-    if n not in N_RANGE:
-        raise rank_error(n)
+    check_rank(n)
     g = t.gamma
     evens = tuple(g[1, m, n] for m in range(2, n - 1, 2))
     b = -g[1, n - 1, n] if n % 2 == 1 else 0j

@@ -36,7 +36,8 @@ witness in three steps, each evaluated on the closed form of the action:
    (m-n, 1) for b1m and (-1, 1) for b.  (A0, B1) set the representative's
    "1" slots to 1: A0 is the principal |det|-th root of a weight monomial
    (det of the two weights), and B1 follows from a slot with y != 0.  It
-   reads only the sheared "1" slots, each by the single-slot form.
+   reads the sheared "1" slots in one call of the compiled action that
+   evaluates only what they need.
 
 The witness is (A0, A0*s, B1*(1, 0, B3, 0, B5, ...)).  Principal roots
 read a zero imaginary part as +0, so ``lam`` does not depend on the sign
@@ -51,11 +52,11 @@ import cmath
 import functools
 import itertools
 import operator
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .action import (
     AdaptedTransform,
-    _act_slot,
+    _compiled,
     act_on_params,
     compose,
     identity_transform,
@@ -63,7 +64,7 @@ from .action import (
 )
 from .errors import CanonicalizationError, DomainError, FiliformError
 from .family import ExtensionParams, params_from_tuple
-from .subsets import LAM, N_RANGE, PARAM_SLOTS, SUBSETS, SubsetSpec, get_spec, rank_error
+from .subsets import LAM, PARAM_SLOTS, SUBSETS, SubsetSpec, check_rank, get_spec
 from .tolerance import FLAG_WARN_MARGIN, ZERO_FLAG_RTOL
 
 #: absolute-plus-relative tolerance used when matching canonical values
@@ -228,18 +229,30 @@ def _weight(n: int, slot: str) -> tuple[int, int]:
 
 @dataclass(frozen=True)
 class _Plan:
-    """Normal-form steps of one cell, in ``as_tuple`` slot indices.
+    """Normal-form steps of one cell at rank ``n``.
 
-    ``shifts``: (k, i), B_k clears slot i.  ``root``: (i, +-1), A0**order
-    is the product of v[i]**+-1.  ``scale``: (i, x, y), B1 solves
-    v[i] * A0**x * B1**y = 1 (None leaves B1 = 1).  ``ones``: the "1" slots they read.
+    ``ones``: the "1" slots (``as_tuple`` indices) the torus reads, as the
+    tuple u.  ``shifts``: (k, i), B_k clears slot i.  ``root``: (j, +-1),
+    A0**order is the product of u[j]**+-1.  ``scale``: (j, x, y), B1 solves
+    u[j] * A0**x * B1**y = 1 (None leaves B1 = 1).
     """
 
+    n: int
     shifts: tuple
     root: tuple
     order: int
     scale: tuple | None
     ones: tuple
+
+    @functools.cached_property
+    def read_ones(self):
+        """u from one call of the compiled action, built on first use."""
+        return _compiled(self.n, self.ones)
+
+    @functools.cached_property
+    def shift_slots(self) -> tuple:
+        """(k, i, slot i of the compiled action) per shift."""
+        return tuple((k, i, _compiled(self.n, i)) for k, i in self.shifts)
 
 
 def _plan(n: int, spec: SubsetSpec) -> _Plan:
@@ -250,7 +263,7 @@ def _plan(n: int, spec: SubsetSpec) -> _Plan:
     shifts = tuple((2 * d + 1, pivot - d) for d in range(1, pivot - 2))
     # fewer than two "1" slots: square the torus system up with A0 = 1 or
     # B1 = 1, the first of them independent of the rows already there
-    rows = [(i, *_weight(n, PARAM_SLOTS[n][i])) for i in ones] + [(None, 1, 0), (None, 0, 1)]
+    rows = [(j, *_weight(n, PARAM_SLOTS[n][i])) for j, i in enumerate(ones)] + [(None, 1, 0), (None, 0, 1)]
     i1, x1, y1 = rows[0]
     i2, x2, y2 = next(row for row in rows[1:] if x1 * row[2] - row[1] * y1)
     det = x1 * y2 - x2 * y1
@@ -259,7 +272,7 @@ def _plan(n: int, spec: SubsetSpec) -> _Plan:
     # B1 from the slot with the smallest A0-power keeps the powers of A0 small
     scalable = [(i, x, y) for i, x, y in rows if i is not None and y]
     scale = min(scalable, key=lambda row: abs(row[1]), default=None)
-    return _Plan(shifts, root, abs(det), scale, tuple(ones))
+    return _Plan(n, shifts, root, abs(det), scale, tuple(ones))
 
 
 _PLANS = {(n, spec.name): _plan(n, spec) for n in SUBSETS for spec in SUBSETS[n]}
@@ -311,32 +324,31 @@ def _canonical_transform(p: ExtensionParams, flags: dict, plan: _Plan) -> Adapte
         )
     v = p.as_tuple()
     # the shifts leave the "1" slots alone, so the torus reads them sheared
-    e1 = (1 + 0j,) + (0j,) * (n - 3)
-    sheared = {i: _act_slot(n, 1, s, e1, v, i) for i in plan.ones}
+    sheared = plan.read_ones(1, s, (1 + 0j,) + (0j,) * (n - 3), v)
     a0 = 1 + 0j
-    for i, e in plan.root:
-        a0 = a0 * sheared[i] if e > 0 else a0 / sheared[i]
+    for j, e in plan.root:
+        a0 = a0 * sheared[j] if e > 0 else a0 / sheared[j]
     a0 = _root(a0, plan.order)
     b1 = 1 + 0j
     if plan.scale is not None:
-        i, x, y = plan.scale
-        b1 = a0 ** -x / sheared[i] if y > 0 else sheared[i] / a0 ** -x
+        j, x, y = plan.scale
+        b1 = a0 ** -x / sheared[j] if y > 0 else sheared[j] / a0 ** -x
     a1 = a0 * num / den
     bvec = [b1] + [0j] * (n - 3)
-    for k, i in plan.shifts:
-        f0 = _act_slot(n, a0, a1, bvec, v, i)
+    for k, i, f in plan.shift_slots:
+        f0 = f(a0, a1, bvec, v)
         if not f0:
             continue
         # f(B_k) = f0 - d * B_k: d from a trial at B_k = B1 (good to eps * |f0|),
         # then from the secant through 0 and f0 / d; then one Newton step
         bvec[k - 1] = b1
-        d = (f0 - _act_slot(n, a0, a1, bvec, v, i)) / b1
+        d = (f0 - f(a0, a1, bvec, v)) / b1
         if not d:
             raise CanonicalizationError(f"chain slot {PARAM_SLOTS[n][i]} too large for its pivot")
         bvec[k - 1] = first = f0 / d
-        d = (f0 - _act_slot(n, a0, a1, bvec, v, i)) / first
+        d = (f0 - f(a0, a1, bvec, v)) / first
         bvec[k - 1] = f0 / d
-        bvec[k - 1] += _act_slot(n, a0, a1, bvec, v, i) / d
+        bvec[k - 1] += f(a0, a1, bvec, v) / d
     return AdaptedTransform(n, a0, a1, tuple(bvec))
 
 
@@ -357,8 +369,7 @@ def representative_params(n: int, subset: str, lam: complex | None = None) -> Ex
 
 def representatives(n: int) -> list[tuple[str, ExtensionParams, bool]]:
     """All cells with a concrete representative; parametric ones at lam = 1."""
-    if n not in N_RANGE:
-        raise rank_error(n)
+    check_rank(n)
     out = []
     for spec in SUBSETS[n]:
         lam = 1 if spec.parametric else None
@@ -406,7 +417,7 @@ def classify(p: ExtensionParams) -> OrbitLabel:
         canonical_lambda=label.lam,
         flag_margin=_margin(p, flags),
     )
-    return replace(label, invariants=report)
+    return OrbitLabel(label.n, label.subset, label.representative, label.lam, label.witness, report)
 
 
 # ---------------------------------------------------------------------------

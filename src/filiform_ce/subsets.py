@@ -43,7 +43,14 @@ _LEAD = ("b11", "b01", "b00")
 
 def rank_error(n, top: int = N_RANGE[-1]) -> DomainError:
     """The error every entry point raises for a rank outside N_RANGE.start..top."""
-    return DomainError(f"n must be in {N_RANGE.start}..{top}, got {n}")
+    return DomainError(f"n must be in {N_RANGE.start}..{top}, got {n!r}")
+
+
+def check_rank(n, top: int = N_RANGE[-1]) -> None:
+    """Raise ``rank_error`` unless ``n`` is an int in N_RANGE.start..top; a
+    float such as 4.0 is refused too, since ranks size and index tables."""
+    if not (isinstance(n, int) and N_RANGE.start <= n <= top):
+        raise rank_error(n, top)
 
 
 def free_labels(n: int) -> list[str]:
@@ -109,6 +116,7 @@ _SPECS = {(n, spec.name): spec for n in SUBSETS for spec in SUBSETS[n]}
 
 
 def get_spec(n: int, name: str) -> SubsetSpec:
+    check_rank(n)
     try:
         return _SPECS[n, name]
     except (KeyError, TypeError):  # TypeError: an unhashable name

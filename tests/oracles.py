@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from filiform_ce import AdaptedTransform, act_on_params, adapted_matrix, transform_from_matrix
-from filiform_ce.action import _act
+from filiform_ce.action import _sum_terms
 from filiform_ce.classify import _PLANS, _cell, _root, nonzero_flags
 
 
@@ -178,9 +178,57 @@ def matrix_inverse(t, p):
     return transform_from_matrix(np.linalg.inv(adapted_matrix(t, p)), p.n)
 
 
+def loop_act(n: int, a0: complex, a1: complex, bvec: tuple, v: tuple) -> tuple:
+    """The closed form behind ``act_on_params``, on plain tuples, unvalidated,
+    evaluated by walking ``action._sum_terms`` term by term: the reference
+    that every function ``action._source`` generates must match bit for bit.
+
+    ``bvec`` holds B_1..B_{n-2} and ``v`` the parameters in ``as_tuple``
+    order; the result is in the same order.
+    """
+    return loop_act_slot(n, a0, a1, bvec, v, None)
+
+
+def loop_act_slot(n: int, a0: complex, a1: complex, bvec: tuple, v: tuple, i: int | None) -> complex | tuple:
+    """Slot ``i`` of ``loop_act(n, a0, a1, bvec, v)`` (every slot for None) by the
+    same expressions: an even row alone, any other slot with b00, b01, b11, b."""
+    b1 = bvec[0]
+    shear = a0 + a1 * (v[-1] if n % 2 else 0j)
+    tail = shear if n % 2 else 1
+    rows = _sum_terms(n)
+    if i is not None and 3 <= i < 3 + len(rows):
+        power, terms = rows[i - 3]
+        return loop_even_row(power, terms, a0, b1, tail, bvec, v)
+    b00, b01, b11 = v[:3]
+    nn = a0 ** (n - 2) * shear
+    out = [
+        (a0 * a0 * b00 + a0 * a1 * b01 + a1 * a1 * b11) / (nn * b1),
+        (a0 * b01 + 2 * a1 * b11) / nn,
+        b1 * b11 / nn,
+    ]
+    if i is None:
+        for power, terms in rows:
+            out.append(loop_even_row(power, terms, a0, b1, tail, bvec, v))
+    if n % 2:
+        out.append(b1 * v[-1] / shear)
+    return tuple(out) if i is None else out[min(i, 3)]
+
+
+def loop_even_row(
+    power: int, terms: tuple, a0: complex, b1: complex, tail, bvec: tuple, v: tuple
+) -> complex:
+    total = 0j
+    for s, poly in terms:
+        coeff = 0j
+        for c, i, j in poly:
+            coeff += c * bvec[i] * bvec[j]
+        total += coeff * v[s]
+    return total / (a0**power * b1 * tail)
+
+
 def full_action_witness(p):
     """Normal-form witness of ``p`` with every slot read off the full closed
-    form ``_act``: the torus "1" slots from the whole sheared tuple, each
+    form ``loop_act``: the torus "1" slots from the whole sheared tuple, each
     shift-solve value from the whole action at the current witness.
     ``canonicalize`` evaluates single slots and must agree bit for bit."""
     flags = nonzero_flags(p)
@@ -194,20 +242,21 @@ def full_action_witness(p):
         num, den = 0j, 1
     s = num / den
     v = p.as_tuple()
-    sheared = _act(n, 1, s, (1 + 0j,) + (0j,) * (n - 3), v)
+    full = loop_act(n, 1, s, (1 + 0j,) + (0j,) * (n - 3), v)
+    sheared = [full[i] for i in plan.ones]
     a0 = 1 + 0j
-    for i, e in plan.root:
-        a0 = a0 * sheared[i] if e > 0 else a0 / sheared[i]
+    for j, e in plan.root:
+        a0 = a0 * sheared[j] if e > 0 else a0 / sheared[j]
     a0 = _root(a0, plan.order)
     b1 = 1 + 0j
     if plan.scale is not None:
-        i, x, y = plan.scale
-        b1 = a0 ** -x / sheared[i] if y > 0 else sheared[i] / a0 ** -x
+        j, x, y = plan.scale
+        b1 = a0 ** -x / sheared[j] if y > 0 else sheared[j] / a0 ** -x
     a1 = a0 * num / den
     bvec = [b1] + [0j] * (n - 3)
 
     def slot(i):
-        return _act(n, a0, a1, bvec, v)[i]
+        return loop_act(n, a0, a1, bvec, v)[i]
 
     for k, i in plan.shifts:
         f0 = slot(i)

@@ -9,6 +9,9 @@ generator matrices, the tail test, the naive factors) live in
 ``filiform_ce.verify`` and are tested here through its private helpers.
 """
 
+import math
+import traceback
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -40,7 +43,9 @@ from filiform_ce import (
     transform_from_matrix,
     upsilon,
 )
-from filiform_ce.action import _act, _act_slot
+from filiform_ce.action import _compiled
+from filiform_ce.classify import _PLANS
+from filiform_ce.subsets import PARAM_SLOTS
 from filiform_ce.verify import _coefficient_sum, _naive_factors, _tail_generators, _tail_trivial
 
 import oracles
@@ -313,7 +318,7 @@ def test_derived_rule_matches_rank7_closed_forms():
             + (2 * b2 * b4 - 2 * b1 * b5 - b3 * b3) * p.b
         ) / (t.A0**4 * b1 * shear)
         e14 = (b1 * b1 * p.b14 + (b2 * b2 - 2 * b1 * b3) * p.b) / (t.A0**2 * b1 * shear)
-        got = _act(7, t.A0, t.A1, t.B, p.as_tuple())
+        got = _compiled(7)(t.A0, t.A1, t.B, p.as_tuple())
         assert abs(got[3] - e12) <= 1e-12 * (1 + abs(e12))
         assert abs(got[4] - e14) <= 1e-12 * (1 + abs(e14))
 
@@ -322,14 +327,88 @@ def test_single_slot_is_bit_identical_to_full_action():
     # canonicalize reads the torus "1" slots and the cleared chain slots one
     # at a time; each must be the same float as in the full closed form
     for n in range(4, 9):
+        act, slots = _compiled(n), [_compiled(n, i) for i in range(len(PARAM_SLOTS[n]))]
         for seed in range(10):
             p = random_params(n, seed=seed)
             t = random_transform(n, seed=seed + 200, b=p.b)
             for scale in (1.0, 1e-30, 1e30, 10.0 ** (30 * (seed - 5))):
                 v = tuple(x * scale for x in p.as_tuple())
-                full = _act(n, t.A0, t.A1, t.B, v)
+                full = act(t.A0, t.A1, t.B, v)
                 for i in range(len(v)):
-                    assert _act_slot(n, t.A0, t.A1, t.B, v, i) == full[i]
+                    assert slots[i](t.A0, t.A1, t.B, v) == full[i]
+
+
+def _outcome(f, *args):
+    try:
+        return f(*args)
+    except Exception as exc:  # the exception type is part of the result
+        return type(exc)
+
+
+def _same_float(x, y) -> bool:
+    """Bit for bit on complex values: signs of zeros count, nan matches nan."""
+    if isinstance(x, type) or isinstance(y, type):
+        return x is y
+    if isinstance(x, tuple) or isinstance(y, tuple):
+        return type(x) is type(y) and len(x) == len(y) and all(map(_same_float, x, y))
+    return all(
+        math.copysign(1, a) == math.copysign(1, b) and (a == b or a != a and b != b)
+        for a, b in ((x.real, y.real), (x.imag, y.imag))
+    )
+
+
+def _oracle_inputs(n):
+    """Transforms and tuples from 1e-300 to 1e300, including A0 whose powers
+    overflow or underflow, B whose products do, B_1 = 0 and the torus's
+    sheared read (A0 = 1)."""
+    for seed in range(2):
+        p = random_params(n, seed=seed)
+        t = random_transform(n, seed=seed + 300, b=p.b)
+        for e in (-300, -150, -20, 0, 20, 150, 300):
+            v = tuple(x * 10.0**e for x in p.as_tuple())
+            for a0 in (t.A0, t.A0 * 1e-80, t.A0 * 1e60):
+                yield a0, t.A1, t.B, v
+            for scale in (1e-170, 1e154):  # products of two B_k under- and overflow
+                yield t.A0, t.A1, tuple(x * scale for x in t.B), v
+            yield t.A0, t.A1, (0j,) + t.B[1:], v
+            yield 1, t.A1 * 10.0**e, (1 + 0j,) + (0j,) * (n - 3), v
+
+
+@pytest.mark.parametrize("n", [4, 5, 6, 7, 8])
+def test_compiled_action_is_the_loop_bit_for_bit(n):
+    # the generated code against the loop evaluator, oracles.loop_act_slot:
+    # the whole action, each slot and each torus read, values and exceptions
+    act, slots = _compiled(n), [_compiled(n, i) for i in range(len(PARAM_SLOTS[n]))]
+    reads = [plan.ones for (rank, _), plan in _PLANS.items() if rank == n]
+    for args in _oracle_inputs(n):
+        assert _same_float(_outcome(act, *args), _outcome(oracles.loop_act, n, *args)), args
+        want = [_outcome(oracles.loop_act_slot, n, *args, i) for i in range(len(slots))]
+        for i, f in enumerate(slots):
+            assert _same_float(_outcome(f, *args), want[i]), (i, args)
+        for ones in reads:
+            raised = [want[i] for i in ones if isinstance(want[i], type)]
+            expected = raised[0] if raised else tuple(want[i] for i in ones)
+            assert _same_float(_outcome(_compiled(n, ones), *args), expected), (ones, args)
+
+
+def test_oracle_inputs_reach_every_outcome():
+    # the inputs above raise both errors the loop can raise, and give zeros of both signs
+    outcomes = {
+        _outcome(oracles.loop_act, n, *args) for n in range(4, 9) for args in _oracle_inputs(n)
+    }
+    assert {OverflowError, ZeroDivisionError} <= outcomes
+    values = [z for o in outcomes if isinstance(o, tuple) for z in o]
+    assert {math.copysign(1, z.imag) for z in values if z.imag == 0} == {-1.0, 1.0}
+
+
+def test_generated_source_shows_in_tracebacks():
+    # the compiled action keeps its source in linecache: the overflowing line shows
+    t = AdaptedTransform(8, 1e60, 0, (1, 0, 0, 0, 0, 0))
+    with pytest.raises(DomainError) as err:
+        act_on_params(t, random_params(8, seed=1))
+    frame = traceback.extract_tb(err.value.__cause__.__traceback__)[-1]
+    assert (frame.filename, frame.line) == ("<action n=8>", "nn = a0 ** 6 * shear")
+    assert '"<action n=8>"' in "".join(traceback.format_exception(err.value.__cause__))
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,7 @@ from filiform_ce import (
     params_from_tuple,
     random_params,
     read_params,
+    representative_params,
     representatives,
     solve_leibniz_constraints,
     subset_of,
@@ -104,6 +105,32 @@ def test_rank_contract(entry, n):
     with pytest.raises(DomainError) as err:
         RANK_ENTRY_POINTS[entry](n)
     assert str(err.value) == f"n must be in 4..8, got {n}"
+
+
+FLOAT_RANK_CALLS = {
+    "ExtensionParams": lambda: ExtensionParams(4.0, 0, 0, 1, (1,)),
+    "params_from_tuple": lambda: params_from_tuple(4.0, [0, 0, 1, 1]),
+    "AdaptedTransform": lambda: AdaptedTransform(4.0, 1, 0, (1, 0)),
+    "random_params": lambda: random_params(4.0),
+    "representatives": lambda: representatives(4.0),
+    "representative_params": lambda: representative_params(4.0, "U_2"),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(FLOAT_RANK_CALLS))
+def test_float_rank_is_refused(entry):
+    # 4.0 == 4, but no table has 4.0 rows: refused up front, not a TypeError later
+    with pytest.raises(DomainError) as err:
+        FLOAT_RANK_CALLS[entry]()
+    assert str(err.value) == "n must be in 4..8, got 4.0"
+
+
+def test_solver_refuses_float_rank():
+    solve_leibniz_constraints(4)  # 4.0 must not hit the cached rank-4 report
+    for n in (4.0, 4.5):
+        with pytest.raises(DomainError) as err:
+            solve_leibniz_constraints(n)
+        assert str(err.value) == f"n must be in 4..9, got {n}"
 
 
 def test_random_params_deterministic():
