@@ -8,8 +8,9 @@ non-Lie Leibniz algebras.  ``solve_leibniz_constraints`` derives, by plain
 linear algebra on the identity's residual, which e_n-components are free;
 ``ExtensionParams`` holds exactly those free coordinates and
 ``build_table`` expands them into a full structure tensor: the chain
-skeleton plus each coordinate times its solved null-space direction, so
-the forced coefficients and their signs are never written out by hand.
+skeleton plus each coordinate times its direction read off the solved
+relations, so the forced coefficients and their signs are never written
+out by hand.
 
 Parameter naming: ``bIJ`` is the e_n-coefficient of [e_I, e_J].  After
 reduction the free ones are b00, b01, b11, the even-index row
@@ -186,10 +187,9 @@ class ConstraintReport:
     rank: int
     free_count: int
     free_labels: tuple[str, ...]
-    free_basis: tuple[dict, ...] = field(repr=False)
     implied_relations: tuple[Relation, ...] = field(repr=False)
     #: row sign s(i) of the solved tables: gamma[i, j, n] = s(i) * b_{1, i+j-1}
-    #: off the top chain (a description; ``build_table`` reads ``free_basis``)
+    #: off the top chain (a description; ``build_table`` reads the relations)
     sign: dict = field(repr=False, default_factory=dict)
 
 
@@ -223,7 +223,7 @@ def solve_leibniz_constraints(n: int) -> ConstraintReport:
     free_count = len(labels) - rank
 
     free = free_labels(n)
-    if n in N_RANGE and free_count != len(free):
+    if free_count != len(free):
         raise FiliformError(
             f"n={n}: expected {len(free)} free coefficients, solver found {free_count}"
         )
@@ -250,60 +250,28 @@ def solve_leibniz_constraints(n: int) -> ConstraintReport:
                 terms.append((src, float(c)))
         relations.append(Relation(labels[k], tuple(terms)))
 
-    basis = []
-    for col, src in enumerate(free):
-        vec = {src: 1.0}
-        for row, k in enumerate(dep_idx):
-            c = coeff[row, col]
-            if c != 0.0:
-                vec[labels[k]] = float(c)
-        basis.append(vec)
-
-    sign = _extract_signs(n, relations)
     return ConstraintReport(
         n=n,
         total_unknowns=len(labels),
         rank=rank,
         free_count=free_count,
         free_labels=tuple(free),
-        free_basis=tuple(basis),
         implied_relations=tuple(relations),
-        sign=sign,
+        sign=_row_signs(n, relations),
     )
 
 
-def _extract_signs(n: int, relations) -> dict:
+def _row_signs(n: int, relations) -> dict:
     """Row signs s(i) with gamma[i, j, n] = s(i) * b_{1, i+j-1} (i+j != n).
 
-    s(1) = 1 by the free-coordinate convention.  For i >= 2 the sign is read
-    off any relation b_{i,j} = c * b_{1,i+j-1} whose right side is a free
-    even coefficient; rows admitting no such relation only ever multiply
-    forced-zero coefficients, and get the conventional value +1.
+    s(i) is the coefficient of any relation in row i off the top chain; a
+    row with none only holds forced zeros there and gets +1.
     """
-    rel_map = {r.target: r.terms for r in relations}
-    sign = {1: 1}
-    for i in range(2, n - 1):
-        found = None
-        for j in range(i + 1, n):
-            m = i + j - 1
-            if i + j == n or m % 2 == 1 or m > n - 2:
-                continue
-            terms = rel_map.get(f"b{i}{j}", None)
-            if terms is None:
-                continue
-            if len(terms) != 1 or terms[0][0] != f"b1{m}":
-                raise FiliformError(
-                    f"n={n}: unexpected relation shape for b{i}{j}: {terms}"
-                )
-            c = terms[0][1]
-            if abs(abs(c) - 1.0) > 1e-9:
-                raise FiliformError(f"n={n}: non-unit relation coefficient for b{i}{j}")
-            c = int(round(c))
-            if found is None:
-                found = c
-            elif found != c:
-                raise FiliformError(f"n={n}: inconsistent sign for row {i}")
-        sign[i] = found if found is not None else 1
+    sign = dict.fromkeys(range(1, n - 1), 1)
+    for r in relations:
+        i, j = int(r.target[1]), int(r.target[2:])
+        if r.terms and i + j != n:
+            sign[i] = round(r.terms[0][1])
     return sign
 
 
@@ -315,16 +283,18 @@ def _extract_signs(n: int, relations) -> dict:
 def _unit_tables(n: int) -> tuple[np.ndarray, np.ndarray]:
     """The skeleton and, per slot of ``PARAM_SLOTS[n]``, its table direction.
 
-    Each direction is the solver's null-space vector for that slot's free
-    label, spread over the unit directions of every coefficient it
-    involves.  Slot ``b`` is -b_{1,n-1}, hence its factor -1.
+    Each direction is the slot's own unit direction plus c times the unit
+    direction of every forced coefficient whose solved relation names it
+    with coefficient c.  Slot ``b`` is -b_{1,n-1}, hence its factor -1.
     """
-    report = solve_leibniz_constraints(n)
-    basis = dict(zip(report.free_labels, report.free_basis))
+    relations = solve_leibniz_constraints(n).implied_relations
     units = []
     for slot in PARAM_SLOTS[n]:
         label, factor = (f"b1{n - 1}", -1.0) if slot == "b" else (slot, 1.0)
-        units.append(factor * sum(c * _direction(n, lab) for lab, c in basis[label].items()))
+        forced = sum(
+            c * _direction(n, r.target) for r in relations for src, c in r.terms if src == label
+        )
+        units.append(factor * (_direction(n, label) + forced))
     return _skeleton(n), np.array(units, dtype=complex).reshape(len(units), -1)
 
 
@@ -332,7 +302,7 @@ def build_table(p: ExtensionParams) -> StructureTensor:
     """Full structure tensor of the central extension described by ``p``.
 
     The last basis vector e_n is central.  The table is the chain skeleton
-    plus each free coordinate times its direction in the solved null space
+    plus each free coordinate times its direction in the solved relations
     of the Leibniz constraints, so every forced coefficient follows from
     the solve rather than from a rule restated here.
     """

@@ -71,7 +71,7 @@ from .family import (
     random_params,
     solve_leibniz_constraints,
 )
-from .subsets import PARAM_SLOTS, SUBSETS, get_spec, parametric_subsets
+from .subsets import PARAM_SLOTS, SUBSETS, free_labels, get_spec, parametric_subsets
 from .tensor import (
     StructureTensor,
     bracket,
@@ -229,8 +229,7 @@ def _chk_leibniz_validity(ctx: _Ctx) -> tuple[float, bool, str]:
                     vals[i] = 0j
             p = params_from_tuple(n, vals)
             table = build_table(p)
-            scale = max(1.0, float(np.max(np.abs(table.gamma))))
-            res = leibniz_residual(table) / scale
+            res = leibniz_residual(table) / table.scale()
             worst = max(worst, res)
             count += 1
             if res > 1e-9 and ok:
@@ -297,19 +296,11 @@ def _chk_central_series(ctx: _Ctx) -> tuple[float, bool, str]:
     return 0.0, True, "descending series profile matches at every rank"
 
 
-def _expected_free_labels(n: int) -> set[str]:
-    labels = {"b00", "b01", "b11"}
-    labels.update(f"b1{m}" for m in range(2, n - 1, 2))
-    if n % 2 == 1:
-        labels.add(f"b1{n - 1}")
-    return labels
-
-
 def _expected_relations(n: int) -> dict[str, tuple[str, int] | None]:
     """Forced value of every dependent pair coordinate: a proportionality
     (source label, integer coefficient) or None for an outright zero."""
     out: dict[str, tuple[str, int] | None] = {}
-    free = _expected_free_labels(n)
+    free = set(free_labels(n))
     for i in range(1, n - 1):
         for j in range(i + 1, n):
             label = f"b{i}{j}"
@@ -336,7 +327,7 @@ def _chk_constraint_reduction(ctx: _Ctx) -> tuple[float, bool, str]:
     for n in N_RANGE:
         rep = solve_leibniz_constraints(n)
         free = set(rep.free_labels)
-        if free != _expected_free_labels(n) or rep.free_count != expected_counts[n]:
+        if free != set(free_labels(n)) or rep.free_count != expected_counts[n]:
             return 1.0, False, f"free coordinates at n={n}: got {sorted(free)}"
         if rep.rank != rep.total_unknowns - rep.free_count:
             return 1.0, False, f"rank {rep.rank} inconsistent at n={n}"
@@ -344,39 +335,23 @@ def _chk_constraint_reduction(ctx: _Ctx) -> tuple[float, bool, str]:
         want = _expected_relations(n)
         if set(got) != set(want):
             return 1.0, False, f"dependent coordinates differ at n={n}: {sorted(got)}"
-
-        def matches(flip: int) -> float | None:
-            # every proportionality target sits in a row >= 2, so a global
-            # row-sign flip negates all coefficients at once
-            peak = 0.0
-            for label, expect in want.items():
-                terms = got[label]
-                if expect is None:
-                    if terms:
-                        peak = max(peak, max(abs(c) for _, c in terms))
-                        if peak > 1e-9:
-                            return None
-                    continue
-                src, coeff = expect
-                if len(terms) != 1 or terms[0][0] != src:
-                    return None
-                peak = max(peak, abs(terms[0][1] - coeff * flip))
-                if peak > 1e-9:
-                    return None
-            return peak
-
-        hit = matches(1)
-        if hit is None:
-            hit = matches(-1)
-        if hit is None:
+        peak = 0.0
+        for label, expect in want.items():
+            terms = got[label]
+            if expect is None:
+                peak = max(peak, max((abs(c) for _, c in terms), default=0.0))
+            elif len(terms) == 1 and terms[0][0] == expect[0]:
+                peak = max(peak, abs(terms[0][1] - expect[1]))
+            else:
+                peak = np.inf
+        if peak > 1e-9:
             return 1.0, False, f"proportionality coefficients differ at n={n}: {got}"
-        worst = max(worst, hit)
+        worst = max(worst, peak)
         # the solved relations must produce genuinely closed tables
         for _ in range(max(1, ctx.trials // 10)):
             p = random_params(n, rng=ctx.rng)
             table = build_table(p)
-            scale = max(1.0, float(np.max(np.abs(table.gamma))))
-            res = leibniz_residual(table) / scale
+            res = leibniz_residual(table) / table.scale()
             worst = max(worst, res)
             if res > 1e-9:
                 triple, val = worst_leibniz_triple(table)
@@ -850,7 +825,7 @@ def _chk_variant_report(ctx: _Ctx) -> tuple[float, bool, str]:
     for _ in range(reps):
         p = random_params(5, "U_1", rng=ctx.rng)
         table = build_table(p)
-        scale = max(1.0, float(np.max(np.abs(table.gamma))))
+        scale = table.scale()
         ship = max(ship, leibniz_residual(table) / scale)
         g = table.gamma.copy()
         g[1, 4, 5] = p.b

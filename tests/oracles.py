@@ -283,6 +283,21 @@ FROZEN_PARAM_SLOTS = {
 }
 
 
+#: row signs s(i) of the solved tables, gamma[i, j, n] = s(i) * b_{1,i+j-1}
+#: off the top chain, recorded from a solver that checked every relation's
+#: shape; ``ConstraintReport.sign`` must reproduce this table.  Row 2 is
+#: pinned from n = 6 on and row 3 at n = 8 and 9; every other row holds only
+#: forced zeros off the top chain and reads +1.
+FROZEN_ROW_SIGNS = {
+    4: {1: 1, 2: 1},
+    5: {1: 1, 2: 1, 3: 1},
+    6: {1: 1, 2: -1, 3: 1, 4: 1},
+    7: {1: 1, 2: -1, 3: 1, 4: 1, 5: 1},
+    8: {1: 1, 2: -1, 3: 1, 4: 1, 5: 1, 6: 1},
+    9: {1: 1, 2: -1, 3: 1, 4: 1, 5: 1, 6: 1, 7: 1},
+}
+
+
 #: the classification table as it was written out by hand, cell by cell, for
 #: n = 4..8: (name, conditions, representative, parametric); "lam" marks the
 #: free slot.  The cells in ``filiform_ce.subsets`` derive the last two

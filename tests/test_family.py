@@ -8,6 +8,7 @@ from filiform_ce import (
     AdaptedTransform,
     DomainError,
     ExtensionParams,
+    FiliformError,
     StructureTensor,
     build_mu,
     build_table,
@@ -21,7 +22,8 @@ from filiform_ce import (
     solve_leibniz_constraints,
     subset_of,
 )
-from filiform_ce.subsets import PARAM_SLOTS, SUBSETS, parametric_subsets
+from filiform_ce import family
+from filiform_ce.subsets import PARAM_SLOTS, SUBSETS, free_labels, parametric_subsets
 
 import oracles
 
@@ -195,7 +197,7 @@ def test_free_labels_match_reference():
 
 
 def test_relations_match_reference():
-    for n in range(4, 9):
+    for n in range(4, 10):
         rep = solve_leibniz_constraints(n)
         got = {
             r.target: {lbl: c for lbl, c in r.terms if abs(c) > 1e-12}
@@ -223,12 +225,10 @@ def test_selected_relations_frozen():
 
 
 def test_row_signs_alternate():
-    # the solved off-chain sign pattern: + - + + ... (only rows 1 and 2 are
-    # pinned down by constraints at every size; higher rows default to +)
-    for n in range(6, 9):
-        sign = solve_leibniz_constraints(n).sign
-        assert sign[1] == 1
-        assert sign[2] == -1
+    # the solved off-chain sign pattern + - + + ..., key for key against the
+    # frozen table
+    for n in range(4, 10):
+        assert solve_leibniz_constraints(n).sign == oracles.FROZEN_ROW_SIGNS[n], n
 
 
 def test_solver_is_cached():
@@ -241,6 +241,14 @@ def test_solver_covers_n9():
     assert rep.free_count == 7
     assert rep.free_labels == ("b00", "b01", "b11", "b12", "b14", "b16", "b18")
     assert rep.rank == rep.total_unknowns - 7
+
+
+def test_free_count_mismatch_is_typed_at_n9(monkeypatch):
+    # the free-count gate runs at every rank the solver accepts, so a wrong
+    # free-label rule is a FiliformError rather than a failed determinant
+    monkeypatch.setattr(family, "free_labels", lambda n: free_labels(n)[:-1])
+    with pytest.raises(FiliformError, match="expected 6 free coefficients"):
+        solve_leibniz_constraints.__wrapped__(9)
 
 
 def test_solver_rejects_out_of_range():
@@ -284,7 +292,7 @@ def test_tables_satisfy_leibniz(n, seed):
 @pytest.mark.parametrize("n", range(4, 9))
 def test_build_table_matches_loop_reference(n):
     # exact agreement with the hand-derived relations, over exact zeros and
-    # magnitudes 1e-100..1e100; the builder reads the solved null space and
+    # magnitudes 1e-100..1e100; the builder reads the solved relations and
     # never the report's row signs, so the signs are checked against it here
     sign = solve_leibniz_constraints(n).sign
     rng = np.random.default_rng(n)

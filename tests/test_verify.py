@@ -6,7 +6,15 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from filiform_ce import DomainError, MANIFEST, StructureTensor, build_table, verify, verify_all
+from filiform_ce import (
+    DomainError,
+    MANIFEST,
+    StructureTensor,
+    build_table,
+    solve_leibniz_constraints,
+    verify,
+    verify_all,
+)
 from filiform_ce.classify import _ORBIT_MONOMIALS
 from filiform_ce.subsets import SUBSETS
 
@@ -71,6 +79,25 @@ def test_corrupted_signs_are_caught(monkeypatch):
     assert "constraint-reduction" in failed
     notes = {c.check_id: c.notes for c in report.failures()}
     assert "(0, 1, 3)" in notes["leibniz-validity"]
+
+
+def test_globally_flipped_relations_are_caught(monkeypatch):
+    # the free coordinates fix the sign convention, so negating every
+    # relation coefficient at once is an error, not another convention
+    def flipped(n):
+        rep = solve_leibniz_constraints(n)
+        relations = tuple(
+            replace(r, terms=tuple((src, -c) for src, c in r.terms))
+            for r in rep.implied_relations
+        )
+        return replace(rep, implied_relations=relations)
+
+    monkeypatch.setattr(verify, "solve_leibniz_constraints", flipped)
+    ctx = verify._Ctx(rng=np.random.default_rng(1), trials=1)
+    _residual, ok, notes = verify._REGISTRY["constraint-reduction"].fn(ctx)
+    assert not ok
+    # n = 4 has no nonzero relation; n = 5 has b23 = -b14
+    assert notes.startswith("proportionality coefficients differ at n=5")
 
 
 def test_orbit_table_is_checked_against_published_functions(monkeypatch):
