@@ -192,17 +192,16 @@ def _times_power_of_two(a: np.ndarray, e: np.ndarray) -> np.ndarray:
     return out
 
 
-def _row_space(rows: np.ndarray, floor: float = 0.0) -> tuple[int, np.ndarray]:
-    """Rank and an orthonormal basis of the row space, by SVD thresholding.
+def _row_space(rows: np.ndarray, floor: float) -> tuple[int, np.ndarray]:
+    """Rank and an orthonormal basis of the row space of a non-empty matrix,
+    by SVD thresholding.
 
     ``floor`` is an absolute cutoff below which singular values never count,
     whatever the leading one is; without it a matrix consisting entirely of
     rounding dust would be ranked against its own dust scale.
     """
-    if rows.size == 0:
-        return 0, np.zeros((0, rows.shape[1] if rows.ndim == 2 else 0), dtype=complex)
     _, s, vh = np.linalg.svd(rows)
-    if s.size == 0 or s[0] <= floor:
+    if s[0] <= floor:
         return 0, np.zeros((0, rows.shape[1]), dtype=complex)
     rank = int(np.sum(s > max(RANK_RTOL * s[0], floor)))
     return rank, vh[:rank]

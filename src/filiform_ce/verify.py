@@ -12,9 +12,10 @@ values.
 The suite is deterministic: the seed fixes every random draw (each check
 derives its own generator from a hash of ``seed`` and the check id, so
 checks stay independent and order-insensitive), and two runs with the
-same seed produce byte-identical reports.  Individual checks never raise;
-failures are recorded in the report together with the inputs that
-witnessed them, so a discrepancy can be replayed from the report alone.
+same seed produce byte-identical reports.  Every pass/fail decision goes
+through ``_Ctx.gate`` or ``_Ctx.fail``: a check stops at its first failure,
+and the runner records it in the report together with the inputs that
+witnessed it, so a discrepancy can be replayed from the report alone.
 
 ``MANIFEST`` is the frozen list of check ids.  It is compared against the
 registry on every run, so a check cannot be dropped silently.
@@ -25,6 +26,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, replace
+from typing import NoReturn
 
 import numpy as np
 
@@ -71,7 +73,7 @@ from .family import (
     random_params,
     solve_leibniz_constraints,
 )
-from .subsets import PARAM_SLOTS, SUBSETS, free_labels, get_spec, parametric_subsets
+from .subsets import PARAM_SLOTS, SUBSETS, free_labels, parametric_subsets
 from .tensor import (
     StructureTensor,
     bracket,
@@ -94,10 +96,11 @@ class CheckResult:
     """Outcome of one named check.
 
     ``n`` is the rank the check is pinned to, or None for checks that sweep
-    every rank.  ``max_residual`` is the largest deviation the check
-    observed on its golden route ([-1.0] marks an aborted check), and
-    ``notes`` carries either summary statistics or, on failure, the inputs
-    that witnessed the problem.
+    every rank.  ``max_residual`` is the largest value any of the check's
+    gates recorded; 1.0 marks a structural failure and -1.0 an aborted
+    check.  A check stops at its first failed gate, and a NaN fails its
+    gate.  ``notes`` carries either summary statistics or, on failure, the
+    inputs that witnessed the problem.
     """
 
     check_id: str
@@ -172,10 +175,27 @@ class _Check:
     fn: object
 
 
+class _Stop(Exception):
+    """A check failed; the message is its note."""
+
+
 @dataclass
 class _Ctx:
     rng: np.random.Generator
     trials: int
+    worst: float = 0.0
+
+    def gate(self, value: float, bound: float, note) -> None:
+        """Record ``value`` and stop the check unless ``value <= bound``, so
+        NaN fails; ``note()`` builds the failure note."""
+        self.worst = max(self.worst, value)
+        if not value <= bound:
+            raise _Stop(note())
+
+    def fail(self, note: str) -> NoReturn:
+        """Stop the check on a structural failure."""
+        self.worst = 1.0
+        raise _Stop(note)
 
 
 _REGISTRY: dict[str, _Check] = {}
@@ -198,27 +218,39 @@ def _dev(x, y) -> float:
     return abs(x - y) / (1.0 + max(abs(x), abs(y)))
 
 
+def _worst(*values: float) -> float:
+    """The largest of ``values``, or a NaN among them.  Python's ``max``
+    keeps a NaN only in first place, so it would hide a NaN deviation from
+    the gate the value feeds."""
+    for v in values:
+        if v != v:
+            return v
+    return max(values)
+
+
 def _tuple_dev(p: ExtensionParams, q: ExtensionParams) -> float:
-    return max(_dev(a, b) for a, b in zip(p.as_tuple(), q.as_tuple()))
+    return _worst(*(_dev(a, b) for a, b in zip(p.as_tuple(), q.as_tuple())))
 
 
 def _show(p: ExtensionParams) -> str:
     return f"n={p.n} params={p.as_tuple()!r}"
 
 
-def _show_t(t: AdaptedTransform) -> str:
-    return f"transform(A0={t.A0!r}, A1={t.A1!r}, B={t.B!r})"
+def _show_pt(p: ExtensionParams, t: AdaptedTransform) -> str:
+    return f"{_show(p)}, transform(A0={t.A0!r}, A1={t.A1!r}, B={t.B!r})"
+
+
+def _triple_note(table: StructureTensor, p: ExtensionParams) -> str:
+    triple, val = worst_leibniz_triple(table)
+    return f"basis triple {triple} (residual {val:.3e}) for {_show(p)}"
 
 
 # ---------------------------------------------------------------------------
 # checks: table construction
 
 
-def _chk_leibniz_validity(ctx: _Ctx) -> tuple[float, bool, str]:
+def _chk_leibniz_validity(ctx: _Ctx) -> str:
     """Random tables over the solved family satisfy the bracket identity."""
-    worst, note = 0.0, ""
-    ok = True
-    count = 0
     for n in N_RANGE:
         for _ in range(ctx.trials):
             p = random_params(n, rng=ctx.rng)
@@ -229,22 +261,16 @@ def _chk_leibniz_validity(ctx: _Ctx) -> tuple[float, bool, str]:
                     vals[i] = 0j
             p = params_from_tuple(n, vals)
             table = build_table(p)
-            res = leibniz_residual(table) / table.scale()
-            worst = max(worst, res)
-            count += 1
-            if res > 1e-9 and ok:
-                ok = False
-                triple, val = worst_leibniz_triple(table)
-                note = (
-                    f"bracket identity violated at basis triple {triple} "
-                    f"(residual {val:.3e}) for {_show(p)}"
-                )
-    return worst, ok, note or f"{count} random tables checked"
+            ctx.gate(
+                leibniz_residual(table) / table.scale(),
+                1e-9,
+                lambda: f"bracket identity violated at {_triple_note(table, p)}",
+            )
+    return f"{len(N_RANGE) * ctx.trials} random tables checked"
 
 
-def _chk_table_structure(ctx: _Ctx) -> tuple[float, bool, str]:
+def _chk_table_structure(ctx: _Ctx) -> str:
     """Tables carry the chain skeleton, a central top vector, and read back."""
-    worst, ok, note = 0.0, True, ""
     for n in N_RANGE:
         for _ in range(ctx.trials):
             p = random_params(n, rng=ctx.rng)
@@ -252,21 +278,17 @@ def _chk_table_structure(ctx: _Ctx) -> tuple[float, bool, str]:
             g = table.gamma
             for i in range(1, n):
                 if g[i, 0, i + 1] != 1 or g[0, i, i + 1] != -1:
-                    return 1.0, False, f"chain skeleton broken at row {i} for {_show(p)}"
+                    ctx.fail(f"chain skeleton broken at row {i} for {_show(p)}")
             if np.any(g[n, :, :] != 0) or np.any(g[:, n, :] != 0):
-                return 1.0, False, f"top vector is not central for {_show(p)}"
+                ctx.fail(f"top vector is not central for {_show(p)}")
             off = g[:, :, :n].copy()
             for i in range(1, n - 1):
                 off[i, 0, i + 1] -= 1
                 off[0, i, i + 1] += 1
             if np.max(np.abs(off)) != 0:
-                return 1.0, False, f"bracket values spill outside the center for {_show(p)}"
-            q = read_params(table)
-            dev = _tuple_dev(p, q)
-            worst = max(worst, dev)
-            if dev > 1e-12 and ok:
-                ok = False
-                note = f"parameter read-back drifted by {dev:.3e} for {_show(p)}"
+                ctx.fail(f"bracket values spill outside the center for {_show(p)}")
+            dev = _tuple_dev(p, read_params(table))
+            ctx.gate(dev, 1e-12, lambda: f"parameter read-back drifted by {dev:.3e} for {_show(p)}")
         # an off-pattern entry must be rejected, with its location reported
         p = random_params(n, rng=ctx.rng)
         g = build_table(p).gamma.copy()
@@ -275,25 +297,25 @@ def _chk_table_structure(ctx: _Ctx) -> tuple[float, bool, str]:
             read_params(StructureTensor(g))
         except TableShapeError as exc:
             if (2, 2, n) not in [e[0] for e in exc.entries]:
-                return 1.0, False, f"shape rejection at n={n} missed entry (2, 2, {n})"
+                ctx.fail(f"shape rejection at n={n} missed entry (2, 2, {n})")
         else:
-            return 1.0, False, f"off-pattern table accepted at n={n}"
-    return worst, ok, note or "skeleton, centrality, and read-back verified"
+            ctx.fail(f"off-pattern table accepted at n={n}")
+    return "skeleton, centrality, and read-back verified"
 
 
-def _chk_central_series(ctx: _Ctx) -> tuple[float, bool, str]:
+def _chk_central_series(ctx: _Ctx) -> str:
     """Base algebras and extensions have the one-step-deep filiform series."""
     for n in N_RANGE:
         expected = [n + 1] + list(range(n - 1, -1, -1))
         mu = build_mu(n)
         if lower_central_series(mu) != expected or not is_filiform(mu):
-            return 1.0, False, f"base algebra series wrong at n={n}: {lower_central_series(mu)}"
+            ctx.fail(f"base algebra series wrong at n={n}: {lower_central_series(mu)}")
         for p in (random_params(n, rng=ctx.rng), params_from_tuple(n, [0] * len(PARAM_SLOTS[n]))):
             table = build_table(p)
             got = lower_central_series(table)
             if got != expected or not is_filiform(table):
-                return 1.0, False, f"extension series wrong for {_show(p)}: {got}"
-    return 0.0, True, "descending series profile matches at every rank"
+                ctx.fail(f"extension series wrong for {_show(p)}: {got}")
+    return "descending series profile matches at every rank"
 
 
 def _expected_relations(n: int) -> dict[str, tuple[str, int] | None]:
@@ -320,49 +342,42 @@ def _expected_relations(n: int) -> dict[str, tuple[str, int] | None]:
     return out
 
 
-def _chk_constraint_reduction(ctx: _Ctx) -> tuple[float, bool, str]:
+def _chk_constraint_reduction(ctx: _Ctx) -> str:
     """The solved constraint system matches the closed-form reduction."""
     expected_counts = {4: 4, 5: 5, 6: 5, 7: 6, 8: 6}
-    worst = 0.0
     for n in N_RANGE:
         rep = solve_leibniz_constraints(n)
         free = set(rep.free_labels)
         if free != set(free_labels(n)) or rep.free_count != expected_counts[n]:
-            return 1.0, False, f"free coordinates at n={n}: got {sorted(free)}"
+            ctx.fail(f"free coordinates at n={n}: got {sorted(free)}")
         if rep.rank != rep.total_unknowns - rep.free_count:
-            return 1.0, False, f"rank {rep.rank} inconsistent at n={n}"
+            ctx.fail(f"rank {rep.rank} inconsistent at n={n}")
         got = {r.target: list(r.terms) for r in rep.implied_relations}
         want = _expected_relations(n)
         if set(got) != set(want):
-            return 1.0, False, f"dependent coordinates differ at n={n}: {sorted(got)}"
+            ctx.fail(f"dependent coordinates differ at n={n}: {sorted(got)}")
+        differ = f"proportionality coefficients differ at n={n}: {got}"
         peak = 0.0
         for label, expect in want.items():
             terms = got[label]
             if expect is None:
-                peak = max(peak, max((abs(c) for _, c in terms), default=0.0))
+                peak = _worst(peak, *(abs(c) for _, c in terms))
             elif len(terms) == 1 and terms[0][0] == expect[0]:
-                peak = max(peak, abs(terms[0][1] - expect[1]))
+                peak = _worst(peak, abs(terms[0][1] - expect[1]))
             else:
-                peak = np.inf
-        if peak > 1e-9:
-            return 1.0, False, f"proportionality coefficients differ at n={n}: {got}"
-        worst = max(worst, peak)
+                ctx.fail(differ)
+        ctx.gate(peak, 1e-9, lambda: differ)
         # the solved relations must produce genuinely closed tables
         for _ in range(max(1, ctx.trials // 10)):
             p = random_params(n, rng=ctx.rng)
             table = build_table(p)
-            res = leibniz_residual(table) / table.scale()
-            worst = max(worst, res)
-            if res > 1e-9:
-                triple, val = worst_leibniz_triple(table)
-                return (
-                    worst,
-                    False,
-                    f"solved relations leave the identity open at n={n}, "
-                    f"basis triple {triple} (residual {val:.3e}) for {_show(p)}",
-                )
-    note = "free counts, relations, and row signs reproduced"
-    return worst, True, note
+            ctx.gate(
+                leibniz_residual(table) / table.scale(),
+                1e-9,
+                lambda: f"solved relations leave the identity open at n={n}, "
+                f"{_triple_note(table, p)}",
+            )
+    return "free counts, relations, and row signs reproduced"
 
 
 # ---------------------------------------------------------------------------
@@ -416,7 +431,7 @@ def _tail_trivial(p: ExtensionParams, generators: list[ElementaryTransform]) -> 
             q = read_params(change_basis(build_table(p), _generator_matrix(e, p)))
         except TableShapeError:
             return False
-        if _tuple_dev(p, q) > 1e-8:
+        if not _tuple_dev(p, q) <= 1e-8:
             return False
     return True
 
@@ -429,9 +444,8 @@ def _naive_factors(t: AdaptedTransform) -> list[ElementaryTransform]:
     return [tau(t.A1 / t.A0, 1), *shifts, upsilon(t.A0, b1)]
 
 
-def _chk_adapted_form(ctx: _Ctx) -> tuple[float, bool, str]:
+def _chk_adapted_form(ctx: _Ctx) -> str:
     """Reduced matrices have the adapted shape and invert/compose correctly."""
-    worst = 0.0
     for n in N_RANGE:
         for _ in range(max(1, ctx.trials // 2)):
             p = random_params(n, rng=ctx.rng)
@@ -443,17 +457,16 @@ def _chk_adapted_form(ctx: _Ctx) -> tuple[float, bool, str]:
             dev = float(np.max(np.abs(m[:, 0] - col0)))
             table = build_table(p)
             for i in range(1, n):
-                dev = max(dev, float(np.max(np.abs(bracket(table, m[:, i], m[:, 0]) - m[:, i + 1]))))
+                step = bracket(table, m[:, i], m[:, 0]) - m[:, i + 1]
+                dev = _worst(dev, float(np.max(np.abs(step))))
             t2 = transform_from_matrix(m, n)
-            dev = max(dev, _dev(t.A0, t2.A0), _dev(t.A1, t2.A1))
-            dev = max(dev, max(_dev(a, b) for a, b in zip(t.B, t2.B)))
+            dev = _worst(dev, _dev(t.A0, t2.A0), _dev(t.A1, t2.A1))
+            dev = _worst(dev, *(_dev(a, b) for a, b in zip(t.B, t2.B)))
             q = act_on_params(t, p)
-            dev = max(dev, _tuple_dev(act_on_params(inverse_transform(t, p), q), p))
+            dev = _worst(dev, _tuple_dev(act_on_params(inverse_transform(t, p), q), p))
             s = random_transform(n, b=q.b, rng=ctx.rng)
-            dev = max(dev, _tuple_dev(act_on_params(compose(t, s, p), p), act_on_params(s, q)))
-            worst = max(worst, dev)
-            if dev > 1e-8:
-                return worst, False, f"adapted-shape deviation {dev:.3e} for {_show(p)}, {_show_t(t)}"
+            dev = _worst(dev, _tuple_dev(act_on_params(compose(t, s, p), p), act_on_params(s, q)))
+            ctx.gate(dev, 1e-8, lambda: f"adapted-shape deviation {dev:.3e} for {_show_pt(p, t)}")
         for bad in (
             AdaptedTransform(n, 0, 1, (1,) + (0,) * (n - 3)),
             AdaptedTransform(n, 1, 0, (0,) + (0,) * (n - 3)),
@@ -463,7 +476,7 @@ def _chk_adapted_form(ctx: _Ctx) -> tuple[float, bool, str]:
             except DegenerateTransformError:
                 pass
             else:
-                return worst, False, f"degenerate transform accepted at n={n}"
+                ctx.fail(f"degenerate transform accepted at n={n}")
         if n % 2 == 1:
             p = random_params(n, rng=ctx.rng)
             shearless = AdaptedTransform(n, p.b, -1, (1,) + (0,) * (n - 3))
@@ -472,20 +485,19 @@ def _chk_adapted_form(ctx: _Ctx) -> tuple[float, bool, str]:
             except DegenerateTransformError:
                 pass
             else:
-                return worst, False, f"vanishing shear accepted at n={n}"
-    return worst, True, "shape, inversion, composition, and degeneracy guards hold"
+                ctx.fail(f"vanishing shear accepted at n={n}")
+    return "shape, inversion, composition, and degeneracy guards hold"
 
 
-def _chk_elementary_decomposition(ctx: _Ctx) -> tuple[float, bool, str]:
+def _chk_elementary_decomposition(ctx: _Ctx) -> str:
     """Generator factorization reproduces the transform, at both levels."""
-    worst = 0.0
     for n in N_RANGE:
         for _ in range(max(1, ctx.trials // 2)):
             p = random_params(n, rng=ctx.rng)
             t = random_transform(n, b=p.b, rng=ctx.rng)
             factors = elementary_factors(t)
             if factors[0].kind != "tau" or factors[-1].kind != "upsilon":
-                return 1.0, False, f"factor order broken at n={n}"
+                ctx.fail(f"factor order broken at n={n}")
             direct = act_on_params(t, p)
             q = p
             m_total = np.eye(n + 1, dtype=complex)
@@ -494,68 +506,48 @@ def _chk_elementary_decomposition(ctx: _Ctx) -> tuple[float, bool, str]:
                 q = act_on_params(elementary_to_adapted(e, n), q)
             dev = _tuple_dev(q, direct)
             via_tensor = read_params(change_basis(build_table(p), m_total))
-            dev = max(dev, _tuple_dev(via_tensor, direct))
-            worst = max(worst, dev)
-            if dev > 1e-9:
-                return (
-                    worst,
-                    False,
-                    f"factor composite deviates by {dev:.3e} for {_show(p)}, {_show_t(t)}",
-                )
-    return worst, True, "triangular factor coefficients recompose exactly"
+            dev = _worst(dev, _tuple_dev(via_tensor, direct))
+            ctx.gate(dev, 1e-9, lambda: f"factor composite deviates by {dev:.3e} for {_show_pt(p, t)}")
+    return "triangular factor coefficients recompose exactly"
 
 
-def _chk_tail_triviality(ctx: _Ctx) -> tuple[float, bool, str]:
+def _chk_tail_triviality(ctx: _Ctx) -> str:
     """Shift/shear generators past the adapted window leave parameters alone."""
     for n in N_RANGE:
         seed = int(ctx.rng.integers(2**31))
         gens = _tail_generators(n, np.random.default_rng(seed))
         if not _tail_trivial(random_params(n, seed=seed), gens):
-            return 1.0, False, f"tail generator moved the parameters at n={n} (seed {seed})"
+            ctx.fail(f"tail generator moved the parameters at n={n} (seed {seed})")
         if _tail_trivial(random_params(n, rng=ctx.rng), [tau(1.0, 1)]):
-            return 1.0, False, f"control failed at n={n}: the shear into e_1 looked trivial"
-    return 0.0, True, "trivial tails confirmed; non-tail control detected"
+            ctx.fail(f"control failed at n={n}: the shear into e_1 looked trivial")
+    return "trivial tails confirmed; non-tail control detected"
 
 
-def _chk_action_general(ctx: _Ctx) -> tuple[float, bool, str]:
+def _chk_action_general(ctx: _Ctx) -> str:
     """The double coefficient sum agrees with explicit basis changes."""
-    worst = 0.0
     for n in N_RANGE:
         for _ in range(max(1, ctx.trials // 5)):
             p = random_params(n, rng=ctx.rng)
             t = random_transform(n, b=p.b, rng=ctx.rng)
             summed = _coefficient_sum(t, p)
             oracle = read_params(change_basis(build_table(p), adapted_matrix(t, p)))
-            dev = max(_dev(a, b) for a, b in zip(summed.b_even, oracle.b_even))
-            worst = max(worst, dev)
-            if dev > 1e-9:
-                return (
-                    worst,
-                    False,
-                    f"coefficient sum off by {dev:.3e} for {_show(p)}, {_show_t(t)}",
-                )
-    return worst, True, "even rows from the general sum match the tensor route"
+            dev = _worst(*(_dev(a, b) for a, b in zip(summed.b_even, oracle.b_even)))
+            ctx.gate(dev, 1e-9, lambda: f"coefficient sum off by {dev:.3e} for {_show_pt(p, t)}")
+    return "even rows from the general sum match the tensor route"
 
 
 def _make_closed_forms_check(n: int):
-    def run(ctx: _Ctx) -> tuple[float, bool, str]:
-        worst = 0.0
+    """Closed-form parameter action equals the basis-change route at rank n."""
+
+    def run(ctx: _Ctx) -> str:
         for _ in range(ctx.trials):
             p = random_params(n, rng=ctx.rng)
             t = random_transform(n, b=p.b, rng=ctx.rng)
-            direct = act_on_params(t, p)
             oracle = read_params(change_basis(build_table(p), adapted_matrix(t, p)))
-            dev = _tuple_dev(direct, oracle)
-            worst = max(worst, dev)
-            if dev > 1e-8:
-                return (
-                    worst,
-                    False,
-                    f"closed form deviates by {dev:.3e} for {_show(p)}, {_show_t(t)}",
-                )
-        return worst, True, f"{ctx.trials} transform/parameter pairs agree"
+            dev = _tuple_dev(act_on_params(t, p), oracle)
+            ctx.gate(dev, 1e-8, lambda: f"closed form deviates by {dev:.3e} for {_show_pt(p, t)}")
+        return f"{ctx.trials} transform/parameter pairs agree"
 
-    run.__doc__ = f"Closed-form parameter action equals the basis-change route at n={n}."
     return run
 
 
@@ -583,90 +575,77 @@ _PUBLISHED_ORBIT = {
 
 
 def _make_orbit_family_check(n: int, cell: str):
+    """Orbit function and normal-form value behave on one parametric cell."""
     published = _PUBLISHED_ORBIT[n, cell]
 
-    def run(ctx: _Ctx) -> tuple[float, bool, str]:
-        worst = 0.0
+    def run(ctx: _Ctx) -> str:
         for _ in range(ctx.trials):
             p = random_params(n, cell, rng=ctx.rng)
             label = classify(p)
             if label.subset != cell or label.lam is None:
-                return 1.0, False, f"member classified as {label.subset} for {_show(p)}"
+                ctx.fail(f"member classified as {label.subset} for {_show(p)}")
             dev = _tuple_dev(act_on_params(label.witness, p), label.representative)
-            worst = max(worst, dev)
-            if dev > 1e-6:
-                return worst, False, f"witness misses the normal form by {dev:.3e} for {_show(p)}"
+            ctx.gate(dev, 1e-6, lambda: f"witness misses the normal form by {dev:.3e} for {_show(p)}")
             dev = _dev(label.invariants.orbit_value, published(p))
-            worst = max(worst, dev)
-            if dev > 1e-9:
-                return worst, False, f"orbit value off the published function by {dev:.3e} for {_show(p)}"
+            ctx.gate(
+                dev, 1e-9, lambda: f"orbit value off the published function by {dev:.3e} for {_show(p)}"
+            )
         for _ in range(max(1, ctx.trials // 2)):
             p = random_params(n, cell, rng=ctx.rng)
             t = random_transform(n, b=p.b, rng=ctx.rng)
             q = act_on_params(t, p)
             if subset_of(q) != cell:
-                return worst, False, f"cell membership not stable for {_show(p)}, {_show_t(t)}"
+                ctx.fail(f"cell membership not stable for {_show_pt(p, t)}")
             vp, vq = orbit_invariant(p), orbit_invariant(q)
-            drift = _dev(vp, vq)
-            worst = max(worst, drift)
-            if drift > 1e-6:
-                return (
-                    worst,
-                    False,
-                    f"orbit function drifts by {drift:.3e} for {_show(p)}, {_show_t(t)}",
-                )
-            dev = max(_dev(vp, published(p)), _dev(vq, published(q)))
-            worst = max(worst, dev)
-            if dev > 1e-9:
-                return (
-                    worst,
-                    False,
-                    f"orbit value off the published function by {dev:.3e} for {_show(p)}, {_show_t(t)}",
-                )
-            same, _w = isomorphic(p, q)
-            if not same:
-                return worst, False, f"member not matched with its image for {_show(p)}, {_show_t(t)}"
+            dev = _dev(vp, vq)
+            ctx.gate(dev, 1e-6, lambda: f"orbit function drifts by {dev:.3e} for {_show_pt(p, t)}")
+            dev = _worst(_dev(vp, published(p)), _dev(vq, published(q)))
+            ctx.gate(
+                dev,
+                1e-9,
+                lambda: f"orbit value off the published function by {dev:.3e} for {_show_pt(p, t)}",
+            )
+            if not isomorphic(p, q)[0]:
+                ctx.fail(f"member not matched with its image for {_show_pt(p, t)}")
         order = STABILIZERS.get((n, cell), (1, 0))[0]
         for _ in range(max(1, ctx.trials // 2)):
             lam = complex((0.3 + 1.7 * ctx.rng.random()) * np.exp(2j * np.pi * ctx.rng.random()))
             rep = representative_params(n, cell, lam)
             back = classify(rep)
-            dev = _dev(back.lam, lam)
-            worst = max(worst, dev)
-            if dev > 1e-9:
-                return worst, False, f"normal-form value not recovered: {lam!r} -> {back.lam!r}"
+            ctx.gate(
+                _dev(back.lam, lam),
+                1e-9,
+                lambda: f"normal-form value not recovered: {lam!r} -> {back.lam!r}",
+            )
             other = representative_params(n, cell, 1.3 * lam)
-            same, _w = isomorphic(rep, other)
-            if same:
-                return worst, False, f"distinct normal forms conflated at lam={lam!r}"
-            dev = max(
+            if isomorphic(rep, other)[0]:
+                ctx.fail(f"distinct normal forms conflated at lam={lam!r}")
+            dev = _worst(
                 _dev(back.invariants.orbit_value, published(rep)),
                 _dev(orbit_invariant(other), published(other)),
             )
             if order > 1:
                 root = complex(np.exp(2j * np.pi / order))
                 image = representative_params(n, cell, root * lam)
-                same, _w = isomorphic(rep, image)
-                if not same:
-                    return worst, False, f"stabilizer root refused at lam={lam!r}"
+                if not isomorphic(rep, image)[0]:
+                    ctx.fail(f"stabilizer root refused at lam={lam!r}")
                 value = orbit_invariant(image)
-                ov = _dev(back.invariants.orbit_value, value)
-                worst = max(worst, ov)
-                if ov > 1e-9:
-                    return worst, False, f"orbit function not stabilizer-blind at lam={lam!r}"
-                dev = max(dev, _dev(value, published(image)))
-            worst = max(worst, dev)
-            if dev > 1e-9:
-                return worst, False, f"orbit value off the published function at lam={lam!r}"
-        return worst, True, "constancy, recovery, separation, and stabilizer orbits hold"
+                ctx.gate(
+                    _dev(back.invariants.orbit_value, value),
+                    1e-9,
+                    lambda: f"orbit function not stabilizer-blind at lam={lam!r}",
+                )
+                dev = _worst(dev, _dev(value, published(image)))
+            ctx.gate(dev, 1e-9, lambda: f"orbit value off the published function at lam={lam!r}")
+        return "constancy, recovery, separation, and stabilizer orbits hold"
 
-    run.__doc__ = f"Orbit function and normal-form value behave on the {cell} family at n={n}."
     return run
 
 
 def _make_single_orbit_check(n: int):
-    def run(ctx: _Ctx) -> tuple[float, bool, str]:
-        worst = 0.0
+    """Every non-parametric cell at rank n is one orbit with the listed normal form."""
+
+    def run(ctx: _Ctx) -> str:
         cells = [s.name for s in SUBSETS[n] if not s.parametric]
         for cell in cells:
             rep_table = build_table(representative_params(n, cell))
@@ -675,55 +654,47 @@ def _make_single_orbit_check(n: int):
                 try:
                     label = canonicalize(p)
                 except CanonicalizationError as exc:
-                    return 1.0, False, f"normal form unreachable for {_show(p)}: {exc}"
+                    ctx.fail(f"normal form unreachable for {_show(p)}: {exc}")
                 if label.subset != cell or label.lam is not None:
-                    return 1.0, False, f"member of {cell} classified as {label.subset} for {_show(p)}"
+                    ctx.fail(f"member of {cell} classified as {label.subset} for {_show(p)}")
                 dev = _tuple_dev(act_on_params(label.witness, p), label.representative)
                 if k < 10:
                     moved = change_basis(build_table(p), adapted_matrix(label.witness, p))
-                    dev = max(dev, float(np.max(np.abs(moved.gamma - rep_table.gamma))))
-                worst = max(worst, dev)
-                if dev > 1e-6:
-                    return worst, False, f"{cell} witness off by {dev:.3e} for {_show(p)}"
-        return worst, True, f"{len(cells)} single-orbit cells collapse to their normal forms"
+                    dev = _worst(dev, float(np.max(np.abs(moved.gamma - rep_table.gamma))))
+                ctx.gate(dev, 1e-6, lambda: f"{cell} witness off by {dev:.3e} for {_show(p)}")
+        return f"{len(cells)} single-orbit cells collapse to their normal forms"
 
-    run.__doc__ = f"Every non-parametric cell at n={n} is one orbit with the listed normal form."
     return run
 
 
-def _chk_representative_separation(ctx: _Ctx) -> tuple[float, bool, str]:
+def _chk_representative_separation(ctx: _Ctx) -> str:
     """Listed normal forms are pairwise non-equivalent and self-equivalent."""
     pairs = 0
     for n in N_RANGE:
         reps = representatives(n)
         for cell, rep, _param in reps:
             if subset_of(rep) != cell:
-                return 1.0, False, f"normal form of {cell} at n={n} classifies as {subset_of(rep)}"
+                ctx.fail(f"normal form of {cell} at n={n} classifies as {subset_of(rep)}")
             same, wit = isomorphic(rep, rep)
-            if not same or abs(wit.A0 - 1) > 1e-9:
-                return 1.0, False, f"self-equivalence broken for {cell} at n={n}"
+            if not same or not abs(wit.A0 - 1) <= 1e-9:
+                ctx.fail(f"self-equivalence broken for {cell} at n={n}")
         for i in range(len(reps)):
             for j in range(i + 1, len(reps)):
-                same, _w = isomorphic(reps[i][1], reps[j][1])
                 pairs += 1
-                if same:
-                    return (
-                        1.0,
-                        False,
-                        f"normal forms conflated at n={n}: {reps[i][0]} vs {reps[j][0]}",
-                    )
-    return 0.0, True, f"{pairs} ordered pairs separated"
+                if isomorphic(reps[i][1], reps[j][1])[0]:
+                    ctx.fail(f"normal forms conflated at n={n}: {reps[i][0]} vs {reps[j][0]}")
+    return f"{pairs} ordered pairs separated"
 
 
-def _chk_subset_coverage(ctx: _Ctx) -> tuple[float, bool, str]:
+def _chk_subset_coverage(ctx: _Ctx) -> str:
     """The cells partition parameter space: disjoint, exhaustive, well-counted."""
     counts = {4: 9, 5: 13, 6: 13, 7: 17, 8: 17}
     for n in N_RANGE:
         specs = SUBSETS[n]
         if [s.name for s in specs] != [f"U_{i}" for i in range(1, counts[n] + 1)]:
-            return 1.0, False, f"cell count at n={n}: {len(specs)}"
+            ctx.fail(f"cell count at n={n}: {len(specs)}")
         if len(parametric_subsets(n)) != {4: 1, 5: 2, 6: 2, 7: 3, 8: 3}[n]:
-            return 1.0, False, f"parametric cell count wrong at n={n}"
+            ctx.fail(f"parametric cell count wrong at n={n}")
         probes = []
         for _ in range(ctx.trials):
             p = random_params(n, rng=ctx.rng)
@@ -742,17 +713,17 @@ def _chk_subset_coverage(ctx: _Ctx) -> tuple[float, bool, str]:
                 if all(flags[slot] == want for slot, want in s.conditions)
             ]
             if len(hits) != 1:
-                return 1.0, False, f"cells {hits} all match {_show(p)}"
+                ctx.fail(f"cells {hits} all match {_show(p)}")
             if subset_of(p) != hits[0]:
-                return 1.0, False, f"first-match disagrees with unique match for {_show(p)}"
-    return 0.0, True, "cells are disjoint and exhaustive at every rank"
+                ctx.fail(f"first-match disagrees with unique match for {_show(p)}")
+    return "cells are disjoint and exhaustive at every rank"
 
 
 # ---------------------------------------------------------------------------
 # checks: transcription variants
 
 
-def _chk_variant_report(ctx: _Ctx) -> tuple[float, bool, str]:
+def _chk_variant_report(ctx: _Ctx) -> str:
     """Side-by-side deviations of circulating variant transcriptions.
 
     Each entry re-computes a quantity two ways: the shipped route (gated
@@ -760,18 +731,13 @@ def _chk_variant_report(ctx: _Ctx) -> tuple[float, bool, str]:
     in print (gated *large*, so the report proves the shipped correction is
     load-bearing rather than stylistic).
     """
-    shipped_worst = 0.0
     entries: list[tuple[str, float]] = []
 
-    def gate(name: str, shipped: float, variant: float) -> str | None:
-        nonlocal shipped_worst
-        shipped_worst = max(shipped_worst, shipped)
+    def gate(name: str, shipped: float, variant: float) -> None:
+        ctx.gate(shipped, 1e-9, lambda: f"{name}: shipped route off by {shipped:.3e}")
+        if not variant >= 1e-4:
+            ctx.fail(f"{name}: variant unexpectedly agrees (dev {variant:.3e})")
         entries.append((name, variant))
-        if shipped > 1e-9:
-            return f"{name}: shipped route off by {shipped:.3e}"
-        if variant < 1e-4:
-            return f"{name}: variant unexpectedly agrees (dev {variant:.3e})"
-        return None
 
     reps = max(3, ctx.trials // 10)
 
@@ -783,11 +749,9 @@ def _chk_variant_report(ctx: _Ctx) -> tuple[float, bool, str]:
         oracle = read_params(change_basis(build_table(p), adapted_matrix(t, p)))
         wide = _coefficient_sum(t, p)
         narrow = _coefficient_sum(t, p, narrow=True)
-        ship = max(ship, max(_dev(a, b) for a, b in zip(wide.b_even, oracle.b_even)))
-        var = max(var, max(_dev(a, b) for a, b in zip(narrow.b_even, oracle.b_even)))
-    bad = gate("general-sum-narrow-bounds", ship, var)
-    if bad:
-        return shipped_worst, False, bad
+        ship = _worst(ship, *(_dev(a, b) for a, b in zip(wide.b_even, oracle.b_even)))
+        var = _worst(var, *(_dev(a, b) for a, b in zip(narrow.b_even, oracle.b_even)))
+    gate("general-sum-narrow-bounds", ship, var)
 
     # three variant readings of the rank-7 closed forms
     devs = {"e12-doubled-denominator": 0.0, "e12-cubed-shift": 0.0, "e14-row-scale": 0.0}
@@ -797,7 +761,7 @@ def _chk_variant_report(ctx: _Ctx) -> tuple[float, bool, str]:
         t = random_transform(7, b=p.b, rng=ctx.rng)
         oracle = read_params(change_basis(build_table(p), adapted_matrix(t, p)))
         direct = act_on_params(t, p)
-        ship = max(ship, _tuple_dev(direct, oracle))
+        ship = _worst(ship, _tuple_dev(direct, oracle))
         b1, b2, b3, b4, b5 = (t.coeff_B(k) for k in range(1, 6))
         shear = t.A0 + t.A1 * p.b
         e12_num = (
@@ -805,20 +769,18 @@ def _chk_variant_report(ctx: _Ctx) -> tuple[float, bool, str]:
             + (2 * b1 * b3 - b2 * b2) * p.b14
             + (2 * b2 * b4 - 2 * b1 * b5 - b3 * b3) * p.b
         )
-        devs["e12-doubled-denominator"] = max(
+        devs["e12-doubled-denominator"] = _worst(
             devs["e12-doubled-denominator"],
             _dev(e12_num / (2 * t.A0**4 * b1 * shear), oracle.b12),
         )
         cubed = e12_num + (b3 * b3 - b3**3) * p.b
-        devs["e12-cubed-shift"] = max(
+        devs["e12-cubed-shift"] = _worst(
             devs["e12-cubed-shift"], _dev(cubed / (t.A0**4 * b1 * shear), oracle.b12)
         )
         e14_var = (-b1 * p.b14 + (b2 * b2 - 2 * b1 * b3) * p.b) / (t.A0**2 * b1 * shear)
-        devs["e14-row-scale"] = max(devs["e14-row-scale"], _dev(e14_var, oracle.b14))
+        devs["e14-row-scale"] = _worst(devs["e14-row-scale"], _dev(e14_var, oracle.b14))
     for name, value in devs.items():
-        bad = gate(f"closed-form-{name}", ship, value)
-        if bad:
-            return shipped_worst, False, bad
+        gate(f"closed-form-{name}", ship, value)
 
     # the top-chain sign pattern at rank 5
     ship = var = 0.0
@@ -826,14 +788,12 @@ def _chk_variant_report(ctx: _Ctx) -> tuple[float, bool, str]:
         p = random_params(5, "U_1", rng=ctx.rng)
         table = build_table(p)
         scale = table.scale()
-        ship = max(ship, leibniz_residual(table) / scale)
+        ship = _worst(ship, leibniz_residual(table) / scale)
         g = table.gamma.copy()
         g[1, 4, 5] = p.b
         g[4, 1, 5] = -p.b
-        var = max(var, leibniz_residual(StructureTensor(g)) / scale)
-    bad = gate("chain-sign-alignment", ship, var)
-    if bad:
-        return shipped_worst, False, bad
+        var = _worst(var, leibniz_residual(StructureTensor(g)) / scale)
+    gate("chain-sign-alignment", ship, var)
 
     # discriminant power in the rank-7 third-family orbit function
     published = _PUBLISHED_ORBIT[7, "U_9"]
@@ -842,13 +802,11 @@ def _chk_variant_report(ctx: _Ctx) -> tuple[float, bool, str]:
         p = random_params(7, "U_9", rng=ctx.rng)
         t = random_transform(7, b=p.b, rng=ctx.rng)
         q = act_on_params(t, p)
-        ship = max(ship, _dev(published(p), published(q)))
+        ship = _worst(ship, _dev(published(p), published(q)))
         vp = (p.b12 / p.b11) ** 10 * p.delta**3
         vq = (q.b12 / q.b11) ** 10 * q.delta**3
-        var = max(var, _dev(vp, vq))
-    bad = gate("orbit-power-third-family", ship, var)
-    if bad:
-        return shipped_worst, False, bad
+        var = _worst(var, _dev(vp, vq))
+    gate("orbit-power-third-family", ship, var)
 
     # branch of the 2n-4-th root in the discriminant normal form
     ship = var = 0.0
@@ -856,14 +814,12 @@ def _chk_variant_report(ctx: _Ctx) -> tuple[float, bool, str]:
         p = random_params(4, "U_2", rng=ctx.rng)
         rep = representative_params(4, "U_2")
         label = canonicalize(p)
-        ship = max(ship, _tuple_dev(act_on_params(label.witness, p), rep))
+        ship = _worst(ship, _tuple_dev(act_on_params(label.witness, p), rep))
         a0 = (p.delta / 4) ** 0.25
         a1 = -a0 * p.b01 / (2 * p.b11)
         tvar = AdaptedTransform(4, a0, a1, (a0**3 / p.b11, 0))
-        var = max(var, _tuple_dev(act_on_params(tvar, p), rep))
-    bad = gate("normal-form-root-branch", ship, var)
-    if bad:
-        return shipped_worst, False, bad
+        var = _worst(var, _tuple_dev(act_on_params(tvar, p), rep))
+    gate("normal-form-root-branch", ship, var)
 
     # uncorrected per-slot shift coefficients in the factorization
     ship = var = 0.0
@@ -878,13 +834,11 @@ def _chk_variant_report(ctx: _Ctx) -> tuple[float, bool, str]:
                 for e in factors:
                     q = act_on_params(elementary_to_adapted(e, n), q)
                 devs.append(_tuple_dev(q, direct))
-            ship, var = max(ship, devs[0]), max(var, devs[1])
-    bad = gate("factor-coefficients-uncorrected", ship, var)
-    if bad:
-        return shipped_worst, False, bad
+            ship, var = _worst(ship, devs[0]), _worst(var, devs[1])
+    gate("factor-coefficients-uncorrected", ship, var)
 
     body = "; ".join(f"{name} {value:.2e}" for name, value in entries)
-    return shipped_worst, True, f"variant deviations (shipped routes exact): {body}"
+    return f"variant deviations (shipped routes exact): {body}"
 
 
 # ---------------------------------------------------------------------------
@@ -969,9 +923,12 @@ def verify_all(seed: int = 1, trials: int = 100) -> VerificationReport:
     for check_id in sorted(_REGISTRY):
         check = _REGISTRY[check_id]
         ctx = _Ctx(rng=np.random.default_rng(_check_seed(seed, check_id)), trials=trials)
+        ok = False
         try:
-            residual, ok, notes = check.fn(ctx)
+            notes, ok = check.fn(ctx), True
+        except _Stop as stop:
+            notes = str(stop)
         except Exception as exc:  # a crashed check is a failed check
-            residual, ok, notes = -1.0, False, f"aborted: {type(exc).__name__}: {exc}"
-        results.append(CheckResult(check_id, check.n, trials, float(residual), ok, notes))
+            ctx.worst, notes = -1.0, f"aborted: {type(exc).__name__}: {exc}"
+        results.append(CheckResult(check_id, check.n, trials, float(ctx.worst), ok, notes))
     return VerificationReport(seed=seed, trials=trials, checks=tuple(results))

@@ -43,7 +43,7 @@ from filiform_ce import (
     transform_from_matrix,
     upsilon,
 )
-from filiform_ce.action import _compiled
+from filiform_ce.action import ElementaryTransform, _compiled
 from filiform_ce.classify import _PLANS
 from filiform_ce.subsets import PARAM_SLOTS
 from filiform_ce.verify import _coefficient_sum, _naive_factors, _tail_generators, _tail_trivial
@@ -108,6 +108,11 @@ def test_degenerate_transforms_rejected():
         act_on_params(AdaptedTransform(4, 0, 1, (1, 0)), p)
     with pytest.raises(DegenerateTransformError):
         act_on_params(AdaptedTransform(4, 1, 0, (0, 1)), p)
+
+
+def test_rank_mismatch_is_domain_error():
+    with pytest.raises(DomainError, match="transform has n=5 but parameters have n=4"):
+        act_on_params(random_transform(5, seed=1), random_params(4, seed=1))
 
 
 def test_action_overflow_is_domain_error():
@@ -464,6 +469,18 @@ def test_factor_order_shear_first_scale_last():
     assert factors[0].kind == "tau"
     assert factors[-1].kind == "upsilon"
     assert all(f.kind == "sigma" for f in factors[1:-1])
+
+
+@pytest.mark.parametrize("n", range(4, 9))
+def test_tail_generators_reduce_to_identity(n):
+    # tau past e_1 and sigma into e_{n-1}, e_n act trivially; an index past
+    # e_n or an unknown kind is refused
+    tails = [tau(0.7, k) for k in range(2, n + 1)] + [sigma(0.7, k) for k in (n - 1, n)]
+    for e in tails:
+        assert elementary_to_adapted(e, n) == identity_transform(n), e
+    for e in (sigma(0.7, n + 1), tau(0.7, n + 1), ElementaryTransform("phi", a=1, k=1)):
+        with pytest.raises(DomainError):
+            elementary_to_adapted(e, n)
 
 
 def test_uncorrected_factors_fail_at_larger_sizes():

@@ -58,6 +58,17 @@ def test_report_text_form():
         assert check_id in text
 
 
+def _run_alone(monkeypatch, check_id, fn=None):
+    """Run one check, or ``fn`` in its place, through ``verify_all``."""
+    check = verify._REGISTRY[check_id]
+    if fn is not None:
+        check = replace(check, fn=fn)
+    monkeypatch.setattr(verify, "_REGISTRY", {check_id: check})
+    monkeypatch.setattr(verify, "MANIFEST", (check_id,))
+    (result,) = verify_all(seed=1, trials=1).checks
+    return result
+
+
 def _flip_row2(table):
     # negate row 2's off-chain e_n-coefficients: the solved row sign is -1
     g = table.gamma.copy()
@@ -93,11 +104,10 @@ def test_globally_flipped_relations_are_caught(monkeypatch):
         return replace(rep, implied_relations=relations)
 
     monkeypatch.setattr(verify, "solve_leibniz_constraints", flipped)
-    ctx = verify._Ctx(rng=np.random.default_rng(1), trials=1)
-    _residual, ok, notes = verify._REGISTRY["constraint-reduction"].fn(ctx)
-    assert not ok
+    result = _run_alone(monkeypatch, "constraint-reduction")
+    assert not result.passed
     # n = 4 has no nonzero relation; n = 5 has b23 = -b14
-    assert notes.startswith("proportionality coefficients differ at n=5")
+    assert result.notes.startswith("proportionality coefficients differ at n=5")
 
 
 def test_orbit_table_is_checked_against_published_functions(monkeypatch):
@@ -113,10 +123,28 @@ def test_misnamed_cells_are_caught(monkeypatch):
     specs = list(SUBSETS[4])
     specs[0], specs[1] = replace(specs[0], name="U_2"), replace(specs[1], name="U_1")
     monkeypatch.setitem(SUBSETS, 4, tuple(specs))
-    ctx = verify._Ctx(rng=np.random.default_rng(1), trials=1)
-    _residual, ok, notes = verify._REGISTRY["subset-coverage"].fn(ctx)
-    assert not ok
-    assert notes == "cell count at n=4: 9"
+    result = _run_alone(monkeypatch, "subset-coverage")
+    assert not result.passed
+    assert result.notes == "cell count at n=4: 9"
+
+
+@pytest.mark.parametrize(
+    "key, check_id, rebuild",
+    [
+        # a NaN that reaches a gate directly; the registered check captured
+        # the formula at import, so it is rebuilt after the patch
+        ((4, "U_1"), "orbit-family-n4-U1", True),
+        # a NaN sample in the running maximum that the gate reads afterwards
+        ((7, "U_9"), "variant-transcription-report", False),
+    ],
+)
+def test_nan_deviation_fails_its_gate(monkeypatch, key, check_id, rebuild):
+    # an infinite published value makes the deviation NaN, which no bound admits
+    monkeypatch.setitem(verify._PUBLISHED_ORBIT, key, lambda p: complex(np.inf, 0))
+    fn = verify._make_orbit_family_check(*key) if rebuild else None
+    result = _run_alone(monkeypatch, check_id, fn=fn)
+    assert not result.passed
+    assert "by nan" in result.notes
 
 
 def test_trials_must_be_positive():
