@@ -4,7 +4,8 @@ Times, at n = 4 and n = 8 on a seeded family member and a seeded
 transform: the tensor kernels (``change_basis``, ``leibniz_residual``,
 ``bracket``, ``lower_central_series``), the finiteness check
 ``require_finite`` (on a parameter tuple and on a structure tensor), the
-sampler ``random_params`` (one generator shared across calls), and
+sampler ``random_params`` (one generator shared across calls), the
+uncached constraint solve ``solve_leibniz_constraints.__wrapped__``, and
 ``build_table``, ``adapted_matrix``, ``act_on_params``, ``read_params``,
 the group law ``compose`` and ``inverse_transform``, ``canonicalize``,
 ``classify``, ``orbit_invariant`` and ``isomorphic``.  ``isomorphic``
@@ -103,6 +104,7 @@ def _rank_calls(fc, n: int) -> dict:
         "require_finite_params": lambda: require_finite(values, "parameters"),
         "require_finite_tensor": lambda: require_finite(t.gamma, "structure constants"),
         "random_params": lambda: fc.random_params(n, rng=rng),
+        "solve_leibniz_constraints": lambda: fc.solve_leibniz_constraints.__wrapped__(n),
         "build_table": lambda: fc.build_table(p),
         "adapted_matrix": lambda: fc.adapted_matrix(tr, p),
         "act_on_params": lambda: fc.act_on_params(tr, p),

@@ -252,6 +252,8 @@ def act_on_params(t: AdaptedTransform, p: ExtensionParams) -> ExtensionParams:
         c = _compiled(n)(t.A0, t.A1, t.B, p.as_tuple())
     except OverflowError as exc:  # ``**`` raises where a power of A0 leaves float range
         raise DomainError(f"the action at n={n} overflows floating-point range") from exc
+    except ZeroDivisionError as exc:  # a power of A0 in a denominator underflows to 0
+        raise DomainError(f"the action at n={n} underflows floating-point range") from exc
     return ExtensionParams(n, c[0], c[1], c[2], c[3 : 3 + (n - 2) // 2], c[-1] if n % 2 else 0j)
 
 

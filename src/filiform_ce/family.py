@@ -4,8 +4,8 @@
 with the single nonzero product family [e_i, e_0] = e_{i+1}.  Appending a
 central direction e_n and letting the brackets [e_i, e_j] (i, j < n) pick up
 e_n-components subject to the Leibniz identity yields a family of
-non-Lie Leibniz algebras.  ``solve_leibniz_constraints`` derives, by plain
-linear algebra on the identity's residual, which e_n-components are free;
+non-Lie Leibniz algebras.  ``solve_leibniz_constraints`` derives, by exact
+integer elimination on the identity's residual, which e_n-components are free;
 ``ExtensionParams`` holds exactly those free coordinates and
 ``build_table`` expands them into a full structure tensor: the chain
 skeleton plus each coordinate times its direction read off the solved
@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 import numpy as np
 
@@ -29,7 +30,7 @@ from .errors import DomainError, FiliformError
 # N_RANGE is defined in subsets; callers import it from here
 from .subsets import N_RANGE, PARAM_SLOTS, SUBSETS, check_rank, free_labels, get_spec
 from .tensor import StructureTensor, leibniz_residual_tensor
-from .tolerance import RANK_RTOL, require_finite
+from .tolerance import require_finite
 
 
 def build_mu(n: int) -> StructureTensor:
@@ -177,7 +178,7 @@ class Relation:
     """
 
     target: str
-    terms: tuple[tuple[str, float], ...]
+    terms: tuple[tuple[str, int], ...]
 
 
 @dataclass(frozen=True)
@@ -200,60 +201,57 @@ def solve_leibniz_constraints(n: int) -> ConstraintReport:
     The residual of the identity is affine in the unknown coefficients
     (they only feed the central direction), so the admissible set is the
     null space of a single matrix whose columns are the residual tensors of
-    the individual coefficient directions.  Free coordinates, forced zeros
-    and proportionality relations are read off that null space.
+    the individual coefficient directions.  Its entries are integers, so
+    Gauss-Jordan elimination in exact rationals, the dependent labels
+    pivoted first, reads the relations off the reduced rows.
     """
     check_rank(n, top=N_RANGE.stop)  # one rank past the family
     labels = _unknown_labels(n)
+    free = free_labels(n)
+    dep = [lab for lab in labels if lab not in free]
     t0 = _skeleton(n)
-    r0 = leibniz_residual_tensor(StructureTensor(t0.astype(complex)))
-    if np.max(np.abs(r0)) > 1e-12:
+    if leibniz_residual_tensor(StructureTensor(t0.astype(complex))).any():
         raise FiliformError("graded filiform skeleton fails the Leibniz identity")
 
-    cols = []
-    for lab in labels:
-        r = leibniz_residual_tensor(StructureTensor((t0 + _direction(n, lab)).astype(complex)))
-        cols.append(np.real(r).reshape(-1))
-    a = np.column_stack(cols)
+    units = (StructureTensor((t0 + _direction(n, lab)).astype(complex)) for lab in dep + free)
+    a = np.real([leibniz_residual_tensor(t).reshape(-1) for t in units]).T
+    # a row and its negation are one constraint: fold the sign, drop repeats
+    a = a[a.any(axis=1)]
+    a *= np.sign(a[np.arange(len(a)), (a != 0).argmax(axis=1)])[:, None]
+    rows = [list(map(Fraction, row)) for row in dict.fromkeys(map(tuple, a.tolist()))]
 
-    _, s, vh = np.linalg.svd(a, full_matrices=False)
-    tol = RANK_RTOL * (s[0] if s.size else 1.0)
-    rank = int(np.sum(s > tol))
-    null_rows = vh[rank:, :]
-    free_count = len(labels) - rank
+    pivots = []
+    for col in range(len(labels)):
+        rank = len(pivots)
+        k = next((k for k in range(rank, len(rows)) if rows[k][col]), None)
+        if k is None:
+            continue
+        lead = rows[k][col]
+        rows[k], rows[rank] = rows[rank], [x / lead for x in rows[k]]
+        for i, row in enumerate(rows):
+            if i != rank and (f := row[col]):
+                rows[i] = [x - f * y for x, y in zip(row, rows[rank])]
+        pivots.append(col)
 
-    free = free_labels(n)
+    free_count = len(labels) - len(pivots)
     if free_count != len(free):
         raise FiliformError(
             f"n={n}: expected {len(free)} free coefficients, solver found {free_count}"
         )
-    free_idx = [labels.index(lab) for lab in free]
-    dep_idx = [k for k in range(len(labels)) if k not in free_idx]
-
-    nmat = null_rows.T  # (unknowns, free_count)
-    n_free = nmat[free_idx, :]
-    if abs(np.linalg.det(n_free)) < 1e-10:
-        raise FiliformError(
-            f"n={n}: chosen free coordinates do not parameterize the null space"
-        )
-    coeff = nmat[dep_idx, :] @ np.linalg.inv(n_free)
-    # the relations have integer coefficients; drop the SVD's rounding once
-    near = np.round(coeff)
-    coeff = np.where(np.abs(coeff - near) < 1e-9, near, coeff)
-
-    relations = []
-    for row, k in enumerate(dep_idx):
-        terms = []
-        for col, src in enumerate(free):
-            c = coeff[row, col]
-            if c != 0.0:
-                terms.append((src, float(c)))
-        relations.append(Relation(labels[k], tuple(terms)))
+    if pivots != list(range(len(dep))):
+        raise FiliformError(f"n={n}: chosen free coordinates do not parameterize the null space")
+    coeff = [[-x for x in row[len(dep):]] for row in rows[: len(dep)]]
+    if any(c.denominator != 1 for row in coeff for c in row):
+        raise FiliformError(f"n={n}: a relation coefficient is not an integer")
+    relations = [
+        Relation(target, tuple((src, c.numerator) for src, c in zip(free, row) if c))
+        for target, row in zip(dep, coeff)
+    ]
 
     return ConstraintReport(
         n=n,
         total_unknowns=len(labels),
-        rank=rank,
+        rank=len(pivots),
         free_count=free_count,
         free_labels=tuple(free),
         implied_relations=tuple(relations),
@@ -271,7 +269,7 @@ def _row_signs(n: int, relations) -> dict:
     for r in relations:
         i, j = int(r.target[1]), int(r.target[2:])
         if r.terms and i + j != n:
-            sign[i] = round(r.terms[0][1])
+            sign[i] = r.terms[0][1]
     return sign
 
 

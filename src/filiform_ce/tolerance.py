@@ -1,9 +1,11 @@
 """Tolerance policy used across the package.
 
-Subspace ranks use a singular-value cutoff relative to the largest singular
-value, and a scalar counts as "zero" for classification flags when its
-magnitude is below ``1e-9`` times the relevant scale.  Fixed cutoffs of a
-single test (``change_basis``, ``read_params``) sit next to that test.
+Subspace ranks in the tensor layer use a singular-value cutoff
+(``RANK_RTOL``) relative to the largest singular value; the constraint
+solve is exact and needs none.  A scalar counts as "zero" for
+classification flags when its magnitude is below ``1e-9`` times the
+relevant scale.  Fixed cutoffs of a single test (``change_basis``,
+``read_params``) sit next to that test.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ import numpy as np
 
 from .errors import DomainError
 
-#: Relative singular-value threshold for rank decisions.
+#: Relative singular-value threshold for the rank decisions in ``tensor``.
 RANK_RTOL = 1e-8
 
 #: Relative magnitude below which a parameter counts as zero for flags.

@@ -12,9 +12,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from filiform_ce import AdaptedTransform, act_on_params, adapted_matrix, transform_from_matrix
+from filiform_ce import AdaptedTransform, act_on_params, adapted_matrix, family, transform_from_matrix
 from filiform_ce.action import _sum_terms
 from filiform_ce.classify import _PLANS, _cell, _root, nonzero_flags
+from filiform_ce.subsets import free_labels
+from filiform_ce.tensor import StructureTensor, leibniz_residual_tensor
 
 
 def naive_bracket(gamma: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -133,6 +135,38 @@ def expected_relations(n: int) -> dict[str, dict[str, complex]]:
             else:
                 out[name] = {}
     return out
+
+
+def svd_relations(n: int) -> tuple[int, dict[str, dict[str, float]]]:
+    """Rank and relations of the Leibniz constraints from a float null space.
+
+    The residual matrix is the library's (one column per unknown's
+    direction); its rank comes from an SVD cutoff, and the relations from
+    inverting the null basis on the free labels, rounded where within
+    1e-9 of an integer.  Reference for the exact elimination of
+    ``solve_leibniz_constraints``.
+    """
+    labels = family._unknown_labels(n)
+    t0 = family._skeleton(n)
+    cols = []
+    for lab in labels:
+        t = StructureTensor((t0 + family._direction(n, lab)).astype(complex))
+        cols.append(np.real(leibniz_residual_tensor(t)).reshape(-1))
+    a = np.column_stack(cols)
+    _, s, vh = np.linalg.svd(a, full_matrices=False)
+    rank = int(np.sum(s > 1e-8 * s[0]))
+    free = free_labels(n)
+    free_idx = [labels.index(lab) for lab in free]
+    dep_idx = [k for k in range(len(labels)) if k not in free_idx]
+    nmat = vh[rank:, :].T
+    coeff = nmat[dep_idx, :] @ np.linalg.inv(nmat[free_idx, :])
+    near = np.round(coeff)
+    coeff = np.where(np.abs(coeff - near) < 1e-9, near, coeff)
+    relations = {
+        labels[k]: {src: float(c) for src, c in zip(free, row) if c != 0.0}
+        for k, row in zip(dep_idx, coeff)
+    }
+    return rank, relations
 
 
 def naive_build_table(p) -> np.ndarray:

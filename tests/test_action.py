@@ -122,6 +122,13 @@ def test_action_overflow_is_domain_error():
         act_on_params(t, random_params(8, seed=1))
 
 
+def test_action_underflow_is_domain_error():
+    # A0**(n-2) = 1e-1200 underflows to 0 in a denominator: ZeroDivisionError
+    t = AdaptedTransform(8, 1e-200, 0, (1, 0, 0, 0, 0, 0))
+    with pytest.raises(DomainError, match="the action at n=8 underflows floating-point range"):
+        act_on_params(t, random_params(8, seed=1))
+
+
 def test_shear_degeneracy_rejected():
     # A0 + b * A1 = 0 collapses the chain even though A0, B1 are fine
     p = params_from_tuple(5, [1, 0, 1, 0, 1])  # b = 1

@@ -465,6 +465,25 @@ def test_normal_form_overflow_names_the_cell():
         canonicalize(huge)
 
 
+#: a rank-4 member whose witness power A0**k underflows to 0 in the action
+UNDERFLOW_MEMBER = params_from_tuple(
+    4, (9.003517130628993e-223, -1.8265979065270994e-222, 0, -1.5283117206772348e-256)
+)
+
+
+def test_normal_form_underflow_is_typed():
+    # the compiled action divides by the underflowed power: a domain error
+    # naming the cell, not a bare ZeroDivisionError
+    p = UNDERFLOW_MEMBER
+    with pytest.raises(DomainError, match="cell U_5 at n=4 is beyond floating-point range"):
+        classify(p)
+    for q in (random_params(4, seed=1), params_from_tuple(4, [2 * v for v in p.as_tuple()])):
+        with pytest.raises(DomainError):
+            isomorphic(p, q)
+        with pytest.raises(DomainError):
+            isomorphic(q, p)
+
+
 def test_representative_params_requires_lambda():
     with pytest.raises(DomainError):
         representative_params(4, "U_1")

@@ -197,31 +197,35 @@ def test_free_labels_match_reference():
 
 
 def test_relations_match_reference():
+    # exact: the coefficients are Python ints, compared with ==
     for n in range(4, 10):
         rep = solve_leibniz_constraints(n)
-        got = {
-            r.target: {lbl: c for lbl, c in r.terms if abs(c) > 1e-12}
-            for r in rep.implied_relations
-        }
-        want = oracles.expected_relations(n)
-        assert set(got) == set(want)
-        for target, terms in want.items():
-            keys = set(got[target]) | set(terms)
-            for k in keys:
-                assert got[target].get(k, 0) == pytest.approx(
-                    terms.get(k, 0), abs=1e-9
-                ), (n, target)
+        got = {r.target: dict(r.terms) for r in rep.implied_relations}
+        assert all(type(c) is int for terms in got.values() for c in terms.values()), n
+        assert got == oracles.expected_relations(n), n
 
 
 def test_selected_relations_frozen():
     # spot values: one diagonal step flips the sign, two steps restore it
     rel5 = {r.target: dict(r.terms) for r in solve_leibniz_constraints(5).implied_relations}
-    assert rel5["b23"] == pytest.approx({"b14": -1})
+    assert rel5["b23"] == {"b14": -1}
     rel8 = {r.target: dict(r.terms) for r in solve_leibniz_constraints(8).implied_relations}
-    assert rel8["b25"] == pytest.approx({"b16": -1})
-    assert rel8["b34"] == pytest.approx({"b16": 1})
+    assert rel8["b25"] == {"b16": -1}
+    assert rel8["b34"] == {"b16": 1}
     assert rel8["b13"] == {}
     assert rel8["b35"] == {}
+    for terms in (rel5["b23"], rel8["b25"], rel8["b34"]):
+        assert all(type(c) is int for c in terms.values())
+
+
+def test_exact_solve_matches_svd_reference():
+    # the float null-space route, rank by singular-value cutoff, agrees with
+    # the exact elimination on rank and on every relation
+    for n in range(4, 10):
+        rep = solve_leibniz_constraints(n)
+        rank, relations = oracles.svd_relations(n)
+        assert rep.rank == rank, n
+        assert {r.target: dict(r.terms) for r in rep.implied_relations} == relations, n
 
 
 def test_row_signs_alternate():
@@ -249,6 +253,28 @@ def test_free_count_mismatch_is_typed_at_n9(monkeypatch):
     monkeypatch.setattr(family, "free_labels", lambda n: free_labels(n)[:-1])
     with pytest.raises(FiliformError, match="expected 6 free coefficients"):
         solve_leibniz_constraints.__wrapped__(9)
+
+
+def test_free_labels_that_do_not_parameterize_are_typed(monkeypatch):
+    # b13 is forced to zero at n=6: with it in place of b12 the count of free
+    # labels is right, but no relation can express b12 through them
+    def swapped(n):
+        return ["b13" if lab == "b12" else lab for lab in free_labels(n)]
+
+    monkeypatch.setattr(family, "free_labels", swapped)
+    with pytest.raises(FiliformError, match="do not parameterize the null space"):
+        solve_leibniz_constraints.__wrapped__(6)
+
+
+def test_fractional_relation_coefficient_is_typed(monkeypatch):
+    # with the direction of b23 doubled, b23 = -b14/2 at n=5: a coefficient
+    # that is not an integer is refused, never truncated
+    direction = family._direction
+    monkeypatch.setattr(
+        family, "_direction", lambda n, lab: (2 if lab == "b23" else 1) * direction(n, lab)
+    )
+    with pytest.raises(FiliformError, match="relation coefficient is not an integer"):
+        solve_leibniz_constraints.__wrapped__(5)
 
 
 def test_solver_rejects_out_of_range():

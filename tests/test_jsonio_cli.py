@@ -248,6 +248,18 @@ def test_cli_classify_normal_form_out_of_range_exits_3(monkeypatch, capsys):
     assert "normal form of cell U_1 at n=8 is beyond floating-point range" in err
 
 
+def test_cli_classify_underflow_exits_3(monkeypatch, capsys):
+    # a power of the witness's A0 underflows to 0 in the action: a domain error
+    text = json.dumps({
+        "n": 4, "b00": [9.003517130628993e-223, 0], "b01": [-1.8265979065270994e-222, 0],
+        "b11": [0, 0], "b_even": [[-1.5283117206772348e-256, 0]], "b": [0, 0],
+    })
+    code, out, err = run_cli(["classify"], stdin_text=text, monkeypatch=monkeypatch, capsys=capsys)
+    assert code == 3
+    assert out == ""
+    assert "normal form of cell U_5 at n=4 is beyond floating-point range" in err
+
+
 def test_cli_classify_large_odd_member_exits_0(monkeypatch, capsys):
     # as s grows, the published n=5 U_1 function delta*b**2/(b01*b - 2*b11)**2
     # of s*p tends to delta/b01**2 of p, which is degree 0 in s; its direct
