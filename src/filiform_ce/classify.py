@@ -10,15 +10,12 @@ of the cell's rational orbit function, and ``isomorphic`` decides
 equivalence of two members (up to the finite stabilizer of the normal
 form, where one exists) and returns an explicit witness.
 
-Each published orbit function is invariant, so it takes the value it has
-on the normal form, where it is a monomial c * lam**k:
-
-    (n, cell)  4 U_1  5 U_1  5 U_5  6 U_1  6 U_2  7 U_1  7 U_5  7 U_9  8 U_1  8 U_5  8 U_9
-    c          -4     -1     -4     -64    -4     -1     -64    -4     -1024  -1/4   -4
-    k          1      1      1      3      1      1      3      1      5      -1     1
-
-The published formulas themselves live in :mod:`filiform_ce.verify`,
-which checks this table against them.
+Each published orbit function is invariant, so it takes its value on the
+normal form, where delta = -4*lam and its other factors read 1: (-4*lam)**k,
+k the order of the cell's stabilizer (1 without one).  At (5, U_1) and
+(7, U_1) it also divides by (b01*b - 2*b11)**2 = 4, and at (8, U_5) the
+paper inverts it.  The published formulas live in :mod:`filiform_ce.verify`,
+which checks these values against them.
 
 One rule, read off the cell's representative pattern, builds every
 witness in three steps, each evaluated on the closed form of the action:
@@ -53,6 +50,7 @@ import functools
 import itertools
 import operator
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .action import (
     AdaptedTransform,
@@ -64,7 +62,7 @@ from .action import (
 )
 from .errors import CanonicalizationError, DomainError, FiliformError
 from .family import ExtensionParams, params_from_tuple
-from .subsets import LAM, PARAM_SLOTS, SUBSETS, SubsetSpec, check_rank, get_spec
+from .subsets import LAM, PARAM_SLOTS, SUBSETS, SubsetSpec, check_rank, get_spec, parametric_subsets
 from .tolerance import FLAG_WARN_MARGIN, ZERO_FLAG_RTOL
 
 #: absolute-plus-relative tolerance used when matching canonical values
@@ -157,61 +155,6 @@ def _cell(n: int, flags: dict) -> SubsetSpec:
 def subset_of(p: ExtensionParams) -> str:
     """Name of the classification cell containing ``p``."""
     return _cell(p.n, nonzero_flags(p)).name
-
-
-# ---------------------------------------------------------------------------
-# orbit functions on the parametric cells
-
-#: (n, cell) -> (c, k): the cell's published orbit function is an invariant,
-#: and on the normal form it reads c * lam**k
-_ORBIT_MONOMIALS = {
-    (4, "U_1"): (-4, 1),
-    (5, "U_1"): (-1, 1),
-    (5, "U_5"): (-4, 1),
-    (6, "U_1"): (-64, 3),
-    (6, "U_2"): (-4, 1),
-    (7, "U_1"): (-1, 1),
-    (7, "U_5"): (-64, 3),
-    (7, "U_9"): (-4, 1),
-    (8, "U_1"): (-1024, 5),
-    (8, "U_5"): (-0.25, -1),
-    (8, "U_9"): (-4, 1),
-}
-
-
-def orbit_invariant(p: ExtensionParams) -> complex | None:
-    """Value of the cell's orbit function; None off the parametric cells.
-
-    Also None where the normal form is out of reach (the thin locus, where
-    :func:`canonicalize` raises :class:`CanonicalizationError`) and where
-    the function divides by a vanishing ``lam``.  A value beyond
-    floating-point range raises :class:`DomainError`.
-    """
-    flags = nonzero_flags(p)
-    if not _cell(p.n, flags).parametric:
-        return None
-    try:
-        label = _canonicalize(p, flags)
-    except CanonicalizationError:
-        return None
-    return _orbit_value(label)
-
-
-def _orbit_value(label: OrbitLabel) -> complex | None:
-    if label.lam is None:
-        return None
-    c, k = _ORBIT_MONOMIALS[label.n, label.subset]
-    if k < 0 and label.lam == 0:
-        return None
-    try:
-        value = c * label.lam**k
-        if cmath.isfinite(value):
-            return value
-    except OverflowError:
-        pass
-    raise DomainError(
-        f"orbit function of cell {label.subset} at n={label.n} overflows at this magnitude"
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -351,6 +294,64 @@ def _canonical_transform(p: ExtensionParams, flags: dict, plan: _Plan) -> Adapte
         bvec[k - 1] = f0 / d
         bvec[k - 1] += f(a0, a1, bvec, v) / d
     return AdaptedTransform(n, a0, a1, tuple(bvec))
+
+
+# ---------------------------------------------------------------------------
+# orbit functions on the parametric cells
+
+#: (n, cell) -> (r, s): the paper's conventions, where its orbit function reads
+#: r * (-4*lam)**(s*order) on the normal form (order: the stabilizer's, or 1)
+_ORBIT_CONVENTIONS = {
+    (5, "U_1"): (Fraction(1, 4), 1),  # it divides by (b01*b - 2*b11)**2, which reads 4
+    (7, "U_1"): (Fraction(1, 4), 1),  # the same
+    (8, "U_5"): (1, -1),  # the paper inverts the function here
+}
+
+
+def _orbit_monomial(n: int, cell: str) -> tuple:
+    """(c, k): the orbit function reads c * lam**k on the normal form, c exact."""
+    r, s = _ORBIT_CONVENTIONS.get((n, cell), (1, 1))
+    k = s * STABILIZERS.get((n, cell), (1, 0))[0]
+    c = r * Fraction(-4) ** k
+    return (int(c) if c.denominator == 1 else float(c)), k
+
+
+_ORBIT_MONOMIALS = {(n, cell): _orbit_monomial(n, cell) for n in SUBSETS for cell in parametric_subsets(n)}
+
+
+def orbit_invariant(p: ExtensionParams) -> complex | None:
+    """Value of the cell's orbit function; None off the parametric cells.
+
+    Also None where the normal form is out of reach (the thin locus, where
+    :func:`canonicalize` raises :class:`CanonicalizationError`) and where
+    the function divides by a vanishing ``lam``.  A value beyond
+    floating-point range raises :class:`DomainError`.
+    """
+    flags = nonzero_flags(p)
+    if not _cell(p.n, flags).parametric:
+        return None
+    try:
+        label = _canonicalize(p, flags)
+    except CanonicalizationError:
+        return None
+    return _orbit_value(label)
+
+
+def _orbit_value(label: OrbitLabel) -> complex | None:
+    if label.lam is None:
+        return None
+    c, k = _ORBIT_MONOMIALS[label.n, label.subset]
+    if k < 0 and label.lam == 0:
+        return None
+    try:
+        value = c * label.lam**k
+        if cmath.isfinite(value):
+            return value
+    except OverflowError:
+        pass
+    raise DomainError(
+        f"orbit function of cell {label.subset} at n={label.n} overflows at this magnitude"
+    )
 
 
 # ---------------------------------------------------------------------------

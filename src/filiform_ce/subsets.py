@@ -41,16 +41,12 @@ CHAIN_FIRST = {4: 0, 5: 1, 6: 0, 7: 3, 8: 3}
 _LEAD = ("b11", "b01", "b00")
 
 
-def rank_error(n, top: int = N_RANGE[-1]) -> DomainError:
-    """The error every entry point raises for a rank outside N_RANGE.start..top."""
-    return DomainError(f"n must be in {N_RANGE.start}..{top}, got {n!r}")
-
-
 def check_rank(n, top: int = N_RANGE[-1]) -> None:
-    """Raise ``rank_error`` unless ``n`` is an int in N_RANGE.start..top; a
-    float such as 4.0 is refused too, since ranks size and index tables."""
+    """Raise the entry points' ``DomainError`` unless ``n`` is an int in
+    N_RANGE.start..top; a float such as 4.0 is refused too, since ranks size
+    and index tables."""
     if not (isinstance(n, int) and N_RANGE.start <= n <= top):
-        raise rank_error(n, top)
+        raise DomainError(f"n must be in {N_RANGE.start}..{top}, got {n!r}")
 
 
 def free_labels(n: int) -> list[str]:

@@ -65,7 +65,6 @@ from .errors import (
     TableShapeError,
 )
 from .family import (
-    N_RANGE,
     ExtensionParams,
     build_mu,
     build_table,
@@ -85,6 +84,11 @@ from .tensor import (
 )
 
 __all__ = ["CheckResult", "VerificationReport", "MANIFEST", "verify_all"]
+
+#: (free coefficients, cells, parametric cells) at each rank the paper
+#: classifies; the checks cover these ranks, whatever the library supports
+_PAPER_COUNTS = {4: (4, 9, 1), 5: (5, 13, 2), 6: (5, 13, 2), 7: (6, 17, 3), 8: (6, 17, 3)}
+_RANKS = tuple(_PAPER_COUNTS)
 
 
 # ---------------------------------------------------------------------------
@@ -251,27 +255,23 @@ def _triple_note(table: StructureTensor, p: ExtensionParams) -> str:
 
 def _chk_leibniz_validity(ctx: _Ctx) -> str:
     """Random tables over the solved family satisfy the bracket identity."""
-    for n in N_RANGE:
+    for n in _RANKS:
         for _ in range(ctx.trials):
             p = random_params(n, rng=ctx.rng)
             # mix in exact zeros so degenerate corners are exercised too
-            vals = list(p.as_tuple())
-            for i in range(len(vals)):
-                if ctx.rng.random() < 0.25:
-                    vals[i] = 0j
-            p = params_from_tuple(n, vals)
+            p = params_from_tuple(n, [0j if ctx.rng.random() < 0.25 else v for v in p.as_tuple()])
             table = build_table(p)
             ctx.gate(
                 leibniz_residual(table) / table.scale(),
                 1e-9,
                 lambda: f"bracket identity violated at {_triple_note(table, p)}",
             )
-    return f"{len(N_RANGE) * ctx.trials} random tables checked"
+    return f"{len(_RANKS) * ctx.trials} random tables checked"
 
 
 def _chk_table_structure(ctx: _Ctx) -> str:
     """Tables carry the chain skeleton, a central top vector, and read back."""
-    for n in N_RANGE:
+    for n in _RANKS:
         for _ in range(ctx.trials):
             p = random_params(n, rng=ctx.rng)
             table = build_table(p)
@@ -305,7 +305,7 @@ def _chk_table_structure(ctx: _Ctx) -> str:
 
 def _chk_central_series(ctx: _Ctx) -> str:
     """Base algebras and extensions have the one-step-deep filiform series."""
-    for n in N_RANGE:
+    for n in _RANKS:
         expected = [n + 1] + list(range(n - 1, -1, -1))
         mu = build_mu(n)
         if lower_central_series(mu) != expected or not is_filiform(mu):
@@ -344,11 +344,10 @@ def _expected_relations(n: int) -> dict[str, tuple[str, int] | None]:
 
 def _chk_constraint_reduction(ctx: _Ctx) -> str:
     """The solved constraint system matches the closed-form reduction."""
-    expected_counts = {4: 4, 5: 5, 6: 5, 7: 6, 8: 6}
-    for n in N_RANGE:
+    for n in _RANKS:
         rep = solve_leibniz_constraints(n)
         free = set(rep.free_labels)
-        if free != set(free_labels(n)) or rep.free_count != expected_counts[n]:
+        if free != set(free_labels(n)) or rep.free_count != _PAPER_COUNTS[n][0]:
             ctx.fail(f"free coordinates at n={n}: got {sorted(free)}")
         if rep.rank != rep.total_unknowns - rep.free_count:
             ctx.fail(f"rank {rep.rank} inconsistent at n={n}")
@@ -446,7 +445,7 @@ def _naive_factors(t: AdaptedTransform) -> list[ElementaryTransform]:
 
 def _chk_adapted_form(ctx: _Ctx) -> str:
     """Reduced matrices have the adapted shape and invert/compose correctly."""
-    for n in N_RANGE:
+    for n in _RANKS:
         for _ in range(max(1, ctx.trials // 2)):
             p = random_params(n, rng=ctx.rng)
             t = random_transform(n, b=p.b, rng=ctx.rng)
@@ -491,7 +490,7 @@ def _chk_adapted_form(ctx: _Ctx) -> str:
 
 def _chk_elementary_decomposition(ctx: _Ctx) -> str:
     """Generator factorization reproduces the transform, at both levels."""
-    for n in N_RANGE:
+    for n in _RANKS:
         for _ in range(max(1, ctx.trials // 2)):
             p = random_params(n, rng=ctx.rng)
             t = random_transform(n, b=p.b, rng=ctx.rng)
@@ -513,7 +512,7 @@ def _chk_elementary_decomposition(ctx: _Ctx) -> str:
 
 def _chk_tail_triviality(ctx: _Ctx) -> str:
     """Shift/shear generators past the adapted window leave parameters alone."""
-    for n in N_RANGE:
+    for n in _RANKS:
         seed = int(ctx.rng.integers(2**31))
         gens = _tail_generators(n, np.random.default_rng(seed))
         if not _tail_trivial(random_params(n, seed=seed), gens):
@@ -525,7 +524,7 @@ def _chk_tail_triviality(ctx: _Ctx) -> str:
 
 def _chk_action_general(ctx: _Ctx) -> str:
     """The double coefficient sum agrees with explicit basis changes."""
-    for n in N_RANGE:
+    for n in _RANKS:
         for _ in range(max(1, ctx.trials // 5)):
             p = random_params(n, rng=ctx.rng)
             t = random_transform(n, b=p.b, rng=ctx.rng)
@@ -670,7 +669,7 @@ def _make_single_orbit_check(n: int):
 def _chk_representative_separation(ctx: _Ctx) -> str:
     """Listed normal forms are pairwise non-equivalent and self-equivalent."""
     pairs = 0
-    for n in N_RANGE:
+    for n in _RANKS:
         reps = representatives(n)
         for cell, rep, _param in reps:
             if subset_of(rep) != cell:
@@ -688,21 +687,17 @@ def _chk_representative_separation(ctx: _Ctx) -> str:
 
 def _chk_subset_coverage(ctx: _Ctx) -> str:
     """The cells partition parameter space: disjoint, exhaustive, well-counted."""
-    counts = {4: 9, 5: 13, 6: 13, 7: 17, 8: 17}
-    for n in N_RANGE:
+    for n in _RANKS:
         specs = SUBSETS[n]
-        if [s.name for s in specs] != [f"U_{i}" for i in range(1, counts[n] + 1)]:
+        _free, cells, parametric = _PAPER_COUNTS[n]
+        if [s.name for s in specs] != [f"U_{i}" for i in range(1, cells + 1)]:
             ctx.fail(f"cell count at n={n}: {len(specs)}")
-        if len(parametric_subsets(n)) != {4: 1, 5: 2, 6: 2, 7: 3, 8: 3}[n]:
+        if len(parametric_subsets(n)) != parametric:
             ctx.fail(f"parametric cell count wrong at n={n}")
         probes = []
         for _ in range(ctx.trials):
             p = random_params(n, rng=ctx.rng)
-            vals = list(p.as_tuple())
-            for i in range(len(vals)):
-                if ctx.rng.random() < 0.45:
-                    vals[i] = 0j
-            probes.append(params_from_tuple(n, vals))
+            probes.append(params_from_tuple(n, [0j if ctx.rng.random() < 0.45 else v for v in p.as_tuple()]))
         probes.extend(rep for _name, rep, _param in representatives(n))
         probes.append(params_from_tuple(n, [0] * len(PARAM_SLOTS[n])))
         for p in probes:
@@ -853,7 +848,7 @@ _register("adapted-form", None, _chk_adapted_form)
 _register("elementary-decomposition", None, _chk_elementary_decomposition)
 _register("tail-triviality", None, _chk_tail_triviality)
 _register("action-coefficients-general", None, _chk_action_general)
-for _n in N_RANGE:
+for _n in _RANKS:
     _register(f"action-closed-forms-n{_n}", _n, _make_closed_forms_check(_n))
     _register(f"single-orbit-classes-n{_n}", _n, _make_single_orbit_check(_n))
     for _cell in parametric_subsets(_n):

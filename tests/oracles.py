@@ -332,6 +332,25 @@ FROZEN_ROW_SIGNS = {
 }
 
 
+#: (n, cell) -> (c, k) of each parametric cell, as it was written out by hand
+#: for n = 4..8: on the normal form the published orbit function reads
+#: c * lam**k.  ``filiform_ce.classify._ORBIT_MONOMIALS`` derives it from the
+#: stabilizers and must reproduce this table, the type of c included.
+FROZEN_ORBIT_MONOMIALS = {
+    (4, "U_1"): (-4, 1),
+    (5, "U_1"): (-1, 1),
+    (5, "U_5"): (-4, 1),
+    (6, "U_1"): (-64, 3),
+    (6, "U_2"): (-4, 1),
+    (7, "U_1"): (-1, 1),
+    (7, "U_5"): (-64, 3),
+    (7, "U_9"): (-4, 1),
+    (8, "U_1"): (-1024, 5),
+    (8, "U_5"): (-0.25, -1),
+    (8, "U_9"): (-4, 1),
+}
+
+
 #: the classification table as it was written out by hand, cell by cell, for
 #: n = 4..8: (name, conditions, representative, parametric); "lam" marks the
 #: free slot.  The cells in ``filiform_ce.subsets`` derive the last two

@@ -163,14 +163,19 @@ def test_orbit_value_overflow_is_domain_error():
         classify(huge)
 
 
-@pytest.mark.parametrize("n, cell", sorted(_ORBIT_MONOMIALS))
-@pytest.mark.parametrize("scale", [1e-150, 1e-60, 1.0, 1e60, 1e150])
+@pytest.mark.parametrize("n, cell", sorted(oracles.FROZEN_ORBIT_MONOMIALS))
+@pytest.mark.parametrize("scale", [1e-150, 1e-100, 1e-60, 1.0, 1e60, 1e100, 1e150])
 @pytest.mark.parametrize("seed", [3, 4, 5])
 def test_orbit_value_is_published_function_on_normal_form(n, cell, scale, seed):
+    # the table derived from the stabilizers is the hand-written one, types
+    # included, so c * lam**k gives the same floats
+    c, k = oracles.FROZEN_ORBIT_MONOMIALS[n, cell]
+    assert _ORBIT_MONOMIALS.keys() == oracles.FROZEN_ORBIT_MONOMIALS.keys()
+    assert _ORBIT_MONOMIALS[n, cell] == (c, k)
+    assert type(_ORBIT_MONOMIALS[n, cell][0]) is type(c)
     p = random_params(n, cell, seed=seed)
     member = params_from_tuple(n, [v * scale for v in p.as_tuple()])
     label = canonicalize(member)
-    c, k = _ORBIT_MONOMIALS[n, cell]
     if math.log10(abs(c)) + k * math.log10(abs(label.lam)) > math.log10(sys.float_info.max):
         with pytest.raises(DomainError):
             classify(member)
@@ -178,6 +183,7 @@ def test_orbit_value_is_published_function_on_normal_form(n, cell, scale, seed):
     value = classify(member).invariants.orbit_value
     want = _PUBLISHED_ORBIT[n, cell](label.representative)
     assert abs(value - want) <= 1e-9 * abs(want)
+    assert value == c * label.lam**k
 
 
 def test_orbit_constant_along_orbits():

@@ -1,7 +1,13 @@
 """Contract of the bundled verification harness."""
 
 import json
+import os
+import re
+import shutil
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -150,3 +156,44 @@ def test_nan_deviation_fails_its_gate(monkeypatch, key, check_id, rebuild):
 def test_trials_must_be_positive():
     with pytest.raises(DomainError):
         verify_all(trials=0)
+
+
+_LIFTED_PROBE = """
+import cmath, json
+import filiform_ce as fc
+from filiform_ce.subsets import parametric_subsets
+report = fc.verify_all(1, 2)
+values = {}
+for cell in parametric_subsets(9):
+    value = fc.classify(fc.random_params(9, cell, seed=1)).invariants.orbit_value
+    values[cell] = value is not None and cmath.isfinite(value)
+print(json.dumps({"file": fc.__file__, "summary": report.summary, "finite": values,
+                  "ids": [c.check_id for c in report.checks], "manifest": list(fc.MANIFEST)}))
+"""
+
+
+def _rewrite_once(path: Path, pattern: str, repl: str) -> None:
+    text, hits = re.subn(pattern, repl, path.read_text(), flags=re.M)
+    assert hits == 1, f"{pattern!r} matched {hits} times in {path.name}"
+    path.write_text(text)
+
+
+def test_harness_keeps_the_paper_ranks_when_the_library_lifts_its_range(tmp_path):
+    # the library at n = 4..9: the package imports, the harness still runs
+    # the paper's 32 checks on 4..8, and the n = 9 parametric cells get
+    # orbit values from the rule
+    src = Path(__file__).resolve().parents[1] / "src"
+    shutil.copytree(src, tmp_path / "src", ignore=shutil.ignore_patterns("__pycache__"))
+    subsets = tmp_path / "src" / "filiform_ce" / "subsets.py"
+    _rewrite_once(subsets, r"^N_RANGE = range\(4, 9\)$", "N_RANGE = range(4, 10)")
+    _rewrite_once(subsets, r"^(CHAIN_FIRST = \{[^}]*)\}$", r"\1, 9: 4}")
+    env = {**os.environ, "PYTHONPATH": str(tmp_path / "src")}
+    run = subprocess.run(
+        [sys.executable, "-c", _LIFTED_PROBE], capture_output=True, text=True, env=env, timeout=300
+    )
+    assert run.returncode == 0, run.stderr
+    out = json.loads(run.stdout)
+    assert Path(out["file"]).is_relative_to(tmp_path)
+    assert out["summary"] == [32, 32]
+    assert out["manifest"] == list(MANIFEST) == out["ids"]
+    assert out["finite"] == {"U_1": True, "U_5": True, "U_9": True, "U_13": True}
