@@ -2,8 +2,9 @@
 
 Times, at n = 4 and n = 8 on a seeded family member and a seeded
 transform: the tensor kernels (``change_basis``, ``leibniz_residual``,
-``bracket``, ``lower_central_series``), the finiteness check
-``require_finite`` (on a parameter tuple and on a structure tensor), the
+``bracket``, ``lower_central_series``), the finiteness checks
+(``require_finite`` on a parameter tuple, the tensor layer's own on a
+structure tensor), the
 sampler ``random_params`` (one generator shared across calls), the
 uncached constraint solve ``solve_leibniz_constraints.__wrapped__``, and
 ``build_table``, ``adapted_matrix``, ``act_on_params``, ``read_params``,
@@ -67,7 +68,13 @@ def load_package(src: pathlib.Path, name: str):
 
 
 def _sub(fc, name: str):
-    return sys.modules[f"{fc.__name__}.{name}"]
+    return importlib.import_module(f"{fc.__name__}.{name}")
+
+
+def _tensor_finite_check(fc):
+    """The finiteness check on a structure tensor: ``tensor._require_finite``,
+    or ``tolerance.require_finite`` in a checkout whose check takes arrays."""
+    return getattr(_sub(fc, "tensor"), "_require_finite", None) or _sub(fc, "tolerance").require_finite
 
 
 def calls(fc) -> dict:
@@ -85,6 +92,7 @@ def _rank_calls(fc, n: int) -> dict:
 
     random_transform = _sub(fc, "action").random_transform
     require_finite = _sub(fc, "tolerance").require_finite
+    require_finite_tensor = _tensor_finite_check(fc)
     rng = np.random.default_rng(1)
     p = fc.random_params(n, seed=1)
     q = fc.random_params(n, seed=2)
@@ -102,7 +110,7 @@ def _rank_calls(fc, n: int) -> dict:
         "bracket": lambda: fc.bracket(t, x, y),
         "lower_central_series": lambda: fc.lower_central_series(t),
         "require_finite_params": lambda: require_finite(values, "parameters"),
-        "require_finite_tensor": lambda: require_finite(t.gamma, "structure constants"),
+        "require_finite_tensor": lambda: require_finite_tensor(t.gamma, "structure constants"),
         "random_params": lambda: fc.random_params(n, rng=rng),
         "solve_leibniz_constraints": lambda: fc.solve_leibniz_constraints.__wrapped__(n),
         "build_table": lambda: fc.build_table(p),

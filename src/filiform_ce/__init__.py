@@ -5,7 +5,12 @@ solves the bracket-identity constraints on their coefficients, applies
 adapted basis changes in closed form, and classifies every member up to
 isomorphism -- with a verification harness that re-derives each of those
 facts from independent numerical routes.
+
+The closed-form modules load eagerly and without numpy; the names of the
+tensor route and the harness import their modules, and numpy, on first use.
 """
+
+import importlib
 
 from .action import (
     AdaptedTransform,
@@ -54,18 +59,28 @@ from .family import (
     random_params,
     solve_leibniz_constraints,
 )
-from .tensor import (
-    StructureTensor,
-    bracket,
-    change_basis,
-    from_entries,
-    is_filiform,
-    leibniz_residual,
-    leibniz_residual_tensor,
-    lower_central_series,
-    worst_leibniz_triple,
-)
-from .verify import MANIFEST, CheckResult, VerificationReport, verify_all
+
+#: names served by ``__getattr__`` on first use, from the modules that load
+#: numpy: the tensor route and the verification harness
+_LAZY = dict.fromkeys(
+    ("StructureTensor", "bracket", "change_basis", "from_entries", "is_filiform", "leibniz_residual",
+     "leibniz_residual_tensor", "lower_central_series", "worst_leibniz_triple"),
+    "tensor",
+) | dict.fromkeys(("MANIFEST", "CheckResult", "VerificationReport", "verify_all"), "verify")
+
+
+def __getattr__(name: str):
+    """Import the module behind a lazy name once, and keep the name (PEP 562)."""
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_LAZY[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(_LAZY))
+
 
 __version__ = "0.1.0"
 

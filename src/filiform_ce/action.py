@@ -18,7 +18,7 @@ t then t' is (A0 A0', A1 A0' + B_1 A1', B(x) B'(A0 x)), and t^-1 is (1/A0,
     b'_{1,m} = sum_{k, l>=m} B_k B_{l-m+1} c_{k,l} / (A0^{n-m-n%2} B_1 [A0 + A1 b]),
 
 with c_{k,l} the e_n-coefficient of [e_k, e_l] (linear in the parameters,
-so read once per rank off the unit tables) and the bracket for odd n only.
+so read once per rank off the solved relations) and the bracket for odd n only.
 That rule (``_sum_terms``) is the only statement of the action: on first use
 it is written out as straight-line Python, one function for the whole
 action and one per slot (``_compiled``), each compiled once and kept in
@@ -36,18 +36,21 @@ from __future__ import annotations
 import functools
 import linecache
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import (
     DegenerateTransformError,
     DomainError,
     TableShapeError,
 )
-from .family import ExtensionParams, _rand_nonzero, build_table, params_from_tuple
+from .family import ExtensionParams, _rand_nonzero, _slot_entries, build_table
 from .subsets import PARAM_SLOTS, check_rank
-from .tensor import StructureTensor
 from .tolerance import require_finite
+
+if TYPE_CHECKING:
+    import numpy as np
+
+    from .tensor import StructureTensor
 
 
 @dataclass(frozen=True)
@@ -165,6 +168,8 @@ def elementary_factors(t: AdaptedTransform) -> list[ElementaryTransform]:
     ratios B_k/B_1 reproduce the parameter action only for n <= 6, where
     the polluted slots never enter it.
     """
+    import numpy as np
+
     if t.A0 == 0 or t.coeff_B(1) == 0:
         raise DegenerateTransformError("cannot factor a degenerate transform")
     n = t.n
@@ -193,6 +198,8 @@ def adapted_matrix(t: AdaptedTransform, p: ExtensionParams) -> np.ndarray:
     f(e_i); columns beyond the first two come from the bracket recursion
     and include their central corrections.
     """
+    import numpy as np
+
     _require_nondegenerate(t, p)
     n = p.n
     d = n + 1
@@ -215,6 +222,8 @@ def transform_from_matrix(m: np.ndarray, n: int) -> AdaptedTransform:
     because those directions are spanned by parameter-trivial generators
     (the harness's ``tail-triviality`` check).
     """
+    import numpy as np
+
     m = np.asarray(m, dtype=complex)
     return AdaptedTransform(n, m[0, 0], m[1, 0], tuple(m[k, 1] for k in range(1, n - 1)))
 
@@ -261,21 +270,23 @@ def act_on_params(t: AdaptedTransform, p: ExtensionParams) -> ExtensionParams:
 def _sum_terms(n: int) -> tuple:
     """Per even row m: (n-m-n%2, terms), terms (slot, ((c, i, j), ...)).
 
-    The sum is B^T C B, C[i, j] = c_{i+1, j+m} read off the table of each
-    unit parameter tuple; B_i*B_j and B_j*B_i are merged (0-based i <= j),
-    and each slot multiplies its polynomial in B, as in the paper's forms.
+    The sum is B^T C B, C[i, j] = c_{i+1, j+m} read off each slot's solved
+    table direction (``family._slot_entries``); B_i*B_j and B_j*B_i are
+    merged (0-based i <= j), and each slot multiplies its polynomial in B,
+    as in the paper's forms.
     """
-    size = len(PARAM_SLOTS[n])
-    units = [build_table(params_from_tuple(n, [s == u for u in range(size)])).gamma[:, :, n].real for s in range(size)]
     rows = []
     for m in range(2, n - 1, 2):
         terms = []
-        for s, unit in enumerate(units):
-            c = np.zeros((n - 2, n - 2))
-            c[:, : n - m] = unit[1 : n - 1, m:n]
-            c = np.triu(c + c.T - np.diag(np.diag(c)))
-            if c.any():
-                terms.append((s, tuple((float(c[i, j]), int(i), int(j)) for i, j in zip(*np.nonzero(c)))))
+        for s, entries in enumerate(_slot_entries(n)):
+            poly = []
+            for i in range(n - 2):
+                for j in range(i, n - 2):
+                    c = entries.get((i + 1, j + m), 0) + (entries.get((j + 1, i + m), 0) if j > i else 0)
+                    if c:
+                        poly.append((float(c), i, j))
+            if poly:
+                terms.append((s, tuple(poly)))
         rows.append((n - m - n % 2, tuple(terms)))
     return tuple(rows)
 
@@ -369,6 +380,8 @@ def read_params(t: StructureTensor) -> ExtensionParams:
     times the largest entry raises :class:`TableShapeError` listing the
     offending entries.
     """
+    import numpy as np
+
     n = t.dim - 1
     check_rank(n)
     g = t.gamma
@@ -407,6 +420,8 @@ def random_transform(
     """Random nondegenerate transform; pass the parameters' top coefficient
     as ``b`` so the shear A0 + A1*b stays well away from zero."""
     if rng is None:
+        import numpy as np
+
         rng = np.random.default_rng(seed)
 
     def any_size():

@@ -4,7 +4,8 @@ Exit codes separate the failure modes: 0 success, 1 a verification that
 ran and failed (a table violating the bracket identity, a harness check
 failing), 2 malformed input (bad JSON, unusable invocation), 3 inputs
 that parse but fall outside the domain (unsupported rank, degenerate
-transform, mismatched dimensions).
+transform, mismatched dimensions).  Only ``build``, ``check`` and
+``verify-paper`` load numpy; the other verbs run on closed forms.
 """
 
 from __future__ import annotations
@@ -12,15 +13,11 @@ from __future__ import annotations
 import argparse
 import sys
 
-import numpy as np
-
 from . import jsonio
+from .action import act_on_params
 from .classify import classify, isomorphic, representatives, warn_if_borderline
 from .errors import FiliformError, InputFormatError
 from .family import N_RANGE, build_table, random_params, solve_leibniz_constraints
-from .tensor import is_filiform, leibniz_residual, lower_central_series
-from .action import act_on_params
-from .verify import verify_all
 
 VERBS = (
     "build",
@@ -112,6 +109,10 @@ def _cmd_build(args) -> tuple[object, int]:
 
 
 def _cmd_check(args) -> tuple[object, int]:
+    import numpy as np
+
+    from .tensor import is_filiform, leibniz_residual, lower_central_series
+
     t = jsonio.decode_tensor(_read_input(args.input))
     residual = leibniz_residual(t)
     scale = max(1.0, float(np.max(np.abs(t.gamma))))
@@ -173,6 +174,8 @@ def _cmd_derive_constraints(args) -> tuple[object, int]:
 
 def _dispatch(args) -> tuple[str, int]:
     if args.verb == "verify-paper":
+        from .verify import verify_all
+
         report = verify_all(
             seed=1 if args.seed is None else args.seed,
             trials=args.trials,

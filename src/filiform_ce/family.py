@@ -6,11 +6,14 @@ central direction e_n and letting the brackets [e_i, e_j] (i, j < n) pick up
 e_n-components subject to the Leibniz identity yields a family of
 non-Lie Leibniz algebras.  ``solve_leibniz_constraints`` derives, by exact
 integer elimination on the identity's residual, which e_n-components are free;
-``ExtensionParams`` holds exactly those free coordinates and
+it reads the residual's e_n-rows off the skeleton's sparse brackets, in
+pure Python.  ``ExtensionParams`` holds exactly those free coordinates and
 ``build_table`` expands them into a full structure tensor: the chain
 skeleton plus each coordinate times its direction read off the solved
-relations, so the forced coefficients and their signs are never written
-out by hand.
+relations (``_slot_entries``, which the closed-form action reads too), so
+the forced coefficients and their signs are never written out by hand.
+Only the tensor route here (``build_mu``, ``build_table`` and
+``random_params`` without a generator) imports numpy, on first use.
 
 Parameter naming: ``bIJ`` is the e_n-coefficient of [e_I, e_J].  After
 reduction the free ones are b00, b01, b11, the even-index row
@@ -23,14 +26,17 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass, field
 from fractions import Fraction
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import DomainError, FiliformError
 # N_RANGE is defined in subsets; callers import it from here
 from .subsets import N_RANGE, PARAM_SLOTS, SUBSETS, check_rank, free_labels, get_spec
-from .tensor import StructureTensor, leibniz_residual_tensor
 from .tolerance import require_finite
+
+if TYPE_CHECKING:
+    import numpy as np
+
+    from .tensor import StructureTensor
 
 
 def build_mu(n: int) -> StructureTensor:
@@ -39,13 +45,15 @@ def build_mu(n: int) -> StructureTensor:
     Basis e_0..e_n; the only nonzero products are [e_i, e_0] = e_{i+1}
     for 1 <= i <= n-1.
     """
+    import numpy as np
+
     if n < 2:
         raise DomainError(f"graded filiform algebra needs n >= 2, got {n}")
     d = n + 1
     gamma = np.zeros((d, d, d), dtype=complex)
     for i in range(1, n):
         gamma[i, 0, i + 1] = 1.0
-    return StructureTensor(gamma)
+    return _structure_tensor()(gamma)
 
 
 # ---------------------------------------------------------------------------
@@ -133,41 +141,61 @@ def params_from_tuple(n: int, values) -> ExtensionParams:
 # ---------------------------------------------------------------------------
 # constraint solver
 
-_GENERIC_LABELS = ("b00", "b01", "b11")
-
-
 def _unknown_labels(n: int) -> list[str]:
-    labels = list(_GENERIC_LABELS)
-    for i in range(1, n - 1):
-        for j in range(i + 1, n):
-            labels.append(f"b{i}{j}")
-    return labels
+    return ["b00", "b01", "b11"] + [f"b{i}{j}" for i in range(1, n - 1) for j in range(i + 1, n)]
 
 
-def _direction(n: int, label: str) -> np.ndarray:
-    """Unit tensor direction for one unknown e_n-coefficient."""
-    d = n + 1
-    g = np.zeros((d, d, d))
-    if label == "b00":
-        g[0, 0, n] = 1.0
-    elif label == "b01":
-        g[0, 1, n] = 1.0
-    elif label == "b11":
-        g[1, 1, n] = 1.0
-    else:
-        i, j = int(label[1]), int(label[2:])
-        g[i, j, n] = 1.0
-        g[j, i, n] = -1.0
-    return g
+def _unit_entries(label: str) -> dict:
+    """e_n-coefficients {(i, j): c} of [e_i, e_j] when the unknown ``label`` is 1
+    and every other unknown 0: b00, b01 and b11 set one entry, a pair
+    label b{i}{j} (1 <= i < j) sets [e_i, e_j] and its negative [e_j, e_i]."""
+    i, j = int(label[1]), int(label[2:])
+    return {(i, j): 1} if i == 0 or i == j else {(i, j): 1, (j, i): -1}
 
 
-def _skeleton(n: int) -> np.ndarray:
-    d = n + 1
-    g = np.zeros((d, d, d))
+def _chain(n: int) -> dict:
+    """The skeleton's brackets as {(i, j): (k, c)}, [e_i, e_j] = c*e_k:
+    [e_i, e_0] = e_{i+1} = -[e_0, e_i] for 1 <= i <= n-1."""
+    chain = {}
     for i in range(1, n):
-        g[i, 0, i + 1] = 1.0
-        g[0, i, i + 1] = -1.0
-    return g
+        chain[i, 0], chain[0, i] = (i + 1, 1), (i + 1, -1)
+    return chain
+
+
+def _residual_rows(n: int, labels) -> list:
+    """The e_n-rows of the Leibniz residual over the unknowns ``labels``.
+
+    Entry [i, j, k] of the residual is [e_i,[e_j,e_k]] - [[e_i,e_j],e_k] +
+    [[e_i,e_k],e_j].  The unknowns only feed e_n, which is central, so each
+    term reaches one only as the outer bracket of an inner skeleton bracket,
+    and the residual is affine in them.  Its constant part is the skeleton's
+    own residual, checked here in every component.  A row and its negation
+    are one constraint: each row's first nonzero entry is made positive and
+    repeats are dropped, the rows kept in (i, j, k) order.
+    """
+    chain = _chain(n)
+    where = {key: (col, c) for col, lab in enumerate(labels) for key, c in _unit_entries(lab).items()}
+    rows, defect = {}, {}
+    for (p, q), (l, c) in chain.items():  # the inner bracket [e_p, e_q] = c*e_l
+        for x in range(n + 1):
+            # [e_x, [e_p, e_q]], -[[e_p, e_q], e_x] and [[e_p, e_x], e_q], whose
+            # outer brackets hold e_l; one holding e_n (central) is in neither table
+            for triple, outer, s in (((x, p, q), (x, l), c), ((p, q, x), (l, x), -c), ((p, x, q), (l, x), c)):
+                if outer in chain:
+                    m, c2 = chain[outer]
+                    defect[triple, m] = defect.get((triple, m), 0) + s * c2
+                if outer in where:
+                    col, c2 = where[outer]
+                    rows.setdefault(triple, [0] * len(labels))[col] += s * c2
+    if any(defect.values()):
+        raise FiliformError("graded filiform skeleton fails the Leibniz identity")
+    folded = {}
+    for triple in sorted(rows):
+        row = rows[triple]
+        lead = next((x for x in row if x), 0)
+        if lead:
+            folded[tuple(x if lead > 0 else -x for x in row)] = None
+    return list(folded)
 
 
 @dataclass(frozen=True)
@@ -200,25 +228,16 @@ def solve_leibniz_constraints(n: int) -> ConstraintReport:
 
     The residual of the identity is affine in the unknown coefficients
     (they only feed the central direction), so the admissible set is the
-    null space of a single matrix whose columns are the residual tensors of
-    the individual coefficient directions.  Its entries are integers, so
-    Gauss-Jordan elimination in exact rationals, the dependent labels
-    pivoted first, reads the relations off the reduced rows.
+    null space of its e_n-rows (``_residual_rows``), read off the sparse
+    skeleton.  Their entries are integers, so Gauss-Jordan elimination in
+    exact rationals, the dependent labels pivoted first, reads the
+    relations off the reduced rows.
     """
     check_rank(n, top=N_RANGE.stop)  # one rank past the family
-    labels = _unknown_labels(n)
     free = free_labels(n)
-    dep = [lab for lab in labels if lab not in free]
-    t0 = _skeleton(n)
-    if leibniz_residual_tensor(StructureTensor(t0.astype(complex))).any():
-        raise FiliformError("graded filiform skeleton fails the Leibniz identity")
-
-    units = (StructureTensor((t0 + _direction(n, lab)).astype(complex)) for lab in dep + free)
-    a = np.real([leibniz_residual_tensor(t).reshape(-1) for t in units]).T
-    # a row and its negation are one constraint: fold the sign, drop repeats
-    a = a[a.any(axis=1)]
-    a *= np.sign(a[np.arange(len(a)), (a != 0).argmax(axis=1)])[:, None]
-    rows = [list(map(Fraction, row)) for row in dict.fromkeys(map(tuple, a.tolist()))]
+    dep = [lab for lab in _unknown_labels(n) if lab not in free]
+    labels = dep + free
+    rows = [list(map(Fraction, row)) for row in _residual_rows(n, labels)]
 
     pivots = []
     for col in range(len(labels)):
@@ -277,23 +296,45 @@ def _row_signs(n: int, relations) -> dict:
 # table builder
 
 
-@functools.lru_cache(maxsize=None)
-def _unit_tables(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The skeleton and, per slot of ``PARAM_SLOTS[n]``, its table direction.
+@functools.cache
+def _slot_entries(n: int) -> tuple:
+    """Per free label of ``free_labels(n)`` (the slots of ``PARAM_SLOTS[n]``,
+    in order), the e_n-coefficients {(i, j): c} of its table direction.
 
-    Each direction is the slot's own unit direction plus c times the unit
-    direction of every forced coefficient whose solved relation names it
-    with coefficient c.  Slot ``b`` is -b_{1,n-1}, hence its factor -1.
+    A direction is the label's own unit entries plus c times those of every
+    forced coefficient whose solved relation names it with coefficient c.
+    The top label b1{n-1} of odd n is slot ``b`` = -b_{1,n-1}, hence its
+    factor -1.  The dicts are shared: read them, never change them.
     """
     relations = solve_leibniz_constraints(n).implied_relations
-    units = []
-    for slot in PARAM_SLOTS[n]:
-        label, factor = (f"b1{n - 1}", -1.0) if slot == "b" else (slot, 1.0)
-        forced = sum(
-            c * _direction(n, r.target) for r in relations for src, c in r.terms if src == label
-        )
-        units.append(factor * (_direction(n, label) + forced))
-    return _skeleton(n), np.array(units, dtype=complex).reshape(len(units), -1)
+    out = []
+    for label in free_labels(n):
+        factor = -1 if n % 2 and label == f"b1{n - 1}" else 1
+        sources = [(label, 1)] + [(r.target, c) for r in relations for src, c in r.terms if src == label]
+        entries = {}
+        for target, c in sources:
+            for key, v in _unit_entries(target).items():
+                entries[key] = entries.get(key, 0) + factor * c * v
+        out.append(entries)
+    return tuple(out)
+
+
+@functools.lru_cache(maxsize=None)
+def _unit_tables(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The skeleton and, per slot of ``PARAM_SLOTS[n]``, its table direction
+    (``_slot_entries``) as a complex row."""
+    import numpy as np
+
+    d = n + 1
+    skeleton = np.zeros((d, d, d))
+    for (i, j), (k, c) in _chain(n).items():
+        skeleton[i, j, k] = c
+    entries = _slot_entries(n)
+    units = np.zeros((len(entries), d, d, d), dtype=complex)
+    for s, slot in enumerate(entries):
+        for (i, j), c in slot.items():
+            units[s, i, j, n] = c
+    return skeleton, units.reshape(len(entries), -1)
 
 
 def build_table(p: ExtensionParams) -> StructureTensor:
@@ -305,7 +346,16 @@ def build_table(p: ExtensionParams) -> StructureTensor:
     the solve rather than from a rule restated here.
     """
     skeleton, units = _unit_tables(p.n)
-    return StructureTensor(skeleton + (p.as_tuple() @ units).reshape(skeleton.shape))
+    return _structure_tensor()(skeleton + (p.as_tuple() @ units).reshape(skeleton.shape))
+
+
+@functools.cache
+def _structure_tensor() -> type:
+    """``tensor.StructureTensor``, imported on first use: the closed-form
+    path never loads numpy (a relative import in the call costs ~1.5 us)."""
+    from .tensor import StructureTensor
+
+    return StructureTensor
 
 
 # ---------------------------------------------------------------------------
@@ -355,6 +405,8 @@ def random_params(
     """
     check_rank(n)
     if rng is None:
+        import numpy as np
+
         rng = np.random.default_rng(seed)
     try:
         slot_wants, want_delta = _sampling_wants(n)[subset]

@@ -12,14 +12,15 @@ the constructors, so the two failure modes stay distinguishable.
 from __future__ import annotations
 
 import json
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .action import AdaptedTransform
 from .classify import OrbitLabel
 from .errors import FiliformError, InputFormatError
 from .family import ConstraintReport, ExtensionParams
-from .tensor import StructureTensor
+
+if TYPE_CHECKING:
+    from .tensor import StructureTensor
 
 __all__ = [
     "dump_complex",
@@ -120,6 +121,10 @@ def encode_tensor(t: StructureTensor) -> dict:
 
 
 def decode_tensor(obj) -> StructureTensor:
+    import numpy as np
+
+    from .tensor import StructureTensor
+
     _require_keys(obj, ("dim", "gamma"), "tensor")
     d = _int_field(obj, "dim", "tensor")
     if d < 1:

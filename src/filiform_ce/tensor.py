@@ -18,7 +18,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, SingularMatrixError
-from .tolerance import RANK_RTOL, require_finite
+from .tolerance import RANK_RTOL
+
+
+def _require_finite(a: np.ndarray, what: str) -> None:
+    """The array form of ``tolerance.require_finite``, with its message."""
+    if not np.isfinite(a).all():
+        raise DomainError(f"{what} must be finite (no NaN or infinity)")
 
 
 @dataclass(frozen=True)
@@ -33,7 +39,7 @@ class StructureTensor:
             raise DomainError(f"structure tensor must be cubic, got shape {arr.shape}")
         if arr.shape[0] < 1:
             raise DomainError("structure tensor needs a positive dimension")
-        require_finite(arr, "structure constants")
+        _require_finite(arr, "structure constants")
         arr = arr.copy()
         arr.setflags(write=False)
         object.__setattr__(self, "gamma", arr)
@@ -128,7 +134,7 @@ def change_basis(t: StructureTensor, g) -> StructureTensor:
     g = np.asarray(g, dtype=complex)
     if g.shape != (t.dim, t.dim):
         raise DomainError(f"basis-change matrix must be {t.dim}x{t.dim}, got {g.shape}")
-    require_finite(g, "basis-change matrix")
+    _require_finite(g, "basis-change matrix")
     ginv = _scaled_inverse(g) if np.triu(g, 1).any() else _lower_inverse(g)
     d = t.dim
     # sum_{a,b,l} g[a,i] g[b,j] gamma[a,b,l] ginv[k,l], summing a, then b, then l

@@ -5,14 +5,13 @@ Subspace ranks in the tensor layer use a singular-value cutoff
 solve is exact and needs none.  A scalar counts as "zero" for
 classification flags when its magnitude is below ``1e-9`` times the
 relevant scale.  Fixed cutoffs of a single test (``change_basis``,
-``read_params``) sit next to that test.
+``read_params``) sit next to that test.  Nothing here loads numpy: the
+tensor layer checks its own arrays for finiteness.
 """
 
 from __future__ import annotations
 
 import cmath
-
-import numpy as np
 
 from .errors import DomainError
 
@@ -27,14 +26,10 @@ FLAG_WARN_MARGIN = 1e-6
 
 
 def require_finite(values, what: str) -> None:
-    """Reject NaN/infinity before they enter any tensor or parameter.
+    """Reject NaN/infinity before they enter any parameter or transform.
 
-    ``values`` is an ndarray or an iterable of Python numbers; a complex
-    value is finite only when both its real and imaginary parts are.
+    ``values`` is an iterable of Python numbers; a complex value is finite
+    only when both its real and imaginary parts are.
     """
-    if isinstance(values, np.ndarray):
-        finite = np.isfinite(values).all()
-    else:
-        finite = all(map(cmath.isfinite, values))
-    if not finite:
+    if not all(map(cmath.isfinite, values)):
         raise DomainError(f"{what} must be finite (no NaN or infinity)")

@@ -137,20 +137,63 @@ def expected_relations(n: int) -> dict[str, dict[str, complex]]:
     return out
 
 
+def direction(n: int, label: str) -> np.ndarray:
+    """Unit tensor direction of one unknown e_n-coefficient, as a dense array."""
+    d = n + 1
+    g = np.zeros((d, d, d))
+    if label == "b00":
+        g[0, 0, n] = 1.0
+    elif label == "b01":
+        g[0, 1, n] = 1.0
+    elif label == "b11":
+        g[1, 1, n] = 1.0
+    else:
+        i, j = int(label[1]), int(label[2:])
+        g[i, j, n] = 1.0
+        g[j, i, n] = -1.0
+    return g
+
+
+def skeleton(n: int) -> np.ndarray:
+    """The chain [e_i, e_0] = e_{i+1} = -[e_0, e_i] as a dense array."""
+    d = n + 1
+    g = np.zeros((d, d, d))
+    for i in range(1, n):
+        g[i, 0, i + 1] = 1.0
+        g[0, i, i + 1] = -1.0
+    return g
+
+
+def tensor_residual_rows(n: int, labels) -> list[tuple[float, ...]]:
+    """Rows of the Leibniz residual matrix on the tensor route, one column per
+    label: the dense residual tensor (``leibniz_residual_tensor``) of the
+    skeleton plus that label's direction, flattened.  Zero rows are dropped,
+    each row's first nonzero entry is made positive and repeats are removed.
+    Reference for ``family._residual_rows``, which reads the same rows off
+    the sparse brackets.
+    """
+    t0 = skeleton(n)
+    units = (StructureTensor((t0 + direction(n, lab)).astype(complex)) for lab in labels)
+    a = np.real([leibniz_residual_tensor(t).reshape(-1) for t in units]).T
+    a = a[a.any(axis=1)]
+    a *= np.sign(a[np.arange(len(a)), (a != 0).argmax(axis=1)])[:, None]
+    return list(dict.fromkeys(map(tuple, a.tolist())))
+
+
 def svd_relations(n: int) -> tuple[int, dict[str, dict[str, float]]]:
     """Rank and relations of the Leibniz constraints from a float null space.
 
-    The residual matrix is the library's (one column per unknown's
-    direction); its rank comes from an SVD cutoff, and the relations from
-    inverting the null basis on the free labels, rounded where within
-    1e-9 of an integer.  Reference for the exact elimination of
+    The residual matrix is built on the tensor route (one column per
+    unknown's direction); its rank comes from an SVD cutoff, and the
+    relations from inverting the null basis on the free labels, rounded
+    where within 1e-9 of an integer.  Reference for the exact elimination of
     ``solve_leibniz_constraints``.
     """
     labels = family._unknown_labels(n)
-    t0 = family._skeleton(n)
+    t0 = skeleton(n)
     cols = []
     for lab in labels:
-        t = StructureTensor((t0 + family._direction(n, lab)).astype(complex))
+        t = StructureTensor((t0 + direction(n, lab)).astype(complex))
         cols.append(np.real(leibniz_residual_tensor(t)).reshape(-1))
     a = np.column_stack(cols)
     _, s, vh = np.linalg.svd(a, full_matrices=False)
@@ -167,6 +210,44 @@ def svd_relations(n: int) -> tuple[int, dict[str, dict[str, float]]]:
         for k, row in zip(dep_idx, coeff)
     }
     return rank, relations
+
+
+def unit_tables(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """``family._unit_tables`` on the tensor route: per free label, its dense
+    direction plus c times the dense direction of every forced coefficient
+    whose solved relation names it (the top label of odd n, slot ``b``, times
+    -1), as complex rows beside the dense skeleton."""
+    relations = family.solve_leibniz_constraints(n).implied_relations
+    units = []
+    for label in free_labels(n):
+        factor = -1.0 if n % 2 and label == f"b1{n - 1}" else 1.0
+        forced = sum(c * direction(n, r.target) for r in relations for src, c in r.terms if src == label)
+        units.append(factor * (direction(n, label) + forced))
+    return skeleton(n), np.array(units, dtype=complex).reshape(len(units), -1)
+
+
+def table_sum_terms(n: int) -> tuple:
+    """``action._sum_terms`` read off the table of each unit parameter tuple
+    (built from :func:`unit_tables`): C[i, j] = c_{i+1, j+m}, merged to i <= j
+    with numpy.  The generated action's terms must equal these bit for bit.
+    """
+    t0, units = unit_tables(n)
+    size = len(units)
+    tables = [
+        (t0 + (tuple(complex(s == u) for u in range(size)) @ units).reshape(t0.shape))[:, :, n].real
+        for s in range(size)
+    ]
+    rows = []
+    for m in range(2, n - 1, 2):
+        terms = []
+        for s, unit in enumerate(tables):
+            c = np.zeros((n - 2, n - 2))
+            c[:, : n - m] = unit[1 : n - 1, m:n]
+            c = np.triu(c + c.T - np.diag(np.diag(c)))
+            if c.any():
+                terms.append((s, tuple((float(c[i, j]), int(i), int(j)) for i, j in zip(*np.nonzero(c)))))
+        rows.append((n - m - n % 2, tuple(terms)))
+    return tuple(rows)
 
 
 def naive_build_table(p) -> np.ndarray:

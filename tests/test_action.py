@@ -43,7 +43,7 @@ from filiform_ce import (
     transform_from_matrix,
     upsilon,
 )
-from filiform_ce.action import ElementaryTransform, _compiled
+from filiform_ce.action import ElementaryTransform, _compiled, _sum_terms
 from filiform_ce.classify import _PLANS
 from filiform_ce.subsets import PARAM_SLOTS
 from filiform_ce.verify import _coefficient_sum, _naive_factors, _tail_generators, _tail_trivial
@@ -297,8 +297,8 @@ def test_group_law_matches_matrix_route(n):
 
 
 def test_group_law_never_reads_the_table(monkeypatch):
-    # the act_on_params calls below cache the rank-7 coefficient sums, the
-    # action's only use of the table; after that nothing may build one
+    # the action reads its coefficient sums off the solved relations; nothing
+    # in the group law may build a table or a dense inverse
     import filiform_ce.action as action
 
     p, q = random_params(7, seed=3), random_params(7, "U_5", seed=4)
@@ -384,6 +384,14 @@ def _oracle_inputs(n):
                 yield t.A0, t.A1, tuple(x * scale for x in t.B), v
             yield t.A0, t.A1, (0j,) + t.B[1:], v
             yield 1, t.A1 * 10.0**e, (1 + 0j,) + (0j,) * (n - 3), v
+
+
+@pytest.mark.parametrize("n", range(4, 10))
+def test_sum_terms_match_table_route(n):
+    # the coefficient sums built from the relations are the ones read off the
+    # tables of unit parameter tuples: same terms, same order, float coefficients
+    assert repr(_sum_terms(n)) == repr(oracles.table_sum_terms(n))
+    assert all(type(c) is float for _, terms in _sum_terms(n) for _, poly in terms for c, _, _ in poly)
 
 
 @pytest.mark.parametrize("n", [4, 5, 6, 7, 8])

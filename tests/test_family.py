@@ -267,14 +267,51 @@ def test_free_labels_that_do_not_parameterize_are_typed(monkeypatch):
 
 
 def test_fractional_relation_coefficient_is_typed(monkeypatch):
-    # with the direction of b23 doubled, b23 = -b14/2 at n=5: a coefficient
-    # that is not an integer is refused, never truncated
-    direction = family._direction
-    monkeypatch.setattr(
-        family, "_direction", lambda n, lab: (2 if lab == "b23" else 1) * direction(n, lab)
-    )
+    # with the b23 column of the residual rows doubled, b23 = -b14/2 at n=5:
+    # a coefficient that is not an integer is refused, never truncated
+    rows = family._residual_rows
+
+    def doubled(n, labels):
+        return [tuple(2 * x if lab == "b23" else x for lab, x in zip(labels, row)) for row in rows(n, labels)]
+
+    monkeypatch.setattr(family, "_residual_rows", doubled)
     with pytest.raises(FiliformError, match="relation coefficient is not an integer"):
         solve_leibniz_constraints.__wrapped__(5)
+
+
+@pytest.mark.parametrize("n", range(4, 10))
+def test_sparse_residual_rows_match_tensor_route(n):
+    # the e_n-rows read off the sparse brackets are the tensor route's
+    # residual matrix rows, sign-folded and deduplicated alike, in the same order
+    free = free_labels(n)
+    labels = [lab for lab in family._unknown_labels(n) if lab not in free] + free
+    rows = family._residual_rows(n, labels)
+    assert len(rows) == {4: 2, 5: 4, 6: 8, 7: 13, 8: 19, 9: 26}[n]
+    assert rows == oracles.tensor_residual_rows(n, labels)
+    assert all(type(x) is int for row in rows for x in row)
+
+
+def test_broken_skeleton_is_typed(monkeypatch):
+    # the reader checks the skeleton's own residual in every component:
+    # with [e_1, e_2] = e_3 the triple (0, 1, 2) leaves -e_4, off the centre
+    chain = family._chain
+
+    def broken(n):
+        return chain(n) | {(1, 2): (3, 1)}
+
+    monkeypatch.setattr(family, "_chain", broken)
+    with pytest.raises(FiliformError, match="skeleton fails the Leibniz identity"):
+        solve_leibniz_constraints.__wrapped__(6)
+
+
+@pytest.mark.parametrize("n", range(4, 10))
+def test_unit_tables_match_tensor_route(n):
+    # the table directions filled from the sparse slot entries equal the
+    # dense sums of unit directions over the solved relations
+    skeleton, units = family._unit_tables.__wrapped__(n)
+    want_skeleton, want_units = oracles.unit_tables(n)
+    assert np.array_equal(skeleton, want_skeleton)
+    assert units.dtype == want_units.dtype and np.array_equal(units, want_units)
 
 
 def test_solver_rejects_out_of_range():
