@@ -71,12 +71,6 @@ def _sub(fc, name: str):
     return importlib.import_module(f"{fc.__name__}.{name}")
 
 
-def _tensor_finite_check(fc):
-    """The finiteness check on a structure tensor: ``tensor._require_finite``,
-    or ``tolerance.require_finite`` in a checkout whose check takes arrays."""
-    return getattr(_sub(fc, "tensor"), "_require_finite", None) or _sub(fc, "tolerance").require_finite
-
-
 def calls(fc) -> dict:
     """Entry name -> zero-argument call on package ``fc``."""
     out = {}
@@ -92,7 +86,7 @@ def _rank_calls(fc, n: int) -> dict:
 
     random_transform = _sub(fc, "action").random_transform
     require_finite = _sub(fc, "tolerance").require_finite
-    require_finite_tensor = _tensor_finite_check(fc)
+    require_finite_tensor = _sub(fc, "tensor")._require_finite
     rng = np.random.default_rng(1)
     p = fc.random_params(n, seed=1)
     q = fc.random_params(n, seed=2)

@@ -20,9 +20,9 @@ t then t' is (A0 A0', A1 A0' + B_1 A1', B(x) B'(A0 x)), and t^-1 is (1/A0,
 with c_{k,l} the e_n-coefficient of [e_k, e_l] (linear in the parameters,
 so read once per rank off the solved relations) and the bracket for odd n only.
 That rule (``_sum_terms``) is the only statement of the action: on first use
-it is written out as straight-line Python, one function for the whole
-action and one per slot (``_compiled``), each compiled once and kept in
-:mod:`linecache` under ``<action n=N>`` so tracebacks show the failing line.
+it is written out as straight-line Python, one function per tuple of slots
+read, the whole action among them (``_compiled``), each compiled once and
+kept in :mod:`linecache` so tracebacks show the failing line.
 
 The group is generated by three kinds of elementary transforms (sigma, tau,
 upsilon below); generators touching only the trailing basis directions act
@@ -168,20 +168,16 @@ def elementary_factors(t: AdaptedTransform) -> list[ElementaryTransform]:
     ratios B_k/B_1 reproduce the parameter action only for n <= 6, where
     the polluted slots never enter it.
     """
-    import numpy as np
-
     if t.A0 == 0 or t.coeff_B(1) == 0:
         raise DegenerateTransformError("cannot factor a degenerate transform")
     n = t.n
     factors = [tau(t.A1 / t.A0, 1)]
     # image[j] tracks the e_j-coefficient of the composed shifts on e_1
-    image = np.zeros(n - 1, dtype=complex)
-    image[1] = 1.0
+    image = [0j, 1 + 0j] + [0j] * (n - 3)
     for k in range(2, n - 1):
         c = t.coeff_B(k) / t.coeff_B(1) - image[k]
-        shifted = np.zeros_like(image)
-        shifted[k - 1 :] = image[: n - k]
-        image += c * shifted
+        shifted = [0j] * (k - 1) + image[: n - k]
+        image = [x + c * y for x, y in zip(image, shifted)]
         factors.append(sigma(c, k))
     factors.append(upsilon(t.A0, t.coeff_B(1)))
     return factors
@@ -292,36 +288,36 @@ def _sum_terms(n: int) -> tuple:
 
 
 @functools.cache
-def _compiled(n: int, wanted=None):
+def _compiled(n: int, reads: tuple | None = None):
     """The closed form at rank n as straight-line code, compiled on first use.
 
     ``f(a0, a1, bvec, v)`` works on plain tuples in ``as_tuple`` order
-    (``bvec`` holds B_1..B_{n-2}), unvalidated.  It returns the whole action
-    for ``wanted`` None, slot i for an int i, and a tuple of slots for a
-    tuple of ascending slot indices.  The source stays in :mod:`linecache`
-    under ``<action n=N>`` (the whole action) or ``<action n=N slot ...>``,
-    so tracebacks show the failing line.
+    (``bvec`` holds B_1..B_{n-2}), unvalidated, and returns the slots
+    ``reads`` (ascending ``as_tuple`` indices; every slot when left out) as
+    a tuple in that order.  The source stays in :mod:`linecache` under
+    ``<action n=N>`` (every slot) or ``<action n=N slots (...)>``, so
+    tracebacks show the failing line.
     """
-    name = "act" if wanted is None else f"slot_{wanted}" if isinstance(wanted, int) else "slots"
-    filename = f"<action n={n}>" if wanted is None else f"<action n={n} slot {wanted}>"
-    source = _source(n, name, wanted)
+    filename = f"<action n={n}>" if reads is None else f"<action n={n} slots {reads}>"
+    source = _source(n, range(len(PARAM_SLOTS[n])) if reads is None else reads)
     linecache.cache[filename] = (len(source), None, source.splitlines(True), filename)
     namespace: dict = {}
     exec(compile(source, filename, "exec"), namespace)
-    return namespace[name]
+    return namespace["act"]
 
 
-def _source(n: int, name: str, wanted) -> str:
-    """Straight-line Python for the closed form, read off ``_sum_terms(n)``.
+def _source(n: int, reads) -> str:
+    """Straight-line Python for the slots ``reads`` of the closed form, read
+    off ``_sum_terms(n)``.
 
-    ``wanted`` None gives the whole action, an int one slot, a tuple several.
     The slots are (a0^2 b00 + a0 a1 b01 + a1^2 b11)/(nn B1), (a0 b01 +
     2 a1 b11)/nn and B1 b11/nn with nn = a0^(n-2) (a0 + a1 b), each even
     row its coefficient sum over a0^power B1 (times the shear at odd n), and
     at odd n B1 b/(a0 + a1 b).  Sums start at 0j and add the terms in rule
-    order, term by term.  A slot that is not an even row is computed
-    together with all such slots, in slot order, so a zero divisor or an
-    overflowing power in any of them raises; an even row stands alone.
+    order, term by term.  The slots are computed in ``reads`` order, except
+    that the slots which are not even rows are computed together, in slot
+    order, where the first of them is read: a zero divisor or an
+    overflowing power in any of them raises.
     """
     slots = PARAM_SLOTS[n]
     odd = n % 2
@@ -334,33 +330,22 @@ def _source(n: int, name: str, wanted) -> str:
             total += f" + (0j{coeff}) * {slots[s]}"
         return f"({total}) / (a0 ** {power} * B1 * {tail})"
 
-    def tuple_of(exprs):
-        return "(\n" + "".join(f"        {e},\n" for e in exprs) + "    )"
-
     rows = {i: row(*r) for i, r in enumerate(_sum_terms(n), 3)}
     lead = {
         0: "(a0 * a0 * b00 + a0 * a1 * b01 + a1 * a1 * b11) / (nn * B1)",
         1: "(a0 * b01 + 2 * a1 * b11) / nn",
         2: "B1 * b11 / nn",
     } | ({len(slots) - 1: "B1 * b / shear"} if odd else {})
-    shear = f"shear = a0 + a1 * {'b' if odd else '0j'}"
     nn = f"nn = a0 ** {n - 2} * shear"
-    if wanted is None:  # every slot, in slot order
-        body = [shear, nn, "return " + tuple_of(e for _, e in sorted((lead | rows).items()))]
-    elif wanted in rows:
-        body = [shear] * odd + [f"return {rows[wanted]}"]
-    else:  # slot after slot, the slots that are not even rows computed once
-        reads = (wanted,) if isinstance(wanted, int) else wanted
-        body = [shear] * (odd or any(i not in rows for i in reads))
-        for i in reads:
-            if i in rows:
-                body.append(f"u{i} = {rows[i]}")
-            elif nn not in body:
-                body += [nn] + [f"u{k} = {e}" for k, e in lead.items()]
-        result = f"u{wanted}" if isinstance(wanted, int) else tuple_of(f"u{i}" for i in reads)
-        body.append(f"return {result}")
+    body = [f"shear = a0 + a1 * {'b' if odd else '0j'}"] * (odd or any(i not in rows for i in reads))
+    for i in reads:
+        if i in rows:
+            body.append(f"u{i} = {rows[i]}")
+        elif nn not in body:
+            body += [nn] + [f"u{k} = {e}" for k, e in lead.items()]
+    body.append(f"return ({''.join(f'u{i}, ' for i in reads).rstrip()})")
     head = [
-        f"def {name}(a0, a1, bvec, v):",
+        "def act(a0, a1, bvec, v):",
         f"    {', '.join(slots)} = v",
         f"    {', '.join(f'B{k}' for k in range(1, n - 1))} = bvec",
     ]

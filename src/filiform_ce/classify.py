@@ -33,8 +33,9 @@ witness in three steps, each evaluated on the closed form of the action:
    (m-n, 1) for b1m and (-1, 1) for b.  (A0, B1) set the representative's
    "1" slots to 1: A0 is the principal |det|-th root of a weight monomial
    (det of the two weights), and B1 follows from a slot with y != 0.  It
-   reads the sheared "1" slots in one call of the compiled action that
-   evaluates only what they need.
+   reads the sheared "1" slots in one call of the code compiled for just
+   those slots, ``_compiled(n, ones)``; each shift reads the slot it clears
+   through ``_compiled(n, (i,))``.
 
 The witness is (A0, A0*s, B1*(1, 0, B3, 0, B5, ...)).  Principal roots
 read a zero imaginary part as +0, so ``lam`` does not depend on the sign
@@ -117,7 +118,9 @@ def _margin(p: ExtensionParams, flags: dict) -> float:
     scale = p.scale()
     rel = [abs(v) / scale for slot, v in zip(PARAM_SLOTS[p.n], p.as_tuple()) if flags[slot]]
     if flags["delta"]:
-        rel.append(abs(p.delta) / _delta_scale(p))
+        # a scale that underflows to 0 puts the delta test at the rounding floor
+        delta_scale = _delta_scale(p)
+        rel.append(abs(p.delta) / delta_scale if delta_scale else 0.0)
     return min([1.0, *rel])
 
 
@@ -173,30 +176,19 @@ def _weight(n: int, slot: str) -> tuple[int, int]:
 
 @dataclass(frozen=True)
 class _Plan:
-    """Normal-form steps of one cell at rank ``n``.
+    """Normal-form steps of one cell, as data.
 
-    ``ones``: the "1" slots (``as_tuple`` indices) the torus reads, as the
-    tuple u.  ``shifts``: (k, i), B_k clears slot i.  ``root``: (j, +-1),
-    A0**order is the product of u[j]**+-1.  ``scale``: (j, x, y), B1 solves
-    u[j] * A0**x * B1**y = 1 (None leaves B1 = 1).
+    ``ones``: the "1" slots (ascending ``as_tuple`` indices) the torus reads,
+    as the tuple u.  ``shifts``: (k, i), B_k clears slot i.  ``root``:
+    (j, +-1), A0**order is the product of u[j]**+-1.  ``scale``: (j, x, y),
+    B1 solves u[j] * A0**x * B1**y = 1 (None leaves B1 = 1).
     """
 
-    n: int
     shifts: tuple
     root: tuple
     order: int
     scale: tuple | None
     ones: tuple
-
-    @functools.cached_property
-    def read_ones(self):
-        """u from one call of the compiled action, built on first use."""
-        return _compiled(self.n, self.ones)
-
-    @functools.cached_property
-    def shift_slots(self) -> tuple:
-        """(k, i, slot i of the compiled action) per shift."""
-        return tuple((k, i, _compiled(self.n, i)) for k, i in self.shifts)
 
 
 def _plan(n: int, spec: SubsetSpec) -> _Plan:
@@ -216,7 +208,7 @@ def _plan(n: int, spec: SubsetSpec) -> _Plan:
     # B1 from the slot with the smallest A0-power keeps the powers of A0 small
     scalable = [(i, x, y) for i, x, y in rows if i is not None and y]
     scale = min(scalable, key=lambda row: abs(row[1]), default=None)
-    return _Plan(n, shifts, root, abs(det), scale, tuple(ones))
+    return _Plan(shifts, root, abs(det), scale, tuple(ones))
 
 
 _PLANS = {(n, spec.name): _plan(n, spec) for n in SUBSETS for spec in SUBSETS[n]}
@@ -268,7 +260,7 @@ def _canonical_transform(p: ExtensionParams, flags: dict, plan: _Plan) -> Adapte
         )
     v = p.as_tuple()
     # the shifts leave the "1" slots alone, so the torus reads them sheared
-    sheared = plan.read_ones(1, s, (1 + 0j,) + (0j,) * (n - 3), v)
+    sheared = _compiled(n, plan.ones)(1, s, (1 + 0j,) + (0j,) * (n - 3), v)
     a0 = 1 + 0j
     for j, e in plan.root:
         a0 = a0 * sheared[j] if e > 0 else a0 / sheared[j]
@@ -279,20 +271,21 @@ def _canonical_transform(p: ExtensionParams, flags: dict, plan: _Plan) -> Adapte
         b1 = a0 ** -x / sheared[j] if y > 0 else sheared[j] / a0 ** -x
     a1 = a0 * num / den
     bvec = [b1] + [0j] * (n - 3)
-    for k, i, f in plan.shift_slots:
-        f0 = f(a0, a1, bvec, v)
+    for k, i in plan.shifts:
+        f = _compiled(n, (i,))
+        (f0,) = f(a0, a1, bvec, v)
         if not f0:
             continue
         # f(B_k) = f0 - d * B_k: d from a trial at B_k = B1 (good to eps * |f0|),
         # then from the secant through 0 and f0 / d; then one Newton step
         bvec[k - 1] = b1
-        d = (f0 - f(a0, a1, bvec, v)) / b1
+        d = (f0 - f(a0, a1, bvec, v)[0]) / b1
         if not d:
             raise CanonicalizationError(f"chain slot {PARAM_SLOTS[n][i]} too large for its pivot")
         bvec[k - 1] = first = f0 / d
-        d = (f0 - f(a0, a1, bvec, v)) / first
+        d = (f0 - f(a0, a1, bvec, v)[0]) / first
         bvec[k - 1] = f0 / d
-        bvec[k - 1] += f(a0, a1, bvec, v) / d
+        bvec[k - 1] += f(a0, a1, bvec, v)[0] / d
     return AdaptedTransform(n, a0, a1, tuple(bvec))
 
 

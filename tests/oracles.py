@@ -293,6 +293,23 @@ def matrix_inverse(t, p):
     return transform_from_matrix(np.linalg.inv(adapted_matrix(t, p)), p.n)
 
 
+def array_shift_coefficients(t) -> list:
+    """The shift coefficients c_k of ``elementary_factors(t)`` with the image of
+    e_1 kept as a numpy vector, as the library computed them before it dropped
+    numpy there; the list version must match bit for bit."""
+    n = t.n
+    image = np.zeros(n - 1, dtype=complex)
+    image[1] = 1.0
+    out = []
+    for k in range(2, n - 1):
+        c = t.coeff_B(k) / t.coeff_B(1) - image[k]
+        shifted = np.zeros_like(image)
+        shifted[k - 1 :] = image[: n - k]
+        image += c * shifted
+        out.append(complex(c))
+    return out
+
+
 def loop_act(n: int, a0: complex, a1: complex, bvec: tuple, v: tuple) -> tuple:
     """The closed form behind ``act_on_params``, on plain tuples, unvalidated,
     evaluated by walking ``action._sum_terms`` term by term: the reference

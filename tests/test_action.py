@@ -339,7 +339,7 @@ def test_single_slot_is_bit_identical_to_full_action():
     # canonicalize reads the torus "1" slots and the cleared chain slots one
     # at a time; each must be the same float as in the full closed form
     for n in range(4, 9):
-        act, slots = _compiled(n), [_compiled(n, i) for i in range(len(PARAM_SLOTS[n]))]
+        act, slots = _compiled(n), [_compiled(n, (i,)) for i in range(len(PARAM_SLOTS[n]))]
         for seed in range(10):
             p = random_params(n, seed=seed)
             t = random_transform(n, seed=seed + 200, b=p.b)
@@ -347,7 +347,7 @@ def test_single_slot_is_bit_identical_to_full_action():
                 v = tuple(x * scale for x in p.as_tuple())
                 full = act(t.A0, t.A1, t.B, v)
                 for i in range(len(v)):
-                    assert slots[i](t.A0, t.A1, t.B, v) == full[i]
+                    assert slots[i](t.A0, t.A1, t.B, v) == (full[i],)
 
 
 def _outcome(f, *args):
@@ -398,17 +398,15 @@ def test_sum_terms_match_table_route(n):
 def test_compiled_action_is_the_loop_bit_for_bit(n):
     # the generated code against the loop evaluator, oracles.loop_act_slot:
     # the whole action, each slot and each torus read, values and exceptions
-    act, slots = _compiled(n), [_compiled(n, i) for i in range(len(PARAM_SLOTS[n]))]
-    reads = [plan.ones for (rank, _), plan in _PLANS.items() if rank == n]
+    reads = [(i,) for i in range(len(PARAM_SLOTS[n]))]
+    reads += [plan.ones for (rank, _), plan in _PLANS.items() if rank == n]
     for args in _oracle_inputs(n):
-        assert _same_float(_outcome(act, *args), _outcome(oracles.loop_act, n, *args)), args
-        want = [_outcome(oracles.loop_act_slot, n, *args, i) for i in range(len(slots))]
-        for i, f in enumerate(slots):
-            assert _same_float(_outcome(f, *args), want[i]), (i, args)
-        for ones in reads:
-            raised = [want[i] for i in ones if isinstance(want[i], type)]
-            expected = raised[0] if raised else tuple(want[i] for i in ones)
-            assert _same_float(_outcome(_compiled(n, ones), *args), expected), (ones, args)
+        assert _same_float(_outcome(_compiled(n), *args), _outcome(oracles.loop_act, n, *args)), args
+        want = [_outcome(oracles.loop_act_slot, n, *args, i) for i in range(len(PARAM_SLOTS[n]))]
+        for slots in reads:
+            raised = [want[i] for i in slots if isinstance(want[i], type)]
+            expected = raised[0] if raised else tuple(want[i] for i in slots)
+            assert _same_float(_outcome(_compiled(n, slots), *args), expected), (slots, args)
 
 
 def test_oracle_inputs_reach_every_outcome():
@@ -476,6 +474,19 @@ def test_factors_multiply_back(subtests=None):
         for f in factors:
             q = act_on_params(elementary_to_adapted(f, n), q)
         assert tuple_dev(q, act_on_params(t, p)) < 1e-8, n
+
+
+@pytest.mark.parametrize("n", range(4, 9))
+def test_factors_match_the_array_route_bit_for_bit(n):
+    # the shift coefficients, signed zeros included, at unit and extreme scales
+    for seed in range(20):
+        t = random_transform(n, seed=seed + 400)
+        for scale in (1.0, 1e-100, 1e100):
+            s = AdaptedTransform(n, t.A0 * scale, t.A1, tuple(b * scale for b in t.B))
+            factors = elementary_factors(s)
+            assert [f.kind for f in factors] == ["tau"] + ["sigma"] * (n - 3) + ["upsilon"]
+            got = tuple(f.a for f in factors[1:-1])
+            assert _same_float(got, tuple(oracles.array_shift_coefficients(s))), (seed, scale)
 
 
 def test_factor_order_shear_first_scale_last():

@@ -490,6 +490,23 @@ def test_normal_form_underflow_is_typed():
             isomorphic(q, p)
 
 
+#: a rank-4 member whose lead slots square to below float range while its
+#: discriminant rounds to the smallest subnormal
+DELTA_UNDERFLOW_MEMBER = params_from_tuple(
+    4, (1.4554425309821814e-162, -5.61460285904292e-163, -5.2479145329279364e-163, 1.8691333659165825)
+)
+
+
+def test_delta_scale_underflow_reads_as_borderline():
+    # the delta test sits at the rounding floor: margin 0 and a warning,
+    # not a bare ZeroDivisionError
+    p = DELTA_UNDERFLOW_MEMBER
+    label = classify(p)
+    assert label.subset == "U_8"
+    assert label.invariants.flag_margin == 0.0
+    assert "margin 0.00e+00" in warn_if_borderline(p)
+
+
 def test_representative_params_requires_lambda():
     with pytest.raises(DomainError):
         representative_params(4, "U_1")

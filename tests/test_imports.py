@@ -74,6 +74,16 @@ def test_closed_form_verb_loads_no_numpy(verb):
     assert json.loads(out) == [0, False]
 
 
+def test_elementary_factors_loads_no_numpy():
+    out = run_fresh(
+        "import json, sys, filiform_ce as fc\n"
+        "t = fc.AdaptedTransform(7, 1.5, 0.3, (0.8, 0.2, -0.4, 0.6, 1.1))\n"
+        "kinds = [f.kind for f in fc.elementary_factors(t)]\n"
+        "print(json.dumps([kinds, 'numpy' in sys.modules]))"
+    )
+    assert json.loads(out) == [["tau", "sigma", "sigma", "sigma", "sigma", "upsilon"], False]
+
+
 def test_public_names_unchanged_and_resolve():
     assert fc.__all__ == PUBLIC
     for name in PUBLIC:

@@ -260,6 +260,18 @@ def test_cli_classify_underflow_exits_3(monkeypatch, capsys):
     assert "normal form of cell U_5 at n=4 is beyond floating-point range" in err
 
 
+def test_cli_classify_delta_scale_underflow_warns(monkeypatch, capsys):
+    # the lead slots square to below float range: a borderline warning, exit 0
+    text = json.dumps({
+        "n": 4, "b00": [1.4554425309821814e-162, 0], "b01": [-5.61460285904292e-163, 0],
+        "b11": [-5.2479145329279364e-163, 0], "b_even": [[1.8691333659165825, 0]], "b": [0, 0],
+    })
+    code, out, err = run_cli(["classify"], stdin_text=text, monkeypatch=monkeypatch, capsys=capsys)
+    assert code == 0
+    assert json.loads(out)["subset"] == "U_8"
+    assert "borderline zero test (margin 0.00e+00)" in err
+
+
 def test_cli_classify_large_odd_member_exits_0(monkeypatch, capsys):
     # as s grows, the published n=5 U_1 function delta*b**2/(b01*b - 2*b11)**2
     # of s*p tends to delta/b01**2 of p, which is degree 0 in s; its direct
