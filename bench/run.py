@@ -9,7 +9,10 @@ sampler ``random_params`` (one generator shared across calls), the
 uncached constraint solve ``solve_leibniz_constraints.__wrapped__``, and
 ``build_table``, ``adapted_matrix``, ``act_on_params``, ``read_params``,
 the group law ``compose`` and ``inverse_transform``, ``canonicalize``,
-``classify``, ``orbit_invariant`` and ``isomorphic``.  ``isomorphic``
+``classify``, ``orbit_invariant`` and ``isomorphic``, and the validating
+constructors of the value objects (``extension_params``,
+``adapted_transform`` and ``structure_tensor``, each rebuilding the seeded
+object from its own fields).  ``isomorphic``
 compares two seeded members (at n = 4 and 8 both U_1 with different
 ``lam``, so it answers False before building a witness);
 ``isomorphic_image`` compares a member with its image under the seeded
@@ -84,6 +87,8 @@ def calls(fc) -> dict:
 def _rank_calls(fc, n: int) -> dict:
     import numpy as np
 
+    AdaptedTransform = _sub(fc, "action").AdaptedTransform
+    StructureTensor = _sub(fc, "tensor").StructureTensor
     random_transform = _sub(fc, "action").random_transform
     require_finite = _sub(fc, "tolerance").require_finite
     require_finite_tensor = _sub(fc, "tensor")._require_finite
@@ -103,6 +108,9 @@ def _rank_calls(fc, n: int) -> dict:
         "leibniz_residual": lambda: fc.leibniz_residual(t),
         "bracket": lambda: fc.bracket(t, x, y),
         "lower_central_series": lambda: fc.lower_central_series(t),
+        "extension_params": lambda: fc.ExtensionParams(n, p.b00, p.b01, p.b11, p.b_even, p.b),
+        "adapted_transform": lambda: AdaptedTransform(n, tr.A0, tr.A1, tr.B),
+        "structure_tensor": lambda: StructureTensor(t.gamma),
         "require_finite_params": lambda: require_finite(values, "parameters"),
         "require_finite_tensor": lambda: require_finite_tensor(t.gamma, "structure constants"),
         "random_params": lambda: fc.random_params(n, rng=rng),

@@ -8,6 +8,11 @@ facts from independent numerical routes.
 
 The closed-form modules load eagerly and without numpy; the names of the
 tensor route and the harness import their modules, and numpy, on first use.
+
+The function ``classify`` shadows the submodule of that name, so
+``import filiform_ce.classify as m`` binds the function.  Reach the module
+with ``from filiform_ce.classify import ...`` or
+``sys.modules["filiform_ce.classify"]``.
 """
 
 import importlib

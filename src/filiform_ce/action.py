@@ -53,26 +53,34 @@ if TYPE_CHECKING:
     from .tensor import StructureTensor
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class AdaptedTransform:
-    """(A0, A1, B_1..B_{n-2}) data of an adapted basis change."""
+    """(A0, A1, B_1..B_{n-2}) data of an adapted basis change.
+
+    Every construction, ``dataclasses.replace`` included, runs
+    ``__post_init__``, which converts, validates and writes each field once.
+    """
 
     n: int
     A0: complex
     A1: complex
     B: tuple[complex, ...]
 
-    def __post_init__(self):
-        n = self.n
+    def __init__(self, n, A0, A1, B):
+        self.__post_init__(n, A0, A1, B)
+
+    def __post_init__(self, n, A0, A1, B):
         check_rank(n)
-        if len(self.B) != n - 2:
-            raise DomainError(f"B must have length {n - 2} for n={n}, got {len(self.B)}")
-        a0, a1 = map(complex, (self.A0, self.A1))
-        bvec = tuple(map(complex, self.B))
+        if len(B) != n - 2:
+            raise DomainError(f"B must have length {n - 2} for n={n}, got {len(B)}")
+        a0, a1 = complex(A0), complex(A1)
+        bvec = tuple(map(complex, B))
         require_finite((a0, a1, *bvec), "transform coefficients")
-        object.__setattr__(self, "A0", a0)
-        object.__setattr__(self, "A1", a1)
-        object.__setattr__(self, "B", bvec)
+        put = object.__setattr__
+        put(self, "n", n)
+        put(self, "A0", a0)
+        put(self, "A1", a1)
+        put(self, "B", bvec)
 
     def coeff_B(self, k: int) -> complex:
         """B_k with out-of-range indices read as zero."""
@@ -85,16 +93,22 @@ def identity_transform(n: int) -> AdaptedTransform:
 
 def _require_nondegenerate(t: AdaptedTransform, p: ExtensionParams) -> None:
     """Same n as ``p`` and invertible there: only an exact zero degenerates the
-    scale factors A0 and B_1; the shear vanishes when it cancels to rounding level."""
+    scale factors A0 and B_1; the shear vanishes when it cancels to rounding level.
+    The tests run in that order and stop at the first that fires."""
     if t.n != p.n:
         raise DomainError(f"transform has n={t.n} but parameters have n={p.n}")
-    for name, vanishes in (
-        ("A0", t.A0 == 0),
-        ("B_1", t.B[0] == 0),
-        ("A0 + A1*b", abs(t.A0 + t.A1 * p.b) <= 1e-12 * max(abs(t.A0), abs(t.A1 * p.b))),
-    ):
-        if vanishes:
-            raise DegenerateTransformError(f"adapted transform is degenerate: {name} vanishes")
+    a0 = t.A0
+    if a0 == 0:
+        name = "A0"
+    elif t.B[0] == 0:
+        name = "B_1"
+    else:
+        shear = t.A1 * p.b
+        if abs(a0 + shear) <= 1e-12 * max(abs(a0), abs(shear)):
+            name = "A0 + A1*b"
+        else:
+            return
+    raise DegenerateTransformError(f"adapted transform is degenerate: {name} vanishes")
 
 
 # ---------------------------------------------------------------------------
@@ -198,17 +212,24 @@ def adapted_matrix(t: AdaptedTransform, p: ExtensionParams) -> np.ndarray:
 
     _require_nondegenerate(t, p)
     n = p.n
-    d = n + 1
-    # each column is bracket(table, m[:, i], m[:, 0]), in bracket's order of
-    # operations but without its per-call conversions and shape checks
-    gamma = build_table(p).gamma.reshape(d, d * d)
-    m = np.zeros((d, d), dtype=complex)
+    m = np.zeros((n + 1, n + 1), dtype=complex)
     m[0, 0], m[1, 0] = t.A0, t.A1
     m[1 : n - 1, 1] = t.B
+    _bracket_columns(m, p)
+    return m
+
+
+def _bracket_columns(m: np.ndarray, p: ExtensionParams) -> None:
+    """Fill columns 2..n of ``m`` by the recursion f(e_{i+1}) = [f(e_i), f(e_0)]
+    on the table of ``p``: each is bracket(table, m[:, i], m[:, 0]), in
+    bracket's order of operations but without its per-call conversions and
+    shape checks."""
+    n = p.n
+    d = n + 1
+    gamma = build_table(p).gamma.reshape(d, d * d)
     col0 = m[:, 0].copy()
     for i in range(1, n):
         m[:, i + 1] = col0 @ (m[:, i] @ gamma).reshape(d, d)
-    return m
 
 
 def transform_from_matrix(m: np.ndarray, n: int) -> AdaptedTransform:
@@ -409,8 +430,8 @@ def random_transform(
 
         rng = np.random.default_rng(seed)
 
-    def any_size():
-        return complex(rng.uniform(-2.0, 2.0))
+    def any_size():  # uniform(-2, 2), drawn as ``_rand_nonzero`` draws it
+        return complex(-2.0 + 4.0 * rng.random())
 
     for _ in range(200):
         t = AdaptedTransform(

@@ -108,8 +108,10 @@ def _delta_scale(p: ExtensionParams) -> float:
 
 def nonzero_flags(p: ExtensionParams) -> dict:
     """Slot -> True when numerically nonzero; includes the discriminant."""
-    cut = ZERO_FLAG_RTOL * p.scale()
-    flags = {slot: abs(v) > cut for slot, v in zip(PARAM_SLOTS[p.n], p.as_tuple())}
+    mags = list(map(abs, p.as_tuple()))
+    scale = max(mags)  # ``p.scale()``, off the magnitudes the flags read
+    cut = ZERO_FLAG_RTOL * (scale if scale > 0 else 1.0)
+    flags = {slot: m > cut for slot, m in zip(PARAM_SLOTS[p.n], mags)}
     flags["delta"] = abs(p.delta) > ZERO_FLAG_RTOL * _delta_scale(p)
     return flags
 

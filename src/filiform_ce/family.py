@@ -60,12 +60,14 @@ def build_mu(n: int) -> StructureTensor:
 # parameters
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class ExtensionParams:
     """Free coordinates of a central extension of ``build_mu(n)``.
 
     ``b_even`` lists b12, b14, ... (length (n-2)//2); ``b`` is the top
     coefficient, present only for odd n (forced to exactly 0 otherwise).
+    Every construction, ``dataclasses.replace`` included, runs
+    ``__post_init__``, which converts, validates and writes each field once.
     """
 
     n: int
@@ -74,28 +76,33 @@ class ExtensionParams:
     b11: complex
     b_even: tuple[complex, ...]
     b: complex = 0
+    #: ``as_tuple()``, built once: a classification reads it a few dozen times
+    _values: tuple[complex, ...] = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self):
-        n = self.n
+    def __init__(self, n, b00, b01, b11, b_even, b=0):
+        self.__post_init__(n, b00, b01, b11, b_even, b)
+
+    def __post_init__(self, n, b00, b01, b11, b_even, b):
         check_rank(n)
         want = (n - 2) // 2
-        if len(self.b_even) != want:
+        if len(b_even) != want:
             raise DomainError(
-                f"b_even must have length {want} for n={n}, got {len(self.b_even)}"
+                f"b_even must have length {want} for n={n}, got {len(b_even)}"
             )
-        b_even = tuple(map(complex, self.b_even))
-        b00, b01, b11, b = map(complex, (self.b00, self.b01, self.b11, self.b))
+        b_even = tuple(map(complex, b_even))
+        b00, b01, b11, b = complex(b00), complex(b01), complex(b11), complex(b)
         values = (b00, b01, b11, *b_even, b)
         require_finite(values, "extension parameters")
         if n % 2 == 0 and b != 0:
             raise DomainError(f"b must be 0 for even n, got {b!r}")
-        # built once: a classification reads the tuple a few dozen times
-        object.__setattr__(self, "_values", values if n % 2 else values[:-1])
-        object.__setattr__(self, "b00", b00)
-        object.__setattr__(self, "b01", b01)
-        object.__setattr__(self, "b11", b11)
-        object.__setattr__(self, "b_even", b_even)
-        object.__setattr__(self, "b", b)
+        put = object.__setattr__
+        put(self, "n", n)
+        put(self, "b00", b00)
+        put(self, "b01", b01)
+        put(self, "b11", b11)
+        put(self, "b_even", b_even)
+        put(self, "b", b)
+        put(self, "_values", values if n % 2 else values[:-1])
 
     @property
     def b12(self) -> complex:
@@ -368,10 +375,12 @@ _MARGIN = 0.05
 def _rand_nonzero(rng) -> complex:
     """Magnitude in [0.5, 2], random sign.
 
+    ``lo + (hi - lo) * random()`` is how numpy computes ``uniform(lo, hi)``,
+    so it draws the same bits from the stream at a third of the cost;
     ``integers(0, 2)`` consumes the stream exactly as ``choice`` of two
     items does, at a fraction of its cost.
     """
-    return complex(rng.uniform(0.5, 2.0) * (-1.0, 1.0)[rng.integers(0, 2)])
+    return complex((0.5 + 1.5 * rng.random()) * (-1.0, 1.0)[rng.integers(0, 2)])
 
 
 @functools.cache

@@ -33,6 +33,7 @@ import numpy as np
 from .action import (
     AdaptedTransform,
     ElementaryTransform,
+    _bracket_columns,
     act_on_params,
     adapted_matrix,
     compose,
@@ -217,8 +218,7 @@ def _check_seed(seed: int, check_id: str) -> int:
 
 
 def _dev(x, y) -> float:
-    """Relative deviation |x - y| / (1 + max magnitude)."""
-    x, y = complex(x), complex(y)
+    """Relative deviation |x - y| / (1 + max magnitude) of two Python numbers."""
     return abs(x - y) / (1.0 + max(abs(x), abs(y)))
 
 
@@ -410,16 +410,15 @@ def _generator_matrix(e: ElementaryTransform, p: ExtensionParams) -> np.ndarray:
         m[e.k, 0] += e.a
     else:
         m[0, 0], m[1, 1] = e.a, e.b
-    table = build_table(p)
-    for i in range(1, n):
-        m[:, i + 1] = bracket(table, m[:, i], m[:, 0])
+    _bracket_columns(m, p)
     return m
 
 
 def _tail_generators(n: int, rng: np.random.Generator) -> list[ElementaryTransform]:
-    """tau into e_2..e_n and sigma into e_{n-1}, e_n, with random coefficients."""
-    gens = [tau(rng.uniform(0.5, 2.0), k) for k in range(2, n + 1)]
-    return gens + [sigma(rng.uniform(0.5, 2.0), k) for k in (n - 1, n)]
+    """tau into e_2..e_n and sigma into e_{n-1}, e_n, with coefficients drawn
+    as numpy's ``uniform(0.5, 2)`` draws them."""
+    gens = [tau(0.5 + 1.5 * rng.random(), k) for k in range(2, n + 1)]
+    return gens + [sigma(0.5 + 1.5 * rng.random(), k) for k in (n - 1, n)]
 
 
 def _tail_trivial(p: ExtensionParams, generators: list[ElementaryTransform]) -> bool:

@@ -9,7 +9,10 @@ generator matrices, the tail test, the naive factors) live in
 ``filiform_ce.verify`` and are tested here through its private helpers.
 """
 
+import copy
+import dataclasses
 import math
+import pickle
 import traceback
 
 import numpy as np
@@ -43,7 +46,7 @@ from filiform_ce import (
     transform_from_matrix,
     upsilon,
 )
-from filiform_ce.action import ElementaryTransform, _compiled, _sum_terms
+from filiform_ce.action import ElementaryTransform, _compiled, _require_nondegenerate, _sum_terms
 from filiform_ce.classify import _PLANS
 from filiform_ce.subsets import PARAM_SLOTS
 from filiform_ce.verify import _coefficient_sum, _naive_factors, _tail_generators, _tail_trivial
@@ -66,6 +69,33 @@ def test_transform_validation():
         AdaptedTransform(3, 1, 0, (1,))
     with pytest.raises(DomainError):
         AdaptedTransform(4, float("inf"), 0, (1, 0))
+
+
+def test_transform_is_slotted_and_frozen():
+    t = AdaptedTransform(4, 2, -0.5, (1, 1j))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        t.A0 = 1
+    assert not hasattr(t, "__dict__")
+
+
+def test_transform_repr_frozen():
+    # recorded before the class was slotted
+    assert repr(AdaptedTransform(4, 2, -0.5, (1, 1j))) == (
+        "AdaptedTransform(n=4, A0=(2+0j), A1=(-0.5+0j), B=((1+0j), 1j))"
+    )
+    assert repr(identity_transform(5)) == "AdaptedTransform(n=5, A0=(1+0j), A1=0j, B=((1+0j), 0j, 0j))"
+
+
+def test_transform_equality_hash_replace_copy_pickle():
+    t = AdaptedTransform(4, 2, -0.5, (1, 1j))
+    u = AdaptedTransform(4, 2.0, -0.5 + 0j, [1.0, 1j])
+    assert t == u and hash(t) == hash(u)
+    assert t != AdaptedTransform(4, 2, 0.5, (1, 1j))
+    with pytest.raises(DomainError, match="transform coefficients must be finite"):
+        dataclasses.replace(t, A0=float("inf"))
+    assert dataclasses.replace(t, B=[3, 4]).B == (3 + 0j, 4 + 0j)
+    for v in (copy.copy(t), copy.deepcopy(t), pickle.loads(pickle.dumps(t))):
+        assert v == t
 
 
 # random_transform(n, seed=42), recorded while the sign draw still used
@@ -141,6 +171,50 @@ def test_shear_degeneracy_rejected():
     ):
         with pytest.raises(DegenerateTransformError):
             call()
+
+
+def _degeneracy(t, p):
+    try:
+        _require_nondegenerate(t, p)
+    except DegenerateTransformError as exc:
+        return str(exc)
+    return None
+
+
+def test_shear_cancellation_threshold():
+    # b = 1, so the shear is A0 + A1 = 1 + A1 against 1e-12 * max(|A0|, |A1*b|);
+    # both outcomes as recorded before the tests stopped at the first that fires
+    p = params_from_tuple(5, [1, 1, 1, 1, 1.0])
+    inside = AdaptedTransform(5, 1.0, -1.0 + 5e-13, (1, 1, 1))
+    outside = AdaptedTransform(5, 1.0, -1.0 + 2e-12, (1, 1, 1))
+    assert _degeneracy(inside, p) == "adapted transform is degenerate: A0 + A1*b vanishes"
+    assert _degeneracy(outside, p) is None
+
+
+def test_overflowing_shear_is_degenerate():
+    # A1*b = 1e400 is inf: the cancellation test compares inf <= inf
+    p = params_from_tuple(5, [1, 1, 1, 1, 1e200])
+    t = AdaptedTransform(5, 1.0, 1e200, (1, 1, 1))
+    assert _degeneracy(t, p) == "adapted transform is degenerate: A0 + A1*b vanishes"
+    with pytest.raises(DegenerateTransformError):
+        act_on_params(t, p)
+
+
+def test_zero_scale_factor_names_itself():
+    p = params_from_tuple(5, [1, 1, 1, 1, 1.0])
+    assert _degeneracy(AdaptedTransform(5, 0, 1, (1, 1, 1)), p) == "adapted transform is degenerate: A0 vanishes"
+    assert _degeneracy(AdaptedTransform(5, 1, 1, (0, 1, 1)), p) == "adapted transform is degenerate: B_1 vanishes"
+    # A0 is tested first; the shear, here also zero, is then never formed
+    assert _degeneracy(AdaptedTransform(5, 0, 0, (0, 1, 1)), p) == "adapted transform is degenerate: A0 vanishes"
+
+
+def test_zero_a0_is_reported_before_the_shear_is_formed():
+    # |A1*b| = |1.5e308 * (1+1j)| leaves float range, where ``abs`` raises
+    # OverflowError; a zero A0 is degenerate whatever the shear
+    p = params_from_tuple(5, [1, 1, 1, 1, 1 + 1j])
+    assert _degeneracy(AdaptedTransform(5, 0, 1.5e308, (1, 1, 1)), p) == (
+        "adapted transform is degenerate: A0 vanishes"
+    )
 
 
 # ---------------------------------------------------------------------------

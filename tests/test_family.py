@@ -1,5 +1,9 @@
 """Extension family: parameter tuples, constraint solving, table building."""
 
+import copy
+import dataclasses
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,6 +14,7 @@ from filiform_ce import (
     ExtensionParams,
     FiliformError,
     StructureTensor,
+    act_on_params,
     build_mu,
     build_table,
     from_entries,
@@ -59,6 +64,72 @@ def test_params_validation():
         ExtensionParams(4, 0, 0, 0, (0,), b=1)  # top label must vanish, n even
     with pytest.raises(DomainError):
         ExtensionParams(4, float("nan"), 0, 0, (0,))
+
+
+def test_params_are_slotted_and_frozen():
+    p = ExtensionParams(5, 1, 2.5, -1j, (0.5,), 3)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        p.b00 = 2
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        p._values = ()
+    assert not hasattr(p, "__dict__")
+
+
+def test_params_repr_frozen():
+    # recorded before the class was slotted; ``_values`` stays out of it
+    assert repr(ExtensionParams(5, 1, 2.5, -1j, (0.5,), 3)) == (
+        "ExtensionParams(n=5, b00=(1+0j), b01=(2.5+0j), b11=(-0-1j), b_even=((0.5+0j),), b=(3+0j))"
+    )
+    assert repr(ExtensionParams(4, 0, 1, 0, (2,))) == (
+        "ExtensionParams(n=4, b00=0j, b01=(1+0j), b11=0j, b_even=((2+0j),), b=0j)"
+    )
+
+
+def test_params_equality_and_hash():
+    p = ExtensionParams(5, 1, 2.5, -1j, (0.5,), 3)
+    q = ExtensionParams(5, 1.0, 2.5 + 0j, -1j, [0.5], 3.0)
+    assert p == q and hash(p) == hash(q)
+    assert len({p, q}) == 1
+    assert p != ExtensionParams(5, 1, 2.5, -1j, (0.5,), 4)
+
+
+def test_params_replace_validates_again():
+    p = ExtensionParams(5, 1, 2.5, -1j, (0.5,), 3)
+    with pytest.raises(DomainError, match="extension parameters must be finite"):
+        dataclasses.replace(p, b00=float("nan"))
+    with pytest.raises(DomainError, match="b_even must have length 1"):
+        dataclasses.replace(p, b_even=())
+    q = dataclasses.replace(p, b_even=[2])
+    assert q.b_even == (2 + 0j,) and type(q.b_even[0]) is complex
+    assert q.as_tuple() == (1, 2.5, -1j, 2, 3)
+
+
+def test_params_copy_and_pickle():
+    for p in (ExtensionParams(5, 1, 2.5, -1j, (0.5,), 3), random_params(8, seed=3)):
+        for q in (copy.copy(p), copy.deepcopy(p), pickle.loads(pickle.dumps(p))):
+            assert q == p and q.as_tuple() == p.as_tuple()
+
+
+@pytest.mark.parametrize("cls", [ExtensionParams, AdaptedTransform, StructureTensor])
+def test_value_objects_validate_in_their_own_hook(cls):
+    # perfbench/tracer.py wraps this class attribute to count constructions
+    assert "__post_init__" in vars(cls)
+
+
+def test_every_construction_runs_the_class_hook(monkeypatch):
+    seen = []
+    hook = ExtensionParams.__post_init__
+
+    def counted(self, n, *args):
+        seen.append(n)
+        return hook(self, n, *args)
+
+    monkeypatch.setattr(ExtensionParams, "__post_init__", counted)
+    p = ExtensionParams(5, 1, 2.5, -1j, (0.5,), 3)
+    params_from_tuple(4, [1, 2, 3, 4])
+    dataclasses.replace(p, b=1)
+    act_on_params(AdaptedTransform(5, 2, 0, (1, 0, 0)), p)
+    assert seen == [5, 4, 5, 5]
 
 
 def test_params_slot_access():
