@@ -43,8 +43,8 @@ from .errors import (
     DomainError,
     TableShapeError,
 )
-from .family import ExtensionParams, _rand_nonzero, _slot_entries, build_table
-from .subsets import PARAM_SLOTS, check_rank
+from .family import ExtensionParams, _rand_nonzero, _slot_entries, build_table, params_from_tuple
+from .subsets import PARAM_SLOTS, check_rank, free_pairs
 from .tolerance import require_finite
 
 if TYPE_CHECKING:
@@ -391,9 +391,8 @@ def read_params(t: StructureTensor) -> ExtensionParams:
     n = t.dim - 1
     check_rank(n)
     g = t.gamma
-    evens = tuple(g[1, m, n] for m in range(2, n - 1, 2))
-    b = -g[1, n - 1, n] if n % 2 == 1 else 0j
-    p = ExtensionParams(n, g[0, 0, n], g[0, 1, n], g[1, 1, n], evens, b)
+    # each slot is the entry [e_i, e_j] of its free pair; slot b is -b_{1,n-1}
+    p = params_from_tuple(n, [-g[i, j, n] if (i, j) == (1, n - 1) else g[i, j, n] for i, j in free_pairs(n)])
 
     rebuilt = build_table(p).gamma
     scale = max(float(np.max(np.abs(g))), 1.0)

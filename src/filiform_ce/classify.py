@@ -28,14 +28,15 @@ witness in three steps, each evaluated on the closed form of the action:
    b) one and two steps below the representative's chain "1"; the closed
    form is affine in the next B, so each step is one linear solve (done
    last, on the witness itself: the torus leaves the cleared slots at 0).
-3. Torus: upsilon(A0, B1) multiplies a slot by A0^x * B1^y, with weights
-   (x, y) = (3-n, -1) for b00, (2-n, 0) for b01, (1-n, 1) for b11,
-   (m-n, 1) for b1m and (-1, 1) for b.  (A0, B1) set the representative's
-   "1" slots to 1: A0 is the principal |det|-th root of a weight monomial
-   (det of the two weights), and B1 follows from a slot with y != 0.  It
-   reads the sheared "1" slots in one call of the code compiled for just
-   those slots, ``_compiled(n, ones)``; each shift reads the slot it clears
-   through ``_compiled(n, (i,))``.
+3. Torus: upsilon(A0, B1) multiplies b_ij by A0^x * B1^y, its weight
+   w(e_i) + w(e_j) - w(e_n) in the natural grading, w(e_0) = (1, 0) and
+   w(e_k) = (k-1, 1): (x, y) = (3-n, -1) for b00, (2-n, 0) for b01,
+   (1-n, 1) for b11, (m-n, 1) for b1m and (-1, 1) for b = -b_{1,n-1}.
+   (A0, B1) set the representative's "1" slots to 1: A0 is the principal
+   |det|-th root of a weight monomial (det of the two weights), and B1
+   follows from a slot with y != 0.  It reads the sheared "1" slots in one
+   call of the code compiled for just those slots, ``_compiled(n, ones)``;
+   each shift reads the slot it clears through ``_compiled(n, (i,))``.
 
 The witness is (A0, A0*s, B1*(1, 0, B3, 0, B5, ...)).  Principal roots
 read a zero imaginary part as +0, so ``lam`` does not depend on the sign
@@ -63,7 +64,7 @@ from .action import (
 )
 from .errors import CanonicalizationError, DomainError, FiliformError
 from .family import ExtensionParams, params_from_tuple
-from .subsets import LAM, PARAM_SLOTS, SUBSETS, SubsetSpec, check_rank, get_spec, parametric_subsets
+from .subsets import LAM, PARAM_SLOTS, SUBSETS, SubsetSpec, check_rank, free_pairs, get_spec, parametric_subsets
 from .tolerance import FLAG_WARN_MARGIN, ZERO_FLAG_RTOL
 
 #: absolute-plus-relative tolerance used when matching canonical values
@@ -165,15 +166,13 @@ def subset_of(p: ExtensionParams) -> str:
 # ---------------------------------------------------------------------------
 # normal forms from the torus weights
 
-_LEAD_WEIGHTS = {"b00": (3, -1), "b01": (2, 0), "b11": (1, 1)}
-
-
-def _weight(n: int, slot: str) -> tuple[int, int]:
-    """(x, y) such that upsilon(A0, B1) multiplies ``slot`` by A0**x * B1**y."""
-    if slot in _LEAD_WEIGHTS:
-        x, y = _LEAD_WEIGHTS[slot]
-        return x - n, y
-    return (n - 1 if slot == "b" else int(slot[2:])) - n, 1
+@functools.cache
+def _weight(n: int, s: int) -> tuple[int, int]:
+    """(x, y) such that upsilon(A0, B1) multiplies slot ``s`` by A0**x * B1**y:
+    w(e_i) + w(e_j) - w(e_n) for its pair (i, j), where e_0 weighs (1, 0)
+    and e_k (k >= 1) weighs (k - 1, 1)."""
+    (xi, yi), (xj, yj), (xn, yn) = ((1, 0) if k == 0 else (k - 1, 1) for k in (*free_pairs(n)[s], n))
+    return xi + xj - xn, yi + yj - yn
 
 
 @dataclass(frozen=True)
@@ -201,7 +200,7 @@ def _plan(n: int, spec: SubsetSpec) -> _Plan:
     shifts = tuple((2 * d + 1, pivot - d) for d in range(1, pivot - 2))
     # fewer than two "1" slots: square the torus system up with A0 = 1 or
     # B1 = 1, the first of them independent of the rows already there
-    rows = [(j, *_weight(n, PARAM_SLOTS[n][i])) for j, i in enumerate(ones)] + [(None, 1, 0), (None, 0, 1)]
+    rows = [(j, *_weight(n, i)) for j, i in enumerate(ones)] + [(None, 1, 0), (None, 0, 1)]
     i1, x1, y1 = rows[0]
     i2, x2, y2 = next(row for row in rows[1:] if x1 * row[2] - row[1] * y1)
     det = x1 * y2 - x2 * y1
@@ -223,7 +222,7 @@ _FIXED_REPS = {
 
 def _lam_exponent(n: int, plan: _Plan) -> int:
     """e: the torus elements fixing the "1" slots (A0**order = 1) multiply lam by A0**e."""
-    (x00, y00), (_i, x, y) = _weight(n, "b00"), plan.scale
+    (x00, y00), (_i, x, y) = _weight(n, 0), plan.scale
     return (x00 - y00 * x * y) % plan.order
 
 

@@ -15,10 +15,11 @@ the forced coefficients and their signs are never written out by hand.
 Only the tensor route here (``build_mu``, ``build_table`` and
 ``random_params`` without a generator) imports numpy, on first use.
 
-Parameter naming: ``bIJ`` is the e_n-coefficient of [e_I, e_J].  After
-reduction the free ones are b00, b01, b11, the even-index row
-b12, b14, ... b1{n-2}, and (odd n only) one top coefficient ``b`` with
-[e_i, e_{n-i}] = (-1)^i * b * e_n.
+Parameter naming: the unknown b_ij, the e_n-coefficient of [e_i, e_j], is
+the pair (i, j) inside; its name ``bIJ`` (``subsets.label``) is spelled only
+at the output edge.  After reduction the free ones are b00, b01, b11, the
+even-index row b12, b14, ... b1{n-2}, and (odd n only) one top coefficient
+``b`` with [e_i, e_{n-i}] = (-1)^i * b * e_n.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from typing import TYPE_CHECKING
 
 from .errors import DomainError, FiliformError
 # N_RANGE is defined in subsets; callers import it from here
-from .subsets import N_RANGE, PARAM_SLOTS, SUBSETS, check_rank, free_labels, get_spec
+from .subsets import N_RANGE, PARAM_SLOTS, SUBSETS, check_rank, free_pairs, get_spec, label
 from .tolerance import require_finite
 
 if TYPE_CHECKING:
@@ -148,16 +149,16 @@ def params_from_tuple(n: int, values) -> ExtensionParams:
 # ---------------------------------------------------------------------------
 # constraint solver
 
-def _unknown_labels(n: int) -> list[str]:
-    return ["b00", "b01", "b11"] + [f"b{i}{j}" for i in range(1, n - 1) for j in range(i + 1, n)]
+def _unknowns(n: int) -> list[tuple[int, int]]:
+    return [(0, 0), (0, 1), (1, 1)] + [(i, j) for i in range(1, n - 1) for j in range(i + 1, n)]
 
 
-def _unit_entries(label: str) -> dict:
-    """e_n-coefficients {(i, j): c} of [e_i, e_j] when the unknown ``label`` is 1
+def _unit_entries(pair: tuple[int, int]) -> dict:
+    """e_n-coefficients {(i, j): c} of [e_i, e_j] when the unknown b_ij is 1
     and every other unknown 0: b00, b01 and b11 set one entry, a pair
-    label b{i}{j} (1 <= i < j) sets [e_i, e_j] and its negative [e_j, e_i]."""
-    i, j = int(label[1]), int(label[2:])
-    return {(i, j): 1} if i == 0 or i == j else {(i, j): 1, (j, i): -1}
+    (i, j) with 1 <= i < j sets [e_i, e_j] and its negative [e_j, e_i]."""
+    i, j = pair
+    return {pair: 1} if i == 0 or i == j else {pair: 1, (j, i): -1}
 
 
 def _chain(n: int) -> dict:
@@ -169,8 +170,8 @@ def _chain(n: int) -> dict:
     return chain
 
 
-def _residual_rows(n: int, labels) -> list:
-    """The e_n-rows of the Leibniz residual over the unknowns ``labels``.
+def _residual_rows(n: int, pairs) -> list:
+    """The e_n-rows of the Leibniz residual over the unknowns ``pairs``.
 
     Entry [i, j, k] of the residual is [e_i,[e_j,e_k]] - [[e_i,e_j],e_k] +
     [[e_i,e_k],e_j].  The unknowns only feed e_n, which is central, so each
@@ -181,7 +182,7 @@ def _residual_rows(n: int, labels) -> list:
     repeats are dropped, the rows kept in (i, j, k) order.
     """
     chain = _chain(n)
-    where = {key: (col, c) for col, lab in enumerate(labels) for key, c in _unit_entries(lab).items()}
+    where = {key: (col, c) for col, pair in enumerate(pairs) for key, c in _unit_entries(pair).items()}
     rows, defect = {}, {}
     for (p, q), (l, c) in chain.items():  # the inner bracket [e_p, e_q] = c*e_l
         for x in range(n + 1):
@@ -193,7 +194,7 @@ def _residual_rows(n: int, labels) -> list:
                     defect[triple, m] = defect.get((triple, m), 0) + s * c2
                 if outer in where:
                     col, c2 = where[outer]
-                    rows.setdefault(triple, [0] * len(labels))[col] += s * c2
+                    rows.setdefault(triple, [0] * len(pairs))[col] += s * c2
     if any(defect.values()):
         raise FiliformError("graded filiform skeleton fails the Leibniz identity")
     folded = {}
@@ -237,17 +238,17 @@ def solve_leibniz_constraints(n: int) -> ConstraintReport:
     (they only feed the central direction), so the admissible set is the
     null space of its e_n-rows (``_residual_rows``), read off the sparse
     skeleton.  Their entries are integers, so Gauss-Jordan elimination in
-    exact rationals, the dependent labels pivoted first, reads the
+    exact rationals, the dependent pairs pivoted first, reads the
     relations off the reduced rows.
     """
     check_rank(n, top=N_RANGE.stop)  # one rank past the family
-    free = free_labels(n)
-    dep = [lab for lab in _unknown_labels(n) if lab not in free]
-    labels = dep + free
-    rows = [list(map(Fraction, row)) for row in _residual_rows(n, labels)]
+    free = free_pairs(n)
+    dep = [pair for pair in _unknowns(n) if pair not in free]
+    pairs = dep + free
+    rows = [list(map(Fraction, row)) for row in _residual_rows(n, pairs)]
 
     pivots = []
-    for col in range(len(labels)):
+    for col in range(len(pairs)):
         rank = len(pivots)
         k = next((k for k in range(rank, len(rows)) if rows[k][col]), None)
         if k is None:
@@ -259,7 +260,7 @@ def solve_leibniz_constraints(n: int) -> ConstraintReport:
                 rows[i] = [x - f * y for x, y in zip(row, rows[rank])]
         pivots.append(col)
 
-    free_count = len(labels) - len(pivots)
+    free_count = len(pairs) - len(pivots)
     if free_count != len(free):
         raise FiliformError(
             f"n={n}: expected {len(free)} free coefficients, solver found {free_count}"
@@ -270,30 +271,30 @@ def solve_leibniz_constraints(n: int) -> ConstraintReport:
     if any(c.denominator != 1 for row in coeff for c in row):
         raise FiliformError(f"n={n}: a relation coefficient is not an integer")
     relations = [
-        Relation(target, tuple((src, c.numerator) for src, c in zip(free, row) if c))
+        Relation(label(target), tuple((label(src), c.numerator) for src, c in zip(free, row) if c))
         for target, row in zip(dep, coeff)
     ]
 
     return ConstraintReport(
         n=n,
-        total_unknowns=len(labels),
+        total_unknowns=len(pairs),
         rank=len(pivots),
         free_count=free_count,
-        free_labels=tuple(free),
+        free_labels=tuple(map(label, free)),
         implied_relations=tuple(relations),
-        sign=_row_signs(n, relations),
+        sign=_row_signs(n, dep, relations),
     )
 
 
-def _row_signs(n: int, relations) -> dict:
+def _row_signs(n: int, dep, relations) -> dict:
     """Row signs s(i) with gamma[i, j, n] = s(i) * b_{1, i+j-1} (i+j != n).
 
-    s(i) is the coefficient of any relation in row i off the top chain; a
-    row with none only holds forced zeros there and gets +1.
+    ``relations`` solve the dependent pairs ``dep``, in order.  s(i) is the
+    coefficient of any relation in row i off the top chain; a row with none
+    only holds forced zeros there and gets +1.
     """
     sign = dict.fromkeys(range(1, n - 1), 1)
-    for r in relations:
-        i, j = int(r.target[1]), int(r.target[2:])
+    for (i, j), r in zip(dep, relations):
         if r.terms and i + j != n:
             sign[i] = r.terms[0][1]
     return sign
@@ -305,19 +306,23 @@ def _row_signs(n: int, relations) -> dict:
 
 @functools.cache
 def _slot_entries(n: int) -> tuple:
-    """Per free label of ``free_labels(n)`` (the slots of ``PARAM_SLOTS[n]``,
+    """Per free pair of ``free_pairs(n)`` (the slots of ``PARAM_SLOTS[n]``,
     in order), the e_n-coefficients {(i, j): c} of its table direction.
 
-    A direction is the label's own unit entries plus c times those of every
-    forced coefficient whose solved relation names it with coefficient c.
-    The top label b1{n-1} of odd n is slot ``b`` = -b_{1,n-1}, hence its
-    factor -1.  The dicts are shared: read them, never change them.
+    A direction is the pair's own unit entries plus c times those of every
+    forced coefficient whose solved relation names it with coefficient c;
+    the relations are zipped with the dependent pairs in solve order.  The
+    top pair (1, n-1) of odd n is slot ``b`` = -b_{1,n-1}, hence its factor
+    -1.  The dicts are shared: read them, never change them.
     """
-    relations = solve_leibniz_constraints(n).implied_relations
+    free = free_pairs(n)
+    dep = [pair for pair in _unknowns(n) if pair not in free]
+    forced = [(pair, dict(r.terms)) for pair, r in zip(dep, solve_leibniz_constraints(n).implied_relations)]
     out = []
-    for label in free_labels(n):
-        factor = -1 if n % 2 and label == f"b1{n - 1}" else 1
-        sources = [(label, 1)] + [(r.target, c) for r in relations for src, c in r.terms if src == label]
+    for pair in free:
+        factor = -1 if pair == (1, n - 1) else 1
+        name = label(pair)
+        sources = [(pair, 1)] + [(target, terms[name]) for target, terms in forced if name in terms]
         entries = {}
         for target, c in sources:
             for key, v in _unit_entries(target).items():

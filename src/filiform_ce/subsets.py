@@ -49,19 +49,22 @@ def check_rank(n, top: int = N_RANGE[-1]) -> None:
         raise DomainError(f"n must be in {N_RANGE.start}..{top}, got {n!r}")
 
 
-def free_labels(n: int) -> list[str]:
-    """Coordinates the Leibniz identity leaves free: b00, b01, b11, each even
-    b1m up to b1{n-2}, and b1{n-1} at odd n."""
-    labels = ["b00", "b01", "b11"] + [f"b1{m}" for m in range(2, n - 1, 2)]
-    if n % 2 == 1:
-        labels.append(f"b1{n - 1}")
-    return labels
+def free_pairs(n: int) -> list[tuple[int, int]]:
+    """Coordinates (i, j) of b_ij the Leibniz identity leaves free: (0, 0),
+    (0, 1), (1, 1), each (1, m) with even m up to n-2, and (1, n-1) at odd n."""
+    pairs = [(0, 0), (0, 1), (1, 1)] + [(1, m) for m in range(2, n - 1, 2)]
+    return pairs + [(1, n - 1)] if n % 2 else pairs
 
 
-#: parameter slot names, in tuple order, per family: the free labels with
-#: the top coefficient b1{n-1} of odd n named ``b``
+def label(pair: tuple[int, int]) -> str:
+    """The name b{i}{j} of the coordinate b_ij, spelled only at the output edge."""
+    return "b%d%d" % pair
+
+
+#: parameter slot names, in tuple order, per family: the free pairs spelled,
+#: with the top coefficient b1{n-1} of odd n named ``b``
 PARAM_SLOTS: dict[int, tuple[str, ...]] = {
-    n: tuple("b" if label == f"b1{n - 1}" else label for label in free_labels(n))
+    n: tuple("b" if pair == (1, n - 1) else label(pair) for pair in free_pairs(n))
     for n in N_RANGE
 }
 

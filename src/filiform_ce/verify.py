@@ -73,7 +73,7 @@ from .family import (
     random_params,
     solve_leibniz_constraints,
 )
-from .subsets import PARAM_SLOTS, SUBSETS, free_labels, parametric_subsets
+from .subsets import PARAM_SLOTS, SUBSETS, free_pairs, parametric_subsets
 from .tensor import (
     StructureTensor,
     bracket,
@@ -322,23 +322,16 @@ def _expected_relations(n: int) -> dict[str, tuple[str, int] | None]:
     """Forced value of every dependent pair coordinate: a proportionality
     (source label, integer coefficient) or None for an outright zero."""
     out: dict[str, tuple[str, int] | None] = {}
-    free = set(free_labels(n))
+    free = {f"b{i}{j}" for i, j in free_pairs(n)}
     for i in range(1, n - 1):
         for j in range(i + 1, n):
             label = f"b{i}{j}"
             if label in free:
                 continue
-            if i + j == n:
-                if n % 2 == 1:
-                    out[label] = (f"b1{n - 1}", (-1) ** (i + 1))
-                else:
-                    out[label] = None
-                continue
+            # the diagonal i + j follows b1m, m = i + j - 1, when that is free:
+            # m even up to n - 2, and the top chain m = n - 1 at odd n
             m = i + j - 1
-            if m % 2 == 0 and m <= n - 2:
-                out[label] = (f"b1{m}", (-1) ** (i + 1))
-            else:
-                out[label] = None
+            out[label] = (f"b1{m}", (-1) ** (i + 1)) if m % 2 == 0 and m < n else None
     return out
 
 
@@ -347,7 +340,7 @@ def _chk_constraint_reduction(ctx: _Ctx) -> str:
     for n in _RANKS:
         rep = solve_leibniz_constraints(n)
         free = set(rep.free_labels)
-        if free != set(free_labels(n)) or rep.free_count != _PAPER_COUNTS[n][0]:
+        if free != {f"b{i}{j}" for i, j in free_pairs(n)} or rep.free_count != _PAPER_COUNTS[n][0]:
             ctx.fail(f"free coordinates at n={n}: got {sorted(free)}")
         if rep.rank != rep.total_unknowns - rep.free_count:
             ctx.fail(f"rank {rep.rank} inconsistent at n={n}")

@@ -15,7 +15,7 @@ import numpy as np
 from filiform_ce import AdaptedTransform, act_on_params, adapted_matrix, family, transform_from_matrix
 from filiform_ce.action import _sum_terms
 from filiform_ce.classify import _PLANS, _cell, _root, nonzero_flags
-from filiform_ce.subsets import free_labels
+from filiform_ce.subsets import free_pairs, label
 from filiform_ce.tensor import StructureTensor, leibniz_residual_tensor
 
 
@@ -189,7 +189,7 @@ def svd_relations(n: int) -> tuple[int, dict[str, dict[str, float]]]:
     where within 1e-9 of an integer.  Reference for the exact elimination of
     ``solve_leibniz_constraints``.
     """
-    labels = family._unknown_labels(n)
+    labels = [label(pair) for pair in family._unknowns(n)]
     t0 = skeleton(n)
     cols = []
     for lab in labels:
@@ -198,7 +198,7 @@ def svd_relations(n: int) -> tuple[int, dict[str, dict[str, float]]]:
     a = np.column_stack(cols)
     _, s, vh = np.linalg.svd(a, full_matrices=False)
     rank = int(np.sum(s > 1e-8 * s[0]))
-    free = free_labels(n)
+    free = [label(pair) for pair in free_pairs(n)]
     free_idx = [labels.index(lab) for lab in free]
     dep_idx = [k for k in range(len(labels)) if k not in free_idx]
     nmat = vh[rank:, :].T
@@ -219,10 +219,10 @@ def unit_tables(n: int) -> tuple[np.ndarray, np.ndarray]:
     -1), as complex rows beside the dense skeleton."""
     relations = family.solve_leibniz_constraints(n).implied_relations
     units = []
-    for label in free_labels(n):
-        factor = -1.0 if n % 2 and label == f"b1{n - 1}" else 1.0
-        forced = sum(c * direction(n, r.target) for r in relations for src, c in r.terms if src == label)
-        units.append(factor * (direction(n, label) + forced))
+    for name in map(label, free_pairs(n)):
+        factor = -1.0 if n % 2 and name == f"b1{n - 1}" else 1.0
+        forced = sum(c * direction(n, r.target) for r in relations for src, c in r.terms if src == name)
+        units.append(factor * (direction(n, name) + forced))
     return skeleton(n), np.array(units, dtype=complex).reshape(len(units), -1)
 
 
@@ -405,7 +405,7 @@ def full_action_witness(p):
 
 #: parameter slot names, in tuple order, as they were written out by hand for
 #: n = 4..8.  ``filiform_ce.subsets.PARAM_SLOTS`` derives them from the
-#: free-label rule and must reproduce this table.
+#: free-pair rule and must reproduce this table.
 FROZEN_PARAM_SLOTS = {
     4: ("b00", "b01", "b11", "b12"),
     5: ("b00", "b01", "b11", "b12", "b"),

@@ -368,8 +368,8 @@ def test_torus_weights_match_action():
         p = random_params(n, seed=n)
         t = AdaptedTransform(n, a0, 0, (b1,) + (0,) * (n - 3))
         moved = act_on_params(t, p).as_tuple()
-        for slot, before, after in zip(PARAM_SLOTS[n], p.as_tuple(), moved):
-            x, y = _weight(n, slot)
+        for s, (slot, before, after) in enumerate(zip(PARAM_SLOTS[n], p.as_tuple(), moved)):
+            x, y = _weight(n, s)
             assert after == pytest.approx(before * a0**x * b1**y, rel=1e-12), (n, slot)
 
 
@@ -382,11 +382,11 @@ def test_torus_weights_give_stabilizers():
         for spec in SUBSETS[n]:
             if not spec.parametric:
                 continue
-            ones = [s for s, v in zip(PARAM_SLOTS[n], spec.representative) if v == 1]
+            ones = [s for s, v in enumerate(spec.representative) if v == 1]
             (x1, y1), (x2, y2) = (_weight(n, s) for s in ones)
             order = abs(x1 * y2 - x2 * y1)
             # B1 = A0**(-x1*y1) keeps the first "1" slot (y1 = +-1) at 1
-            x00, y00 = _weight(n, "b00")
+            x00, y00 = _weight(n, 0)  # slot b00
             e = (x00 - y00 * x1 * y1) % order
             zeta = cmath.exp(2j * cmath.pi / order)
             t = AdaptedTransform(n, zeta, 0, (zeta ** (-x1 * y1),) + (0,) * (n - 3))
@@ -410,7 +410,7 @@ def test_cells_derive_from_conditions():
 
 
 def test_slots_derive_from_free_labels():
-    # the slot list is the solver's free-label rule, b1{n-1} named b
+    # the slot list is the solver's free-pair rule, b1{n-1} named b
     assert PARAM_SLOTS == oracles.FROZEN_PARAM_SLOTS
 
 

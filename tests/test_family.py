@@ -28,7 +28,7 @@ from filiform_ce import (
     subset_of,
 )
 from filiform_ce import family
-from filiform_ce.subsets import PARAM_SLOTS, SUBSETS, free_labels, parametric_subsets
+from filiform_ce.subsets import PARAM_SLOTS, SUBSETS, free_pairs, label, parametric_subsets
 
 import oracles
 
@@ -320,19 +320,19 @@ def test_solver_covers_n9():
 
 def test_free_count_mismatch_is_typed_at_n9(monkeypatch):
     # the free-count gate runs at every rank the solver accepts, so a wrong
-    # free-label rule is a FiliformError rather than a failed determinant
-    monkeypatch.setattr(family, "free_labels", lambda n: free_labels(n)[:-1])
+    # free-pair rule is a FiliformError rather than a failed determinant
+    monkeypatch.setattr(family, "free_pairs", lambda n: free_pairs(n)[:-1])
     with pytest.raises(FiliformError, match="expected 6 free coefficients"):
         solve_leibniz_constraints.__wrapped__(9)
 
 
 def test_free_labels_that_do_not_parameterize_are_typed(monkeypatch):
     # b13 is forced to zero at n=6: with it in place of b12 the count of free
-    # labels is right, but no relation can express b12 through them
+    # pairs is right, but no relation can express b12 through them
     def swapped(n):
-        return ["b13" if lab == "b12" else lab for lab in free_labels(n)]
+        return [(1, 3) if pair == (1, 2) else pair for pair in free_pairs(n)]
 
-    monkeypatch.setattr(family, "free_labels", swapped)
+    monkeypatch.setattr(family, "free_pairs", swapped)
     with pytest.raises(FiliformError, match="do not parameterize the null space"):
         solve_leibniz_constraints.__wrapped__(6)
 
@@ -342,8 +342,8 @@ def test_fractional_relation_coefficient_is_typed(monkeypatch):
     # a coefficient that is not an integer is refused, never truncated
     rows = family._residual_rows
 
-    def doubled(n, labels):
-        return [tuple(2 * x if lab == "b23" else x for lab, x in zip(labels, row)) for row in rows(n, labels)]
+    def doubled(n, pairs):
+        return [tuple(2 * x if pair == (2, 3) else x for pair, x in zip(pairs, row)) for row in rows(n, pairs)]
 
     monkeypatch.setattr(family, "_residual_rows", doubled)
     with pytest.raises(FiliformError, match="relation coefficient is not an integer"):
@@ -354,11 +354,11 @@ def test_fractional_relation_coefficient_is_typed(monkeypatch):
 def test_sparse_residual_rows_match_tensor_route(n):
     # the e_n-rows read off the sparse brackets are the tensor route's
     # residual matrix rows, sign-folded and deduplicated alike, in the same order
-    free = free_labels(n)
-    labels = [lab for lab in family._unknown_labels(n) if lab not in free] + free
-    rows = family._residual_rows(n, labels)
+    free = free_pairs(n)
+    pairs = [pair for pair in family._unknowns(n) if pair not in free] + free
+    rows = family._residual_rows(n, pairs)
     assert len(rows) == {4: 2, 5: 4, 6: 8, 7: 13, 8: 19, 9: 26}[n]
-    assert rows == oracles.tensor_residual_rows(n, labels)
+    assert rows == oracles.tensor_residual_rows(n, [label(pair) for pair in pairs])
     assert all(type(x) is int for row in rows for x in row)
 
 

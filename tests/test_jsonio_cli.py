@@ -1,5 +1,6 @@
 """JSON wire formats and the command-line front end."""
 
+import hashlib
 import io
 import json
 import subprocess
@@ -208,6 +209,30 @@ def test_cli_derive_constraints(capsys):
     assert payload["free_labels"] == ["b00", "b01", "b11", "b12", "b14", "b16"]
     targets = {r["target"] for r in payload["relations"]}
     assert "b25" in targets and "b34" in targets
+
+
+#: sha256 of the JSON each verb prints, recorded before the unknowns became
+#: index pairs inside the solve: names are spelled only at the output edge
+GOLDEN_SHA256 = {
+    ("derive-constraints", 4): "b15aebb15042082a56b3c05114c53a649419459b1424e12cb5596056bb6bd1c9",
+    ("derive-constraints", 5): "c18f681410c53c32163cc8831952a97cfa0d69b61d8eb4ca0706ac3099b59b55",
+    ("derive-constraints", 6): "5fe39d8a71c7cf8b19fc1f8ed583861e5c985df092ddf1bfd83da6a6bb360ba6",
+    ("derive-constraints", 7): "94340affd1b9cc9467da46f5de30b989d666f0b663e59900f6eec490cd4f41a4",
+    ("derive-constraints", 8): "bfce2ab4f8cd6de640b2555acb115fe70cf3d643a819eb3c245176c8f1cb5234",
+    ("derive-constraints", 9): "1e6e854fa0e7baf41519b5685bb34f862cf295fa3a9755cf5f11377e18cc0069",
+    ("representatives", 4): "d8b4a28a8863330f61a99ba4521be1de5d32400556365eece8f133a3adf0b490",
+    ("representatives", 5): "23a96633152e7e6b379aa331e412d04a93c4d3ab5b5bedc0a02b7cd5e5091a40",
+    ("representatives", 6): "b68e417234470992786bbda925091e2911ce4eedcf58dd351414d2778a11b992",
+    ("representatives", 7): "ca459a220147f82fb05df0a4ae566bc09441c84f4bbeb0c457b29c8feefb51d9",
+    ("representatives", 8): "5b4a516fbc5e4193e6c79697a7232e83136a7197761f1a02814b245f2ce72839",
+}
+
+
+@pytest.mark.parametrize("verb, n", GOLDEN_SHA256)
+def test_cli_output_is_golden(verb, n, capsys):
+    code, out, _ = run_cli([verb, "--n", str(n)], capsys=capsys)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_SHA256[verb, n]
 
 
 def test_cli_exit_codes(monkeypatch, capsys):

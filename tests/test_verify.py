@@ -197,3 +197,37 @@ def test_harness_keeps_the_paper_ranks_when_the_library_lifts_its_range(tmp_path
     assert out["summary"] == [32, 32]
     assert out["manifest"] == list(MANIFEST) == out["ids"]
     assert out["finite"] == {"U_1": True, "U_5": True, "U_9": True, "U_13": True}
+
+
+_SOLVE_PROBE = """
+import json
+import filiform_ce as fc
+from filiform_ce import family
+from filiform_ce.subsets import free_pairs, label
+free = {n: [fc.solve_leibniz_constraints(n).free_count, len(free_pairs(n))] for n in range(9, 16)}
+residual = {n: fc.leibniz_residual(fc.build_table(fc.random_params(n, seed=n))) for n in range(9, 15)}
+distinct = [n for n in range(4, 21) if len(set(map(label, family._unknowns(n)))) == len(family._unknowns(n))]
+print(json.dumps({"file": fc.__file__, "free": free, "residual": residual, "distinct": distinct}))
+"""
+
+
+def test_solve_and_tables_hold_when_the_library_lifts_its_range_to_14(tmp_path):
+    # from n = 12 on a name such as b1011 cannot be read back as its pair;
+    # the unknowns are pairs, so the solve finds the free-pair rule's count
+    # up to n = 15, every table satisfies the identity exactly, and the
+    # names spelled at the output edge stay distinct up to n = 20
+    src = Path(__file__).resolve().parents[1] / "src"
+    shutil.copytree(src, tmp_path / "src", ignore=shutil.ignore_patterns("__pycache__"))
+    subsets = tmp_path / "src" / "filiform_ce" / "subsets.py"
+    _rewrite_once(subsets, r"^N_RANGE = range\(4, 9\)$", "N_RANGE = range(4, 15)")
+    _rewrite_once(subsets, r"^(CHAIN_FIRST = \{[^}]*)\}$", r"\1, 9: 4, 10: 4, 11: 5, 12: 5, 13: 6, 14: 6}")
+    env = {**os.environ, "PYTHONPATH": str(tmp_path / "src")}
+    run = subprocess.run(
+        [sys.executable, "-c", _SOLVE_PROBE], capture_output=True, text=True, env=env, timeout=300
+    )
+    assert run.returncode == 0, run.stderr
+    out = json.loads(run.stdout)
+    assert Path(out["file"]).is_relative_to(tmp_path)
+    assert out["free"] == {str(n): [c, c] for n, c in zip(range(9, 16), (7, 7, 8, 8, 9, 9, 10))}
+    assert out["residual"] == {str(n): 0.0 for n in range(9, 15)}
+    assert out["distinct"] == list(range(4, 21))
