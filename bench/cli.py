@@ -13,7 +13,8 @@ for n = 4..9, called in turn in a fresh process right after ``import
 filiform_ce`` (``cold_solve.import_ms``).  With ``--parent`` every process
 runs on both checkouts back to back, the side that goes first alternating,
 and the result holds ``before`` (the parent) and ``after`` (``--src``);
-``--out`` merges the result into that JSON file.
+``--out`` merges the result into that JSON file, keeping the entries and
+the ``unit`` note of ``bench/run.py`` there (``run.merge_into``).
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ import sys
 import tempfile
 import time
 
-from run import ROOT, machine, package_dir
+from run import ROOT, machine, merge_into, package_dir
 
 VERBS = ("build", "check", "act", "classify", "isomorphic", "representatives", "derive-constraints")
 RANKS = (4, 6, 8)
@@ -125,10 +126,7 @@ def main(argv=None) -> int:
         **figures,
     }
     if args.out:
-        path = pathlib.Path(args.out)
-        merged = json.loads(path.read_text()) if path.exists() else {}
-        merged.update(result)
-        path.write_text(json.dumps(merged, indent=2, sort_keys=True) + "\n")
+        merge_into(args.out, result)
     print(json.dumps(result, indent=2, sort_keys=True))
     return 0
 

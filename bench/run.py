@@ -33,8 +33,8 @@ process under another package name and times every entry on both, round
 by round, the side that goes first alternating, so drift of the host's
 speed falls on both sides alike; the result then holds ``before`` (the
 parent) and ``after`` (``--src``) in place of ``--label``.  With ``--out``
-the result is merged into that JSON file, beside the entries already
-there.
+the result is merged into that JSON file by :func:`merge_into`, beside the
+entries already there, so this tool and ``bench/cli.py`` can share a file.
 """
 
 from __future__ import annotations
@@ -148,6 +148,25 @@ def measure(packages: dict) -> dict:
     }
 
 
+def merge_into(path: str, result: dict) -> None:
+    """Merge ``result`` into the JSON file at ``path``.
+
+    A table there (``before``, ``after``, a label, ``machine``) keeps its
+    entries beside the new ones, and a ``unit`` note not yet there is
+    appended to the old one, so two tools' figures and notes share one file.
+    """
+    out = pathlib.Path(path)
+    merged = json.loads(out.read_text()) if out.exists() else {}
+    for key, value in result.items():
+        old = merged.get(key)
+        if isinstance(old, dict) and isinstance(value, dict):
+            value = {**old, **value}
+        elif key == "unit" and isinstance(old, str):
+            value = old if value in old else f"{old}; {value}"
+        merged[key] = value
+    out.write_text(json.dumps(merged, indent=2, sort_keys=True) + "\n")
+
+
 def machine() -> dict:
     import numpy as np
 
@@ -182,10 +201,7 @@ def main(argv=None) -> int:
         **measure(packages),
     }
     if args.out:
-        path = pathlib.Path(args.out)
-        merged = json.loads(path.read_text()) if path.exists() else {}
-        merged.update(result)
-        path.write_text(json.dumps(merged, indent=2, sort_keys=True) + "\n")
+        merge_into(args.out, result)
     print(json.dumps(result, indent=2, sort_keys=True))
     return 0
 

@@ -1,29 +1,31 @@
 """Orbit classification of the extension family under adapted transforms.
 
 For each family the parameter space splits into the cells of
-:mod:`filiform_ce.subsets`.  Every non-parametric cell is a single orbit
-with a fixed 0/1 representative; every parametric cell is a one-parameter
-family of orbits indexed by a canonical value ``lam`` sitting in the b00
-slot of its representative.  ``canonicalize`` produces the witness
-transform realizing the normal form, ``orbit_invariant`` gives the value
-of the cell's rational orbit function, and ``isomorphic`` decides
+:mod:`filiform_ce.subsets`; a member's cell is the one recorded under its
+two options (``SubsetSpec.options``), its top nonzero chain slot and its
+first nonzero of b11, b01, b00.  Every non-parametric cell is a single
+orbit with a fixed 0/1 representative; every parametric cell is a
+one-parameter family of orbits indexed by a canonical value ``lam`` sitting
+in the b00 slot of its representative.  ``canonicalize`` produces the
+witness transform realizing the normal form, ``orbit_invariant`` gives the
+value of the cell's rational orbit function, and ``isomorphic`` decides
 equivalence of two members (up to the finite stabilizer of the normal
 form, where one exists) and returns an explicit witness.
 
 Each published orbit function is invariant, so it takes its value on the
 normal form, where delta = -4*lam and its other factors read 1: (-4*lam)**k,
-k the order of the cell's stabilizer (1 without one).  At (5, U_1) and
-(7, U_1) it also divides by (b01*b - 2*b11)**2 = 4, and at (8, U_5) the
-paper inverts it.  The published formulas live in :mod:`filiform_ce.verify`,
+k = order/gcd(order, e) for a stabilizer moving lam by A0**e (1 without
+one).  At (5, U_1) and (7, U_1) it also divides by (b01*b - 2*b11)**2 = 4,
+and at (8, U_5) the paper inverts it.  The published formulas live in :mod:`filiform_ce.verify`,
 which checks these values against them.
 
 One rule, read off the cell's representative pattern, builds every
 witness in three steps, each evaluated on the closed form of the action:
 
-1. Shear: s = A1/A0 is -b01/(2*b11) if b11 != 0, else -b00/b01 if
-   b01 != 0, else 0.  For odd n it divides the chain by 1 + s*b; where
-   that vanishes (the thin locus) the representative is out of reach and
-   :class:`CanonicalizationError` is raised.
+1. Shear: by the cell's lead option, s = A1/A0 is -b01/(2*b11) for b11,
+   -b00/b01 for b01, else 0.  For odd n it divides the chain by 1 + s*b;
+   where that vanishes (the thin locus) the representative is out of reach
+   and :class:`CanonicalizationError` is raised.
 2. Unipotent shifts: B3, then B5, clear the chain slots (b12, b14, b16,
    b) one and two steps below the representative's chain "1"; the closed
    form is affine in the next B, so each step is one linear solve (done
@@ -42,14 +44,14 @@ The witness is (A0, A0*s, B1*(1, 0, B3, 0, B5, ...)).  Principal roots
 read a zero imaginary part as +0, so ``lam`` does not depend on the sign
 of a zero.  Torus elements with A0^|det| = 1 fix the "1" slots and
 multiply ``lam`` by A0^e; the cells where e is not a multiple of |det|
-are the ``STABILIZERS``.
+are the ``STABILIZERS``, and ``isomorphic`` tries each of their elements.
 """
 
 from __future__ import annotations
 
 import cmath
 import functools
-import itertools
+import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
@@ -64,7 +66,7 @@ from .action import (
 )
 from .errors import CanonicalizationError, DomainError, FiliformError
 from .family import ExtensionParams, params_from_tuple
-from .subsets import LAM, PARAM_SLOTS, SUBSETS, SubsetSpec, check_rank, free_pairs, get_spec, parametric_subsets
+from .subsets import _LEAD, LAM, PARAM_SLOTS, SUBSETS, SubsetSpec, check_rank, free_pairs, get_spec, parametric_subsets
 from .tolerance import FLAG_WARN_MARGIN, ZERO_FLAG_RTOL
 
 #: absolute-plus-relative tolerance used when matching canonical values
@@ -132,30 +134,24 @@ def flag_margin(p: ExtensionParams) -> float:
     return _margin(p, nonzero_flags(p))
 
 
-@functools.cache
-def _cell_table(n: int) -> tuple:
-    """(pattern, table): ``pattern(flags)`` is the flag tuple over
-    (*PARAM_SLOTS[n], "delta"), and ``table`` maps it to its first matching
-    cell, found by scanning ``SUBSETS[n]`` in decision order.  Patterns no
-    cell matches are left out.
-    """
-    keys = (*PARAM_SLOTS[n], "delta")
-    table = {}
-    for pattern in itertools.product((False, True), repeat=len(keys)):
-        flags = dict(zip(keys, pattern))
-        for spec in SUBSETS[n]:
-            if all(flags[slot] == want for slot, want in spec.conditions):
-                table[pattern] = spec
-                break
-    return operator.itemgetter(*keys), table
+#: n -> (chain slots, top first; options -> cell): what ``_cell`` scans and looks up
+_DECISION = {n: (PARAM_SLOTS[n][:2:-1], {spec.options: spec for spec in SUBSETS[n]}) for n in SUBSETS}
 
 
 def _cell(n: int, flags: dict) -> SubsetSpec:
-    pattern, table = _cell_table(n)
-    spec = table.get(pattern(flags))
-    if spec is None:
-        raise FiliformError(f"no classification cell matched n={n} flags {flags}")
-    return spec
+    """The cell recorded under the options that the member's flags select."""
+    chain_slots, cells = _DECISION[n]
+    for chain in chain_slots:
+        if flags[chain]:
+            break
+    else:
+        chain = None
+    for lead in _LEAD:
+        if flags[lead]:
+            break
+    else:
+        lead = None
+    return cells[chain, lead, flags["delta"] if chain is None and lead == "b11" else None]
 
 
 def subset_of(p: ExtensionParams) -> str:
@@ -239,17 +235,17 @@ def _root(z: complex, k: int) -> complex:
     return complex(z.real, z.imag + 0.0) ** (1.0 / k)
 
 
-def _canonical_transform(p: ExtensionParams, flags: dict, plan: _Plan) -> AdaptedTransform:
-    """Adapted transform carrying ``p`` onto its cell representative.
+def _canonical_transform(p: ExtensionParams, spec: SubsetSpec) -> AdaptedTransform:
+    """Adapted transform carrying ``p`` onto the representative of its cell ``spec``.
 
     Quotients enter as A0 * num / den and A0**-x / v, the order of rounding
     that passes the ill-conditioned witness check more often at extreme
     magnitudes; the shifts are solved on the witness itself for that reason.
     """
-    n = p.n
-    if flags["b11"]:
+    n, plan, lead = p.n, _PLANS[p.n, spec.name], spec.options[1]
+    if lead == "b11":
         num, den = -p.b01, 2 * p.b11
-    elif flags["b01"]:
+    elif lead == "b01":
         num, den = -p.b00, p.b01
     else:
         num, den = 0j, 1
@@ -305,7 +301,8 @@ _ORBIT_CONVENTIONS = {
 def _orbit_monomial(n: int, cell: str) -> tuple:
     """(c, k): the orbit function reads c * lam**k on the normal form, c exact."""
     r, s = _ORBIT_CONVENTIONS.get((n, cell), (1, 1))
-    k = s * STABILIZERS.get((n, cell), (1, 0))[0]
+    order, e = STABILIZERS.get((n, cell), (1, 0))
+    k = s * (order // math.gcd(order, e))
     c = r * Fraction(-4) ** k
     return (int(c) if c.denominator == 1 else float(c)), k
 
@@ -321,11 +318,11 @@ def orbit_invariant(p: ExtensionParams) -> complex | None:
     the function divides by a vanishing ``lam``.  A value beyond
     floating-point range raises :class:`DomainError`.
     """
-    flags = nonzero_flags(p)
-    if not _cell(p.n, flags).parametric:
+    spec = _cell(p.n, nonzero_flags(p))
+    if not spec.parametric:
         return None
     try:
-        label = _canonicalize(p, flags)
+        label = _canonicalize(p, spec)
     except CanonicalizationError:
         return None
     return _orbit_value(label)
@@ -373,6 +370,12 @@ def representatives(n: int) -> list[tuple[str, ExtensionParams, bool]]:
     return out
 
 
+def _miss(achieved: ExtensionParams, target: ExtensionParams) -> float | None:
+    """Worst slot deviation of a witness image beyond MATCH_TOL * (1 + target.scale()), else None."""
+    err = max(map(abs, map(operator.sub, achieved.as_tuple(), target.as_tuple())))
+    return err if err > MATCH_TOL * (1 + target.scale()) else None
+
+
 def canonicalize(p: ExtensionParams) -> OrbitLabel:
     """Witness transform and normal form for one family member.
 
@@ -380,15 +383,14 @@ def canonicalize(p: ExtensionParams) -> OrbitLabel:
     not land on the representative pattern (in particular on the thin loci
     of the odd-family top cells, where the representative is unreachable).
     """
-    return _canonicalize(p, nonzero_flags(p))
+    return _canonicalize(p, _cell(p.n, nonzero_flags(p)))
 
 
-def _canonicalize(p: ExtensionParams, flags: dict) -> OrbitLabel:
-    """:func:`canonicalize` given the member's ``nonzero_flags``."""
-    spec = _cell(p.n, flags)
+def _canonicalize(p: ExtensionParams, spec: SubsetSpec) -> OrbitLabel:
+    """:func:`canonicalize` given the member's cell."""
     name = spec.name
     try:  # a power of A0 over- or underflows, the witness or a normal-form slot is not finite
-        witness = _canonical_transform(p, flags, _PLANS[p.n, name])
+        witness = _canonical_transform(p, spec)
         achieved = act_on_params(witness, p)
     except (OverflowError, ZeroDivisionError, DomainError) as exc:
         raise DomainError(
@@ -396,8 +398,7 @@ def _canonicalize(p: ExtensionParams, flags: dict) -> OrbitLabel:
         ) from exc
     lam = achieved.b00 if spec.parametric else None
     rep = representative_params(p.n, name, lam)
-    err = max(map(abs, map(operator.sub, achieved.as_tuple(), rep.as_tuple())))
-    if err > MATCH_TOL * (1 + rep.scale()):
+    if (err := _miss(achieved, rep)) is not None:
         raise CanonicalizationError(
             f"normal form for cell {name} missed its representative pattern "
             f"(worst slot deviation {err:.3e}); the input may sit on a "
@@ -426,10 +427,8 @@ def classify(p: ExtensionParams) -> OrbitLabel:
 # isomorphism
 
 
-def _stabilizer_transform(n: int, subset: str, mult: complex) -> AdaptedTransform:
-    """Torus element fixing the representative with lam -> mult * lam (mult**order = 1)."""
-    order, e = STABILIZERS[n, subset]
-    a0 = mult ** pow(e, -1, order)
+def _stabilizer_transform(n: int, subset: str, a0: complex) -> AdaptedTransform:
+    """Torus element fixing the "1" slots, A0 = ``a0`` with a0**order = 1: lam -> a0**e * lam."""
     _i, x, y = _PLANS[n, subset].scale
     return AdaptedTransform(n, a0, 0, (a0 ** (-x * y),) + (0,) * (n - 3))
 
@@ -439,9 +438,10 @@ def isomorphic(
 ) -> tuple[bool, AdaptedTransform | None]:
     """Decide equivalence under the adapted group; witness maps p onto q.
 
-    Parametric cells compare canonical values up to the finite root-of-unity
-    stabilizer of the normal form; when a nontrivial root is needed, the
-    corresponding stabilizing transform is spliced into the witness.
+    Parametric cells compare canonical values up to the finite stabilizer of
+    the normal form: each torus element A0 = zeta_j (zeta_j**order = 1)
+    moves lam_p to zeta_j**e * lam_p, and the one that reaches lam_q is
+    spliced into the witness.
     """
     if p.n != q.n:
         raise DomainError(f"cannot compare extensions of rank {p.n} and {q.n}")
@@ -457,21 +457,18 @@ def isomorphic(
     witness = label_p.witness
     if spec.parametric:
         lp, lq = label_p.lam, label_q.lam
-        order = STABILIZERS.get((n, label_p.subset), (1, 0))[0]
+        order, e = STABILIZERS.get((n, label_p.subset), (1, 0))
         roots = [cmath.exp(2j * cmath.pi * j / order) for j in range(order)]
         tol = MATCH_TOL * (1 + max(abs(lp), abs(lq)))
-        best = min(range(order), key=lambda j: abs(lp - roots[j] * lq))
-        if abs(lp - roots[best] * lq) > tol:
+        best = min(range(order), key=lambda j: abs(lq - roots[j] ** e * lp))
+        if abs(lq - roots[best] ** e * lp) > tol:
             return False, None
-        if best != 0:  # lam_q / lam_p as an exact root
-            stab = _stabilizer_transform(n, label_p.subset, roots[(order - best) % order])
-            witness = compose(witness, stab, p)
+        if best != 0:
+            witness = compose(witness, _stabilizer_transform(n, label_p.subset, roots[best]), p)
 
     witness = compose(witness, inverse_transform(label_q.witness, q), p)
 
-    achieved = act_on_params(witness, p)
-    err = max(abs(x - y) for x, y in zip(achieved.as_tuple(), q.as_tuple()))
-    if err > MATCH_TOL * (1 + q.scale()):
+    if (err := _miss(act_on_params(witness, p), q)) is not None:
         raise FiliformError(
             f"isomorphism witness verification failed (deviation {err:.3e})"
         )

@@ -10,12 +10,12 @@ indexed by a free slot ``lam`` of its representative.
 The cells are the product of two options.  The chain option is the top
 nonzero chain slot (b for odd n, then b1{n-2} down to b12), or none.  The
 lead option is the first nonzero of b11, b01, b00, or none.  The pair
-(no chain, b11) splits on delta != 0 and delta = 0.  A cell's conditions
-spell its options out as zero and nonzero tests, so the cells are pairwise
-disjoint and cover the parameter space; listing order is classification's
-decision order.  The paper decides the top ``k = CHAIN_FIRST[n]`` chain
-slots before the lead option and the remaining chain slots after it; that
-number is all that differs between ranks.
+(no chain, b11) splits on delta != 0 and delta = 0.  A cell records its
+options in ``options``, the key classification reads; its conditions spell
+them out as zero and nonzero tests, so the cells are pairwise disjoint and
+cover the parameter space.  Listing order is the paper's decision order: it
+decides the top ``k = CHAIN_FIRST[n]`` chain slots before the lead option
+and the remaining ones after it; that number is all that differs by rank.
 
 The representative is 1 at the top nonzero chain slot and at the lead slot
 and 0 elsewhere; behind b11, b00 is ``lam`` if the chain is nonzero, else 1
@@ -77,6 +77,9 @@ class SubsetSpec:
     #: representative tuple over PARAM_SLOTS[n]; entries 0, 1 or LAM
     representative: tuple
     parametric: bool
+    #: (top nonzero chain slot, first nonzero lead slot, delta nonzero); None for
+    #: no such slot, and delta None except behind (None, "b11")
+    options: tuple
 
 
 def _options(slots):
@@ -93,18 +96,18 @@ def _cells(n: int) -> tuple[SubsetSpec, ...]:
     for first, top in _options(chain[:k]):
         for lead_conds, lead in _options(_LEAD):
             for last, low in _options(() if top else chain[k:]):
-                conds = first + lead_conds + last
-                rep = dict.fromkeys(slots, 0) | dict.fromkeys(filter(None, (top or low, lead)), 1)
+                conds, options = first + lead_conds + last, (top or low, lead, None)
+                rep = dict.fromkeys(slots, 0) | dict.fromkeys(filter(None, options), 1)
                 if lead != "b11":
-                    cells.append((conds, rep))
+                    cells.append((conds, rep, options))
                 elif top or low:
-                    cells.append((conds, rep | {"b00": LAM}))
+                    cells.append((conds, rep | {"b00": LAM}, options))
                 else:
-                    cells.append((conds + (("delta", True),), rep | {"b00": 1}))
-                    cells.append((conds + (("delta", False),), rep))
+                    cells.append((conds + (("delta", True),), rep | {"b00": 1}, (None, lead, True)))
+                    cells.append((conds + (("delta", False),), rep, (None, lead, False)))
     return tuple(
-        SubsetSpec(f"U_{i}", conds, tuple(rep.values()), LAM in rep.values())
-        for i, (conds, rep) in enumerate(cells, 1)
+        SubsetSpec(f"U_{i}", conds, tuple(rep.values()), LAM in rep.values(), options)
+        for i, (conds, rep, options) in enumerate(cells, 1)
     )
 
 

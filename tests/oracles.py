@@ -137,19 +137,14 @@ def expected_relations(n: int) -> dict[str, dict[str, complex]]:
     return out
 
 
-def direction(n: int, label: str) -> np.ndarray:
-    """Unit tensor direction of one unknown e_n-coefficient, as a dense array."""
+def direction(n: int, pair: tuple[int, int]) -> np.ndarray:
+    """Unit tensor direction of the unknown e_n-coefficient b_ij, pair (i, j),
+    as a dense array: [e_i, e_j] = e_n, and [e_j, e_i] = -e_n for 1 <= i < j."""
     d = n + 1
     g = np.zeros((d, d, d))
-    if label == "b00":
-        g[0, 0, n] = 1.0
-    elif label == "b01":
-        g[0, 1, n] = 1.0
-    elif label == "b11":
-        g[1, 1, n] = 1.0
-    else:
-        i, j = int(label[1]), int(label[2:])
-        g[i, j, n] = 1.0
+    i, j = pair
+    g[i, j, n] = 1.0
+    if 1 <= i < j:
         g[j, i, n] = -1.0
     return g
 
@@ -164,16 +159,17 @@ def skeleton(n: int) -> np.ndarray:
     return g
 
 
-def tensor_residual_rows(n: int, labels) -> list[tuple[float, ...]]:
+def tensor_residual_rows(n: int, pairs) -> list[tuple[float, ...]]:
     """Rows of the Leibniz residual matrix on the tensor route, one column per
-    label: the dense residual tensor (``leibniz_residual_tensor``) of the
-    skeleton plus that label's direction, flattened.  Zero rows are dropped,
-    each row's first nonzero entry is made positive and repeats are removed.
+    unknown's pair: the dense residual tensor (``leibniz_residual_tensor``) of
+    the skeleton plus that unknown's direction, flattened.  Zero rows are
+    dropped, each row's first nonzero entry is made positive and repeats are
+    removed.
     Reference for ``family._residual_rows``, which reads the same rows off
     the sparse brackets.
     """
     t0 = skeleton(n)
-    units = (StructureTensor((t0 + direction(n, lab)).astype(complex)) for lab in labels)
+    units = (StructureTensor((t0 + direction(n, pair)).astype(complex)) for pair in pairs)
     a = np.real([leibniz_residual_tensor(t).reshape(-1) for t in units]).T
     a = a[a.any(axis=1)]
     a *= np.sign(a[np.arange(len(a)), (a != 0).argmax(axis=1)])[:, None]
@@ -189,11 +185,12 @@ def svd_relations(n: int) -> tuple[int, dict[str, dict[str, float]]]:
     where within 1e-9 of an integer.  Reference for the exact elimination of
     ``solve_leibniz_constraints``.
     """
-    labels = [label(pair) for pair in family._unknowns(n)]
+    pairs = family._unknowns(n)
+    labels = [label(pair) for pair in pairs]
     t0 = skeleton(n)
     cols = []
-    for lab in labels:
-        t = StructureTensor((t0 + direction(n, lab)).astype(complex))
+    for pair in pairs:
+        t = StructureTensor((t0 + direction(n, pair)).astype(complex))
         cols.append(np.real(leibniz_residual_tensor(t)).reshape(-1))
     a = np.column_stack(cols)
     _, s, vh = np.linalg.svd(a, full_matrices=False)
@@ -218,11 +215,13 @@ def unit_tables(n: int) -> tuple[np.ndarray, np.ndarray]:
     whose solved relation names it (the top label of odd n, slot ``b``, times
     -1), as complex rows beside the dense skeleton."""
     relations = family.solve_leibniz_constraints(n).implied_relations
+    pair_of = {label(pair): pair for pair in family._unknowns(n)}
     units = []
-    for name in map(label, free_pairs(n)):
-        factor = -1.0 if n % 2 and name == f"b1{n - 1}" else 1.0
-        forced = sum(c * direction(n, r.target) for r in relations for src, c in r.terms if src == name)
-        units.append(factor * (direction(n, name) + forced))
+    for pair in free_pairs(n):
+        name = label(pair)
+        factor = -1.0 if n % 2 and pair == (1, n - 1) else 1.0
+        forced = sum(c * direction(n, pair_of[r.target]) for r in relations for src, c in r.terms if src == name)
+        units.append(factor * (direction(n, pair) + forced))
     return skeleton(n), np.array(units, dtype=complex).reshape(len(units), -1)
 
 

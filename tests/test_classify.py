@@ -12,7 +12,6 @@ from filiform_ce import (
     AdaptedTransform,
     CanonicalizationError,
     DomainError,
-    FiliformError,
     act_on_params,
     adapted_matrix,
     build_table,
@@ -29,7 +28,7 @@ from filiform_ce import (
     subset_of,
     warn_if_borderline,
 )
-from filiform_ce.classify import _ORBIT_MONOMIALS, STABILIZERS, _cell, _cell_table, _weight
+from filiform_ce.classify import _ORBIT_MONOMIALS, STABILIZERS, _cell, _weight
 from filiform_ce.subsets import PARAM_SLOTS, SUBSETS, parametric_subsets
 from filiform_ce.verify import _PUBLISHED_ORBIT
 
@@ -56,7 +55,8 @@ def test_subset_frozen_examples():
 
 @pytest.mark.parametrize("n", range(4, 9))
 def test_cell_table_matches_first_match_scan(n):
-    # the table behind _cell against the decision-order scan it replaced
+    # the cell looked up by the member's options against the decision-order
+    # first-match scan of the conditions; every pattern has exactly one cell
     keys = (*PARAM_SLOTS[n], "delta")
     for pattern in itertools.product((False, True), repeat=len(keys)):
         flags = dict(zip(keys, pattern))
@@ -65,25 +65,7 @@ def test_cell_table_matches_first_match_scan(n):
             if all(flags[slot] == nonzero for slot, nonzero in spec.conditions):
                 want = spec
                 break
-        if want is None:
-            with pytest.raises(FiliformError):
-                _cell(n, flags)
-        else:
-            assert _cell(n, flags) is want, pattern
-
-
-def test_cell_without_match_raises(monkeypatch):
-    # every pattern has a cell, so drop the all-zero cell to reach the miss
-    flags = dict.fromkeys((*PARAM_SLOTS[4], "delta"), False)
-    monkeypatch.setitem(SUBSETS, 4, SUBSETS[4][:-1])
-    _cell_table.cache_clear()
-    try:
-        with pytest.raises(FiliformError, match="no classification cell matched n=4"):
-            _cell(4, flags)
-    finally:
-        monkeypatch.undo()
-        _cell_table.cache_clear()
-    assert _cell(4, flags).name == "U_9"
+        assert _cell(n, flags) is want, pattern
 
 
 def test_subset_counts():

@@ -178,25 +178,89 @@ def _rewrite_once(path: Path, pattern: str, repl: str) -> None:
     path.write_text(text)
 
 
-def test_harness_keeps_the_paper_ranks_when_the_library_lifts_its_range(tmp_path):
-    # the library at n = 4..9: the package imports, the harness still runs
-    # the paper's 32 checks on 4..8, and the n = 9 parametric cells get
-    # orbit values from the rule
-    src = Path(__file__).resolve().parents[1] / "src"
-    shutil.copytree(src, tmp_path / "src", ignore=shutil.ignore_patterns("__pycache__"))
-    subsets = tmp_path / "src" / "filiform_ce" / "subsets.py"
-    _rewrite_once(subsets, r"^N_RANGE = range\(4, 9\)$", "N_RANGE = range(4, 10)")
-    _rewrite_once(subsets, r"^(CHAIN_FIRST = \{[^}]*)\}$", r"\1, 9: 4}")
-    env = {**os.environ, "PYTHONPATH": str(tmp_path / "src")}
-    run = subprocess.run(
-        [sys.executable, "-c", _LIFTED_PROBE], capture_output=True, text=True, env=env, timeout=300
-    )
+@pytest.fixture(scope="module")
+def lifted_env(tmp_path_factory):
+    """Environment that imports a copy of ``src/`` lifted to n = 4..20, with
+    CHAIN_FIRST[n] = (n - 1) // 2 above the paper's ranks."""
+    tmp = tmp_path_factory.mktemp("lifted")
+    shutil.copytree(Path(__file__).resolve().parents[1] / "src", tmp / "src", ignore=shutil.ignore_patterns("__pycache__"))
+    subsets = tmp / "src" / "filiform_ce" / "subsets.py"
+    _rewrite_once(subsets, r"^N_RANGE = range\(4, 9\)$", "N_RANGE = range(4, 21)")
+    chain_first = ", ".join(f"{n}: {(n - 1) // 2}" for n in range(9, 21))
+    _rewrite_once(subsets, r"^(CHAIN_FIRST = \{[^}]*)\}$", rf"\1, {chain_first}}}")
+    return {**os.environ, "PYTHONPATH": str(tmp / "src")}
+
+
+def _run_probe(probe: str, env: dict) -> dict:
+    run = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env, timeout=300)
     assert run.returncode == 0, run.stderr
     out = json.loads(run.stdout)
-    assert Path(out["file"]).is_relative_to(tmp_path)
+    assert Path(out["file"]).is_relative_to(Path(env["PYTHONPATH"]))
+    return out
+
+
+def test_harness_keeps_the_paper_ranks_when_the_library_lifts_its_range(lifted_env):
+    # the library at n = 4..20: the package imports, the harness still runs
+    # the paper's 32 checks on 4..8, and the n = 9 parametric cells get
+    # orbit values from the rule
+    out = _run_probe(_LIFTED_PROBE, lifted_env)
     assert out["summary"] == [32, 32]
     assert out["manifest"] == list(MANIFEST) == out["ids"]
     assert out["finite"] == {"U_1": True, "U_5": True, "U_9": True, "U_13": True}
+
+
+_CELLS_PROBE = """
+import cmath, json, math
+import filiform_ce as fc
+from filiform_ce.classify import STABILIZERS
+from filiform_ce.subsets import SUBSETS
+
+def close(x, y):
+    return x == y or abs(x - y) <= 1e-6 * (1 + abs(x))
+
+def member_checks(n, cell, seed):
+    p = fc.random_params(n, cell, seed=seed)
+    q = fc.act_on_params(fc.random_transform(n, seed=seed + 100, b=p.b), p)
+    return [fc.classify(p).subset == cell, fc.isomorphic(p, q)[0], close(fc.orbit_invariant(p), fc.orbit_invariant(q))]
+
+def stabilizer_checks(n, cell, lam=1.3 * cmath.exp(0.4j)):
+    order, e = STABILIZERS[n, cell]
+    k = order // math.gcd(order, e)
+    rep = lambda z: fc.representative_params(n, cell, z * lam)
+    zeta = lambda m: cmath.exp(2j * cmath.pi / m)
+    out = [fc.isomorphic(rep(1), rep(zeta(k)))[0]]
+    if k < order:
+        out += [not fc.isomorphic(rep(1), rep(zeta(order)))[0],
+                not close(fc.orbit_invariant(rep(1)), fc.orbit_invariant(rep(zeta(order))))]
+    return out
+
+def attempt(f, *args):
+    try:
+        return f(*args)
+    except Exception as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+members = {f"{n} {s.name}": [attempt(member_checks, n, s.name, seed) for seed in range(3)]
+           for n in range(9, 21) for s in SUBSETS[n]}
+stabilizers = {f"{n} {cell}": attempt(stabilizer_checks, n, cell) for n, cell in STABILIZERS if n > 8}
+gcd = sorted(f"{n} {cell}" for (n, cell), (order, e) in STABILIZERS.items() if math.gcd(order, e) > 1)
+print(json.dumps({"file": fc.__file__, "members": members, "stabilizers": stabilizers, "gcd": gcd}))
+"""
+
+
+def test_cells_and_stabilizers_hold_when_the_library_lifts_its_range_to_20(lifted_env):
+    # at every cell of n = 9..20, seeded members classify into their own cell,
+    # match their images under a transform, and share the image's orbit value;
+    # a stabilizer of order m moving lam by A0**e fixes lam only up to k-th
+    # roots of unity, k = m / gcd(m, e): lam and zeta_k * lam are one orbit,
+    # and where k < m, lam and zeta_m * lam are two, with two orbit values
+    out = _run_probe(_CELLS_PROBE, lifted_env)
+    bad = {cell: got for cell, got in out["members"].items() if got != [[True, True, True]] * 3}
+    assert bad == {}
+    bad = {cell: got for cell, got in out["stabilizers"].items() if not (isinstance(got, list) and all(got))}
+    assert bad == {}
+    assert out["gcd"] == ["14 U_5", "17 U_13", "20 U_5"]
+    assert all(len(out["stabilizers"][cell]) == 3 for cell in out["gcd"])
 
 
 _SOLVE_PROBE = """
@@ -211,23 +275,12 @@ print(json.dumps({"file": fc.__file__, "free": free, "residual": residual, "dist
 """
 
 
-def test_solve_and_tables_hold_when_the_library_lifts_its_range_to_14(tmp_path):
-    # from n = 12 on a name such as b1011 cannot be read back as its pair;
-    # the unknowns are pairs, so the solve finds the free-pair rule's count
-    # up to n = 15, every table satisfies the identity exactly, and the
-    # names spelled at the output edge stay distinct up to n = 20
-    src = Path(__file__).resolve().parents[1] / "src"
-    shutil.copytree(src, tmp_path / "src", ignore=shutil.ignore_patterns("__pycache__"))
-    subsets = tmp_path / "src" / "filiform_ce" / "subsets.py"
-    _rewrite_once(subsets, r"^N_RANGE = range\(4, 9\)$", "N_RANGE = range(4, 15)")
-    _rewrite_once(subsets, r"^(CHAIN_FIRST = \{[^}]*)\}$", r"\1, 9: 4, 10: 4, 11: 5, 12: 5, 13: 6, 14: 6}")
-    env = {**os.environ, "PYTHONPATH": str(tmp_path / "src")}
-    run = subprocess.run(
-        [sys.executable, "-c", _SOLVE_PROBE], capture_output=True, text=True, env=env, timeout=300
-    )
-    assert run.returncode == 0, run.stderr
-    out = json.loads(run.stdout)
-    assert Path(out["file"]).is_relative_to(tmp_path)
+def test_solve_and_tables_hold_when_the_library_lifts_its_range_to_14(lifted_env):
+    # on the lifted copy: from n = 12 on a name such as b1011 cannot be read
+    # back as its pair; the unknowns are pairs, so the solve finds the
+    # free-pair rule's count up to n = 15, every table satisfies the identity
+    # exactly, and the names spelled at the output edge stay distinct up to n = 20
+    out = _run_probe(_SOLVE_PROBE, lifted_env)
     assert out["free"] == {str(n): [c, c] for n, c in zip(range(9, 16), (7, 7, 8, 8, 9, 9, 10))}
     assert out["residual"] == {str(n): 0.0 for n in range(9, 15)}
     assert out["distinct"] == list(range(4, 21))
