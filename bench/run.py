@@ -19,8 +19,12 @@ compares two seeded members (at n = 4 and 8 both U_1 with different
 transform, so it also builds and checks the witness.
 ``canonicalize_cells`` canonicalizes one seeded member of every cell of
 the rank in turn (9 cells at n = 4, 17 at n = 8), so one call is the whole
-sweep.  Each figure is the median over ``REPEATS`` rounds of the mean time
-per call in microseconds.
+sweep.  ``oracle`` is the harness's tensor-route oracle,
+``read_params(change_basis(build_table(p), adapted_matrix(t, p)))``, on a
+chunk of 16 seeded member/transform pairs: one stacked pass
+(``verify._adapted_pass``) where the checkout has it, one member after
+another where it does not; its figure is per member.  Each figure is the
+median over ``REPEATS`` rounds of the mean time per call in microseconds.
 The end-to-end entry ``verify_all.seed1_trials100_s`` is the median of
 ``E2E_RUNS`` runs of ``verify_all(seed=1, trials=100)``, in seconds.
 
@@ -52,6 +56,8 @@ import timeit
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 REPEATS = 7
 E2E_RUNS = 3
+#: members per call of the entries timed per member
+MEMBERS = {"oracle": 16}
 
 
 def package_dir(checkout: str) -> pathlib.Path:
@@ -104,6 +110,7 @@ def _rank_calls(fc, n: int) -> dict:
     values = p.as_tuple()
     cells = [fc.random_params(n, spec.name, seed=1) for spec in _sub(fc, "subsets").SUBSETS[n]]
     return {
+        "oracle": _oracle_chunk(fc, n),
         "change_basis": lambda: fc.change_basis(t, g),
         "leibniz_residual": lambda: fc.leibniz_residual(t),
         "bracket": lambda: fc.bracket(t, x, y),
@@ -130,6 +137,20 @@ def _rank_calls(fc, n: int) -> dict:
     }
 
 
+def _oracle_chunk(fc, n: int):
+    """One chunk of ``MEMBERS["oracle"]`` seeded (p, t) pairs through the tensor-route oracle."""
+    import numpy as np
+
+    verify = _sub(fc, "verify")
+    rng = np.random.default_rng(4)
+    ps = [fc.random_params(n, rng=rng) for _ in range(MEMBERS["oracle"])]
+    ts = [_sub(fc, "action").random_transform(n, b=p.b, rng=rng) for p in ps]
+    stacked = getattr(verify, "_adapted_pass", None)
+    if stacked is None:  # a checkout from before the stacked route
+        return lambda: [fc.read_params(fc.change_basis(fc.build_table(p), fc.adapted_matrix(t, p))) for p, t in zip(ps, ts)]
+    return lambda: stacked(ps, ts, read=True)
+
+
 def measure(packages: dict) -> dict:
     """Label -> entry -> figure; each round times every package in turn."""
     tables = {label: calls(fc) for label, fc in packages.items()}
@@ -140,7 +161,7 @@ def measure(packages: dict) -> dict:
         number = 1 if e2e else timeit.Timer(fn).autorange()[0]
         for r in range(E2E_RUNS if e2e else REPEATS):
             for label, table in list(tables.items())[:: 1 if r % 2 == 0 else -1]:
-                seconds = timeit.Timer(table[key]).timeit(number) / number
+                seconds = timeit.Timer(table[key]).timeit(number) / number / MEMBERS.get(key.split(".")[0], 1)
                 samples[label][key].append(seconds if e2e else seconds * 1e6)
     return {
         label: {key: round(statistics.median(runs), 3) for key, runs in entries.items()}

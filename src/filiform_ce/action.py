@@ -213,23 +213,45 @@ def adapted_matrix(t: AdaptedTransform, p: ExtensionParams) -> np.ndarray:
     _require_nondegenerate(t, p)
     n = p.n
     m = np.zeros((n + 1, n + 1), dtype=complex)
-    m[0, 0], m[1, 0] = t.A0, t.A1
-    m[1 : n - 1, 1] = t.B
-    _bracket_columns(m, p)
+    _first_columns(m, t)
+    _bracket_columns(m, build_table(p).gamma)
     return m
 
 
-def _bracket_columns(m: np.ndarray, p: ExtensionParams) -> None:
+def _first_columns(m: np.ndarray, t: AdaptedTransform) -> None:
+    """Write f(e_0) and f(e_1) of ``t`` into columns 0 and 1 of a zero ``m``."""
+    m[0, 0], m[1, 0] = t.A0, t.A1
+    m[1 : t.n - 1, 1] = t.B
+
+
+def _bracket_columns(m: np.ndarray, gamma: np.ndarray) -> None:
     """Fill columns 2..n of ``m`` by the recursion f(e_{i+1}) = [f(e_i), f(e_0)]
-    on the table of ``p``: each is bracket(table, m[:, i], m[:, 0]), in
+    on the table ``gamma``: each is bracket(table, m[:, i], m[:, 0]), in
     bracket's order of operations but without its per-call conversions and
-    shape checks."""
-    n = p.n
-    d = n + 1
-    gamma = build_table(p).gamma.reshape(d, d * d)
-    col0 = m[:, 0].copy()
-    for i in range(1, n):
-        m[:, i + 1] = col0 @ (m[:, i] @ gamma).reshape(d, d)
+    shape checks.  ``m`` (..., d, d) and ``gamma`` (..., d, d, d) may carry
+    the same leading stack axes, one member per index."""
+    *stack, d = m.shape[:-1]
+    square = (*stack, d, d)
+    first, drop, steps = _column_steps(m.ndim, d)
+    gamma = gamma.reshape(*stack, d, d * d)
+    col0 = m[first].copy()
+    for column, following in steps:
+        m[following] = (col0 @ (m[column] @ gamma).reshape(square))[drop]
+
+
+@functools.cache
+def _column_steps(ndim: int, d: int) -> tuple:
+    """Index tuples of ``_bracket_columns`` on arrays of ``ndim`` axes, for
+    every member at once: column 0 as a row vector, the index that drops
+    that row axis again, and per i = 1..d-2 column i as a row vector and
+    column i+1.  Built once per shape, they index as cheaply as plain
+    indices on one member."""
+    every = (slice(None),) * (ndim - 2)
+
+    def row_vector(i):
+        return every + (None, slice(None), i)
+
+    return row_vector(0), every + (0,), tuple((row_vector(i), every + (slice(None), i + 1)) for i in range(1, d - 1))
 
 
 def transform_from_matrix(m: np.ndarray, n: int) -> AdaptedTransform:
@@ -391,13 +413,9 @@ def read_params(t: StructureTensor) -> ExtensionParams:
     n = t.dim - 1
     check_rank(n)
     g = t.gamma
-    # each slot is the entry [e_i, e_j] of its free pair; slot b is -b_{1,n-1}
-    p = params_from_tuple(n, [-g[i, j, n] if (i, j) == (1, n - 1) else g[i, j, n] for i, j in free_pairs(n)])
-
+    p = params_from_tuple(n, _read_off(n, g).tolist())
     rebuilt = build_table(p).gamma
-    scale = max(float(np.max(np.abs(g))), 1.0)
-    diff = np.abs(g - rebuilt)
-    bad = np.argwhere(diff > 1e-8 + 1e-6 * scale)
+    bad = np.argwhere(_deviating(g, rebuilt))
     if bad.size:
         entries = [
             ((int(i), int(j), int(k)), complex(g[i, j, k]), complex(rebuilt[i, j, k]))
@@ -410,6 +428,34 @@ def read_params(t: StructureTensor) -> ExtensionParams:
             entries,
         )
     return p
+
+
+def _read_off(n: int, g: np.ndarray) -> np.ndarray:
+    """The slot values of the tables ``g`` (..., d, d, d), over any leading
+    stack axes: each slot is the entry [e_i, e_j] of its free pair, and slot
+    b is -b_{1,n-1}."""
+    i, j = _free_index(n)
+    values = g[..., i, j, n]
+    if n % 2:
+        values[..., -1] = -values[..., -1]
+    return values
+
+
+@functools.cache
+def _free_index(n: int) -> tuple:
+    import numpy as np
+
+    return tuple(np.array(free_pairs(n)).T)
+
+
+def _deviating(g: np.ndarray, rebuilt: np.ndarray) -> np.ndarray:
+    """Mask of the entries where ``rebuilt`` misses ``g`` by more than 1e-8
+    plus 1e-6 times the largest entry of ``g`` (at least 1), member by member
+    over any leading stack axes."""
+    import numpy as np
+
+    scale = np.maximum(np.abs(g).max(axis=(-3, -2, -1), keepdims=True), 1.0)
+    return np.abs(g - rebuilt) > 1e-8 + 1e-6 * scale
 
 
 # ---------------------------------------------------------------------------

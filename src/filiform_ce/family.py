@@ -334,11 +334,12 @@ def _slot_entries(n: int) -> tuple:
 @functools.lru_cache(maxsize=None)
 def _unit_tables(n: int) -> tuple[np.ndarray, np.ndarray]:
     """The skeleton and, per slot of ``PARAM_SLOTS[n]``, its table direction
-    (``_slot_entries``) as a complex row."""
+    (``_slot_entries``) as a complex row.  The skeleton is complex too, so
+    adding it to a table's e_n-part casts nothing."""
     import numpy as np
 
     d = n + 1
-    skeleton = np.zeros((d, d, d))
+    skeleton = np.zeros((d, d, d), dtype=complex)
     for (i, j), (k, c) in _chain(n).items():
         skeleton[i, j, k] = c
     entries = _slot_entries(n)
@@ -357,8 +358,18 @@ def build_table(p: ExtensionParams) -> StructureTensor:
     of the Leibniz constraints, so every forced coefficient follows from
     the solve rather than from a rule restated here.
     """
-    skeleton, units = _unit_tables(p.n)
-    return _structure_tensor()(skeleton + (p.as_tuple() @ units).reshape(skeleton.shape))
+    return _structure_tensor()(_table(p.n, p.as_tuple()))
+
+
+def _table(n: int, values) -> np.ndarray:
+    """``build_table``'s gamma array, unvalidated, for slot values in
+    ``as_tuple`` order; an array ``values`` of shape (..., slots) gives a
+    stack of tables of shape (..., d, d, d), each bit for bit its member's."""
+    import numpy as np
+
+    skeleton, units = _unit_tables(n)
+    flat = (np.asarray(values)[..., None, :] @ units)[..., 0, :]
+    return skeleton + flat.reshape(flat.shape[:-1] + skeleton.shape)
 
 
 @functools.cache
@@ -381,11 +392,14 @@ def _rand_nonzero(rng) -> complex:
     """Magnitude in [0.5, 2], random sign.
 
     ``lo + (hi - lo) * random()`` is how numpy computes ``uniform(lo, hi)``,
-    so it draws the same bits from the stream at a third of the cost;
-    ``integers(0, 2)`` consumes the stream exactly as ``choice`` of two
-    items does, at a fraction of its cost.
+    so it draws the same bits from the stream at a third of the cost.  The
+    sign is the top bit of one 32-bit draw, the bit that ``integers(0, 2)``
+    (and ``choice`` of two items) returns: a float32 ``random()`` is that
+    draw's top 24 bits over 2**24, so it is >= 0.5 exactly when the bit is
+    set, and it reads the same cached half of a 64-bit output at about half
+    the cost of ``integers``.
     """
-    return complex((0.5 + 1.5 * rng.random()) * (-1.0, 1.0)[rng.integers(0, 2)])
+    return complex((0.5 + 1.5 * rng.random()) * (1.0 if rng.random(dtype="float32") >= 0.5 else -1.0))
 
 
 @functools.cache

@@ -16,6 +16,8 @@ same seed produce byte-identical reports.  Every pass/fail decision goes
 through ``_Ctx.gate`` or ``_Ctx.fail``: a check stops at its first failure,
 and the runner records it in the report together with the inputs that
 witnessed it, so a discrepancy can be replayed from the report alone.
+The tensor route of the action checks runs a chunk of trials at a time
+(``_trials``) without changing a byte of the report.
 
 ``MANIFEST`` is the frozen list of check ids.  It is compared against the
 registry on every run, so a check cannot be dropped silently.
@@ -23,7 +25,9 @@ registry on every run, so a check cannot be dropped silently.
 
 from __future__ import annotations
 
+import functools
 import hashlib
+import itertools
 import json
 from dataclasses import dataclass, replace
 from typing import NoReturn
@@ -34,6 +38,10 @@ from .action import (
     AdaptedTransform,
     ElementaryTransform,
     _bracket_columns,
+    _deviating,
+    _first_columns,
+    _read_off,
+    _require_nondegenerate,
     act_on_params,
     adapted_matrix,
     compose,
@@ -67,6 +75,7 @@ from .errors import (
 )
 from .family import (
     ExtensionParams,
+    _table,
     build_mu,
     build_table,
     params_from_tuple,
@@ -76,6 +85,9 @@ from .family import (
 from .subsets import PARAM_SLOTS, SUBSETS, free_pairs, parametric_subsets
 from .tensor import (
     StructureTensor,
+    _above_diagonal,
+    _lower_inverse,
+    _moved,
     bracket,
     change_basis,
     is_filiform,
@@ -395,16 +407,20 @@ def _coefficient_sum(t: AdaptedTransform, p: ExtensionParams, narrow: bool = Fal
 
 def _generator_matrix(e: ElementaryTransform, p: ExtensionParams) -> np.ndarray:
     """Unreduced basis-change matrix of a generator on the table of ``p``."""
-    n = p.n
-    m = np.eye(n + 1, dtype=complex)
+    m = np.eye(p.n + 1, dtype=complex)
+    _generator_columns(m, e)
+    _bracket_columns(m, build_table(p).gamma)
+    return m
+
+
+def _generator_columns(m: np.ndarray, e: ElementaryTransform) -> None:
+    """Write the generator ``e`` into columns 0 and 1 of an identity ``m``."""
     if e.kind == "sigma":
         m[e.k, 1] += e.a
     elif e.kind == "tau":
         m[e.k, 0] += e.a
     else:
         m[0, 0], m[1, 1] = e.a, e.b
-    _bracket_columns(m, p)
-    return m
 
 
 def _tail_generators(n: int, rng: np.random.Generator) -> list[ElementaryTransform]:
@@ -433,6 +449,170 @@ def _naive_factors(t: AdaptedTransform) -> list[ElementaryTransform]:
     b1 = t.coeff_B(1)
     shifts = [sigma(t.coeff_B(k) / b1, k) for k in range(2, t.n - 1)]
     return [tau(t.A1 / t.A0, 1), *shifts, upsilon(t.A0, b1)]
+
+
+def _pair(n: int, rng: np.random.Generator) -> tuple[ExtensionParams, AdaptedTransform]:
+    """A member of rank n and a transform that keeps its shear away from zero."""
+    p = random_params(n, rng=rng)
+    return p, random_transform(n, b=p.b, rng=rng)
+
+
+def _adapted_oracle(p: ExtensionParams, t: AdaptedTransform) -> ExtensionParams:
+    """The tensor route's image of ``p`` under ``t``: its table moved by the
+    adapted matrix, read back."""
+    return read_params(change_basis(build_table(p), adapted_matrix(t, p)))
+
+
+def _factor_route(p: ExtensionParams, t: AdaptedTransform) -> tuple[ExtensionParams, ExtensionParams]:
+    """The closed-form action of ``t``'s elementary factors on ``p``, one
+    after another, and the tensor route's read-back of ``p`` moved by the
+    product of the factors' unreduced matrices."""
+    n = p.n
+    q, total = p, np.eye(n + 1, dtype=complex)
+    for e in elementary_factors(t):
+        total = total @ _generator_matrix(e, q)
+        q = act_on_params(elementary_to_adapted(e, n), q)
+    return q, read_params(change_basis(build_table(p), total))
+
+
+# ---------------------------------------------------------------------------
+# the tensor route on stacks of trials
+
+#: members per stacked pass of the tensor route.  Each numpy call costs a
+#: few microseconds whatever its size at d <= 9, so a chunk spreads that
+#: cost over its members: per member of ``_adapted_pass``, 143 us alone,
+#: 21 at 16 and 14 at 100 for n = 4; 213, 49 and 60 for n = 8, where longer
+#: chunks fall out of cache.  The stacked arrays, and with them the
+#: harness's peak memory, grow with the chunk: 0.9 MB at 16 members of
+#: n = 8, 5.5 MB at 100 (tracemalloc; 2 cores, numpy 2.4.6)
+_CHUNK = 16
+
+
+def _trials(count: int, draw, stacked, single):
+    """``count`` trials of a check, yielded one by one as (input, route).
+
+    ``draw()`` gives a trial's input.  Inputs are drawn in stream order, a
+    chunk of at most ``_CHUNK`` ahead of the trial being gated, and
+    ``stacked(chunk)`` computes the chunk's tensor-route results in one
+    pass.  ``route()`` gives the member's result or, where the pass gave
+    None, calls ``single(input)``, the member-by-member route, at the point
+    where the check asks for it, so it raises (or warns) where a loop over
+    single members would.  A draw that raises ends its chunk, and its
+    exception is raised once the trials drawn before it are handed out.
+    A check stops at its first failure, so its first failing trial, its
+    note and its worst value stay those of the member-by-member loop.
+    """
+    for start in range(0, count, _CHUNK):
+        chunk, error = [], None
+        for _ in range(min(_CHUNK, count - start)):
+            try:
+                chunk.append(draw())
+            except Exception as exc:
+                error = exc
+                break
+        for x, r in zip(chunk, stacked(chunk) if chunk else ()):
+            yield x, (lambda r=r: r) if r is not None else functools.partial(single, *x)
+        if error is not None:
+            raise error
+
+
+def _adapted_trials(ctx: _Ctx, n: int, count: int):
+    """``_trials`` of ``_pair(n)`` draws with ``_adapted_oracle`` as their route."""
+    return _trials(
+        count,
+        functools.partial(_pair, n, ctx.rng),
+        lambda chunk: _adapted_pass(*zip(*chunk), read=True),
+        _adapted_oracle,
+    )
+
+
+def _adapted_pass(ps, ts, read: bool) -> list:
+    """``_adapted_oracle`` (``read``) or the moved table's gamma (not
+    ``read``) of each member p of ``ps`` (one rank) under its transform in
+    ``ts``, in one stacked pass; None where a transform is None or
+    ``adapted_matrix`` would raise (see ``_moved_pass``)."""
+    n = ps[0].n
+    m = np.zeros((len(ps), n + 1, n + 1), dtype=complex)
+    ok = np.ones(len(ps), dtype=bool)
+    for k, (p, t) in enumerate(zip(ps, ts)):
+        if t is None:
+            ok[k] = False
+            continue
+        try:
+            _require_nondegenerate(t, p)
+        except Exception:  # the member's own call raises it at its turn
+            ok[k] = False
+        else:
+            _first_columns(m[k], t)
+    with np.errstate(all="ignore"):
+        gamma = _table(n, np.array([p.as_tuple() for p in ps]))
+        _bracket_columns(m, gamma)
+    return _moved_pass(gamma, m, ok, read)
+
+
+def _factor_pass(chunk) -> list:
+    """``_factor_route`` of each (p, t) in ``chunk`` (one rank), with the
+    generator matrices of one factor built across the chunk at a time;
+    None where the closed-form chain raises (see ``_moved_pass``)."""
+    n = chunk[0][0].n
+    ok = np.ones(len(chunk), dtype=bool)
+    steps, images = [], []
+    for k, (p, t) in enumerate(chunk):
+        q, step = p, []  # step: (factor, parameters it acts on), in order
+        try:
+            for e in elementary_factors(t):
+                step.append((e, q))
+                q = act_on_params(elementary_to_adapted(e, n), q)
+        except Exception:  # the member's own call raises it at its turn
+            ok[k], step = False, []
+        steps.append(step)
+        images.append(q)
+    total = np.eye(n + 1, dtype=complex)
+    with np.errstate(all="ignore"):
+        for f in range(n - 1):  # tau, the n-3 sigmas, upsilon
+            m = np.broadcast_to(np.eye(n + 1, dtype=complex), (len(chunk), n + 1, n + 1)).copy()
+            for k, step in enumerate(steps):
+                if step:
+                    _generator_columns(m[k], step[f][0])
+            gamma = _table(n, np.array([(step[f][1] if step else p).as_tuple() for step, (p, _) in zip(steps, chunk)]))
+            ok &= _finite(gamma)
+            _bracket_columns(m, gamma)
+            total = total @ m
+    gamma = _table(n, np.array([p.as_tuple() for p, _ in chunk]))
+    read = _moved_pass(gamma, total, ok, read=True)
+    return [None if r is None else (q, r) for q, r in zip(images, read)]
+
+
+def _moved_pass(gamma: np.ndarray, g: np.ndarray, ok: np.ndarray, read: bool) -> list:
+    """The tables ``gamma`` moved by the basis changes ``g``, one member per
+    index of their first axis, and read back if ``read``.
+
+    A member's entry is the read-back parameters (or the moved gamma), bit
+    for bit what ``change_basis`` and ``read_params`` give it alone, or None
+    where ``ok`` is False or where those calls would raise or warn: a table
+    or matrix that is not finite, a matrix that is not lower triangular or
+    has a zero on its diagonal, a result that is not finite, an entry the
+    read-back flags.  The caller then makes the member's own call.
+    """
+    n = g.shape[-1] - 1
+    with np.errstate(all="ignore"):
+        ok = ok & _finite(gamma) & _finite(g) & np.diagonal(g, axis1=1, axis2=2).all(axis=1) & ~_above_diagonal(g)
+        # a member left out must not stop the forward substitution of the rest
+        g = np.where(ok[:, None, None], g, np.eye(n + 1))
+        moved = _moved(gamma, g, _lower_inverse(g))
+        if not read:
+            ok &= _finite(moved)
+            return [x if keep else None for x, keep in zip(moved, ok)]
+        values = _read_off(n, moved)
+        rebuilt = _table(n, values)
+        # a finite |entry| also keeps read_params' scale from overflowing, which warns
+        ok &= _finite(np.abs(moved)) & _finite(rebuilt) & ~_deviating(moved, rebuilt).any(axis=(1, 2, 3))
+    return [params_from_tuple(n, v) if keep else None for v, keep in zip(values.tolist(), ok)]
+
+
+def _finite(a: np.ndarray) -> np.ndarray:
+    """Per index of the first axis, whether every entry there is finite."""
+    return np.isfinite(a).reshape(len(a), -1).all(axis=1)
 
 
 def _chk_adapted_form(ctx: _Ctx) -> str:
@@ -483,21 +663,14 @@ def _chk_adapted_form(ctx: _Ctx) -> str:
 def _chk_elementary_decomposition(ctx: _Ctx) -> str:
     """Generator factorization reproduces the transform, at both levels."""
     for n in _RANKS:
-        for _ in range(max(1, ctx.trials // 2)):
-            p = random_params(n, rng=ctx.rng)
-            t = random_transform(n, b=p.b, rng=ctx.rng)
+        draw = functools.partial(_pair, n, ctx.rng)
+        for (p, t), route in _trials(max(1, ctx.trials // 2), draw, _factor_pass, _factor_route):
             factors = elementary_factors(t)
             if factors[0].kind != "tau" or factors[-1].kind != "upsilon":
                 ctx.fail(f"factor order broken at n={n}")
             direct = act_on_params(t, p)
-            q = p
-            m_total = np.eye(n + 1, dtype=complex)
-            for e in factors:
-                m_total = m_total @ _generator_matrix(e, q)
-                q = act_on_params(elementary_to_adapted(e, n), q)
-            dev = _tuple_dev(q, direct)
-            via_tensor = read_params(change_basis(build_table(p), m_total))
-            dev = _worst(dev, _tuple_dev(via_tensor, direct))
+            q, via_tensor = route()
+            dev = _worst(_tuple_dev(q, direct), _tuple_dev(via_tensor, direct))
             ctx.gate(dev, 1e-9, lambda: f"factor composite deviates by {dev:.3e} for {_show_pt(p, t)}")
     return "triangular factor coefficients recompose exactly"
 
@@ -517,11 +690,9 @@ def _chk_tail_triviality(ctx: _Ctx) -> str:
 def _chk_action_general(ctx: _Ctx) -> str:
     """The double coefficient sum agrees with explicit basis changes."""
     for n in _RANKS:
-        for _ in range(max(1, ctx.trials // 5)):
-            p = random_params(n, rng=ctx.rng)
-            t = random_transform(n, b=p.b, rng=ctx.rng)
+        for (p, t), route in _adapted_trials(ctx, n, max(1, ctx.trials // 5)):
             summed = _coefficient_sum(t, p)
-            oracle = read_params(change_basis(build_table(p), adapted_matrix(t, p)))
+            oracle = route()
             dev = _worst(*(_dev(a, b) for a, b in zip(summed.b_even, oracle.b_even)))
             ctx.gate(dev, 1e-9, lambda: f"coefficient sum off by {dev:.3e} for {_show_pt(p, t)}")
     return "even rows from the general sum match the tensor route"
@@ -531,10 +702,8 @@ def _make_closed_forms_check(n: int):
     """Closed-form parameter action equals the basis-change route at rank n."""
 
     def run(ctx: _Ctx) -> str:
-        for _ in range(ctx.trials):
-            p = random_params(n, rng=ctx.rng)
-            t = random_transform(n, b=p.b, rng=ctx.rng)
-            oracle = read_params(change_basis(build_table(p), adapted_matrix(t, p)))
+        for (p, t), route in _adapted_trials(ctx, n, ctx.trials):
+            oracle = route()
             dev = _tuple_dev(act_on_params(t, p), oracle)
             ctx.gate(dev, 1e-8, lambda: f"closed form deviates by {dev:.3e} for {_show_pt(p, t)}")
         return f"{ctx.trials} transform/parameter pairs agree"
@@ -640,22 +809,41 @@ def _make_single_orbit_check(n: int):
         cells = [s.name for s in SUBSETS[n] if not s.parametric]
         for cell in cells:
             rep_table = build_table(representative_params(n, cell))
-            for k in range(ctx.trials):
+
+            def draw(cell=cell):
                 p = random_params(n, cell, rng=ctx.rng)
                 try:
-                    label = canonicalize(p)
+                    return p, canonicalize(p)
                 except CanonicalizationError as exc:
-                    ctx.fail(f"normal form unreachable for {_show(p)}: {exc}")
+                    return p, exc
+
+            # the first 10 members of a cell also take the witness through the tensor route
+            routed = _trials(min(10, ctx.trials), draw, _witness_pass, _witness_route)
+            for (p, label), route in itertools.chain(routed, ((draw(), None) for _ in range(ctx.trials - 10))):
+                if isinstance(label, CanonicalizationError):
+                    ctx.fail(f"normal form unreachable for {_show(p)}: {label}")
                 if label.subset != cell or label.lam is not None:
                     ctx.fail(f"member of {cell} classified as {label.subset} for {_show(p)}")
                 dev = _tuple_dev(act_on_params(label.witness, p), label.representative)
-                if k < 10:
-                    moved = change_basis(build_table(p), adapted_matrix(label.witness, p))
-                    dev = _worst(dev, float(np.max(np.abs(moved.gamma - rep_table.gamma))))
+                if route is not None:
+                    dev = _worst(dev, float(np.max(np.abs(route() - rep_table.gamma))))
                 ctx.gate(dev, 1e-6, lambda: f"{cell} witness off by {dev:.3e} for {_show(p)}")
         return f"{len(cells)} single-orbit cells collapse to their normal forms"
 
     return run
+
+
+def _witness_pass(chunk) -> list:
+    """``_witness_route`` of each (p, label) in ``chunk`` in one stacked pass;
+    None where canonicalization raised (see ``_adapted_pass``)."""
+    ps, labels = zip(*chunk)
+    witnesses = [None if isinstance(label, CanonicalizationError) else label.witness for label in labels]
+    return _adapted_pass(ps, witnesses, read=False)
+
+
+def _witness_route(p: ExtensionParams, label) -> np.ndarray:
+    """The table of ``p`` moved by its normal-form witness, as a gamma array."""
+    return change_basis(build_table(p), adapted_matrix(label.witness, p)).gamma
 
 
 def _chk_representative_separation(ctx: _Ctx) -> str:
@@ -733,7 +921,7 @@ def _chk_variant_report(ctx: _Ctx) -> str:
     for _ in range(reps):
         p = random_params(5, "U_1", rng=ctx.rng)
         t = random_transform(5, b=p.b, rng=ctx.rng)
-        oracle = read_params(change_basis(build_table(p), adapted_matrix(t, p)))
+        oracle = _adapted_oracle(p, t)
         wide = _coefficient_sum(t, p)
         narrow = _coefficient_sum(t, p, narrow=True)
         ship = _worst(ship, *(_dev(a, b) for a, b in zip(wide.b_even, oracle.b_even)))
@@ -746,7 +934,7 @@ def _chk_variant_report(ctx: _Ctx) -> str:
     for _ in range(reps):
         p = random_params(7, "U_1", rng=ctx.rng)
         t = random_transform(7, b=p.b, rng=ctx.rng)
-        oracle = read_params(change_basis(build_table(p), adapted_matrix(t, p)))
+        oracle = _adapted_oracle(p, t)
         direct = act_on_params(t, p)
         ship = _worst(ship, _tuple_dev(direct, oracle))
         b1, b2, b3, b4, b5 = (t.coeff_B(k) for k in range(1, 6))

@@ -1,11 +1,15 @@
 """Contract of the bundled verification harness."""
 
+import functools
+import hashlib
+import itertools
 import json
 import os
 import re
 import shutil
 import subprocess
 import sys
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -13,16 +17,21 @@ import numpy as np
 import pytest
 
 from filiform_ce import (
+    AdaptedTransform,
     DomainError,
     MANIFEST,
     StructureTensor,
+    adapted_matrix,
     build_table,
+    change_basis,
+    params_from_tuple,
+    read_params,
     solve_leibniz_constraints,
     verify,
     verify_all,
 )
 from filiform_ce.classify import _ORBIT_MONOMIALS
-from filiform_ce.subsets import SUBSETS
+from filiform_ce.subsets import SUBSETS, free_pairs
 
 
 def test_manifest_is_complete_and_sorted():
@@ -64,14 +73,14 @@ def test_report_text_form():
         assert check_id in text
 
 
-def _run_alone(monkeypatch, check_id, fn=None):
+def _run_alone(monkeypatch, check_id, fn=None, trials=1):
     """Run one check, or ``fn`` in its place, through ``verify_all``."""
     check = verify._REGISTRY[check_id]
     if fn is not None:
         check = replace(check, fn=fn)
     monkeypatch.setattr(verify, "_REGISTRY", {check_id: check})
     monkeypatch.setattr(verify, "MANIFEST", (check_id,))
-    (result,) = verify_all(seed=1, trials=1).checks
+    (result,) = verify_all(seed=1, trials=trials).checks
     return result
 
 
@@ -86,9 +95,11 @@ def _flip_row2(table):
 
 
 def test_corrupted_signs_are_caught(monkeypatch):
-    # flipping the second-row sign breaks the identity; every check sees
-    # the faulty builder, and among them the ones that measure the
-    # residual of built tables must go red and name the broken triple
+    # flipping the second-row sign breaks the identity; every check that
+    # builds tables through the harness's binding sees the faulty builder
+    # (the stacked tensor route builds its own), and among them the ones
+    # that measure the residual of built tables must go red and name the
+    # broken triple
     monkeypatch.setattr(verify, "build_table", lambda p: _flip_row2(build_table(p)))
     report = verify_all(seed=1, trials=2)
     failed = {c.check_id for c in report.failures()}
@@ -284,3 +295,165 @@ def test_solve_and_tables_hold_when_the_library_lifts_its_range_to_14(lifted_env
     assert out["free"] == {str(n): [c, c] for n, c in zip(range(9, 16), (7, 7, 8, 8, 9, 9, 10))}
     assert out["residual"] == {str(n): 0.0 for n in range(9, 15)}
     assert out["distinct"] == list(range(4, 21))
+
+
+#: sha256 of ``verify_all(1, trials).to_json()`` per trials, recorded with
+#: numpy 2.4.6 (OpenBLAS 0.3.31) before the tensor route ran on stacks.  The
+#: tensor-route gates record residuals whose last bits follow the BLAS
+#: kernel, so there is one hash per kernel family: SkylakeX, Haswell (also
+#: chosen on Zen), Sandybridge, and Nehalem or older.
+_PINNED_REPORTS = {
+    "2.4.6": {
+        20: {
+            "304d42630b88f4675adc817babfe74c00b02a957fb4ddda6e54c0b41b60a5295",
+            "eab671023e23643b55b645b024994042ac0f7392ec1f1735969a7fa7fd866923",
+            "5cfdef0941a8708d7f5938f494398028be85acb032ee7556cba4d0d863509583",
+            "1beaf1bd6e67c876974b935e2f0276a75561542e4bb9edbd44646aaa834f88ba",
+        },
+        100: {
+            "a7ded4c93e5979f86b67db1f62e708b0d1064d3158d3ed3a0e49b5cb9a623bf0",
+            "605240da6f88327129031fcf26796e58e1520fe49d3a122f37911ce51d5a4211",
+        },
+    },
+}
+
+
+@pytest.mark.parametrize("trials", [20, 100])
+def test_seeded_report_is_pinned(trials):
+    # the report is byte-identical across changes to how it is computed,
+    # not only from one run to the next
+    pinned = _PINNED_REPORTS.get(np.__version__)
+    if pinned is None:
+        pytest.skip(f"seeded report hashes are recorded for numpy {sorted(_PINNED_REPORTS)}, not {np.__version__}")
+    digest = hashlib.sha256(verify_all(1, trials).to_json().encode()).hexdigest()
+    assert digest in pinned[trials]
+
+
+def _outcome(call, *args):
+    """What a call gives, comparable bit for bit: the bytes of its values, or
+    its exception's type and message (warnings raise)."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            out = call(*args)
+        except Exception as exc:
+            return type(exc), str(exc)
+    return _bits(out)
+
+
+def _bits(out):
+    if isinstance(out, tuple):
+        return tuple(map(_bits, out))
+    values = out.as_tuple() if hasattr(out, "as_tuple") else out
+    return np.asarray(values, dtype=complex).tobytes()
+
+
+def _stacked(call, *args):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # the pass itself never warns
+        return call(*args)
+
+
+def _scaled_pairs(n, magnitude, rng):
+    """A chunk of (member, transform) pairs, the members scaled by
+    ``magnitude``, a quarter of their slots exact zeros."""
+    pairs = []
+    for _ in range(verify._CHUNK):
+        p, t = verify._pair(n, rng)
+        values = [0j if rng.random() < 0.25 else v * magnitude for v in p.as_tuple()]
+        pairs.append((params_from_tuple(n, values), t))
+    return pairs
+
+
+@pytest.mark.parametrize("n", range(4, 9))
+@pytest.mark.parametrize("magnitude", [1e-150, 1e-75, 1.0, 1e75, 1e150])
+def test_stacked_route_is_the_member_route_bit_for_bit(n, magnitude):
+    # each pass gives, member by member, the bytes of the member's own
+    # route, signed zeros included; it leaves out exactly the members whose
+    # own route raises or warns
+    pairs = _scaled_pairs(n, magnitude, np.random.default_rng([n, round(np.log10(magnitude)) + 200]))
+    ps, ts = zip(*pairs)
+    passes = [
+        (_stacked(verify._adapted_pass, ps, ts, True), verify._adapted_oracle),
+        (_stacked(verify._adapted_pass, ps, ts, False), lambda p, t: change_basis(build_table(p), adapted_matrix(t, p)).gamma),
+        (_stacked(verify._factor_pass, pairs), verify._factor_route),
+    ]
+    for results, member_route in passes:
+        for (p, t), got in zip(pairs, results):
+            want = _outcome(member_route, p, t)
+            if got is None:
+                assert isinstance(want[0], type)
+            else:
+                assert _bits(got) == want
+    # the read-off itself, against plain indexing and negation of each entry
+    for got, table in zip(passes[0][0], passes[1][0]):
+        want = [-table[i, j, n] if (i, j) == (1, n - 1) else table[i, j, n] for i, j in free_pairs(n)]
+        assert _bits(got) == _bits(want)
+
+
+@pytest.mark.parametrize("n", range(4, 9))
+def test_stacked_route_hands_rejected_members_to_their_own_call(n):
+    # planted defects: the pass leaves each out, the member's route raises
+    # its own call's exception (a warning raises too) at its turn, and the
+    # members around it come out bit for bit
+    rng = np.random.default_rng(n)
+    pairs = [verify._pair(n, rng) for _ in range(verify._CHUNK)]
+    gamma = np.array([build_table(p).gamma for p, _ in pairs])
+    g = np.array([adapted_matrix(t, p) for p, t in pairs])
+    gamma[3, 2, 2, n] += 0.5  # an off-pattern entry: TableShapeError on reading back
+    g[7, 2, 2] = 0  # a zero on the diagonal: SingularMatrixError
+    g[11, 1, 0] = 1e300  # the moved table overflows: RuntimeWarning, then DomainError
+    g[13, 0, 1] = 0.5  # not lower triangular: the scaled inverse moves it, off the family
+    routes = {
+        True: ({3, 7, 11, 13}, lambda table, matrix: read_params(change_basis(StructureTensor(table), matrix))),
+        False: ({7, 11}, lambda table, matrix: change_basis(StructureTensor(table), matrix).gamma),
+    }
+    for read, (raising, member_route) in routes.items():
+        stacked = _stacked(verify._moved_pass, gamma, g, np.ones(len(pairs), dtype=bool), read)
+        assert [k for k, r in enumerate(stacked) if r is None] == sorted(raising | {13})
+        trials = verify._trials(len(pairs), iter(zip(gamma, g)).__next__, lambda chunk: stacked, member_route)
+        for k, ((table, matrix), route) in enumerate(trials):
+            got = _outcome(route)
+            assert got == _outcome(member_route, table, matrix)
+            assert isinstance(got[0], type) == (k in raising)
+    # a degenerate transform is left out before its matrix is built
+    ps, ts = map(list, zip(*pairs))
+    ts[5] = AdaptedTransform(n, 0, 1, (1,) + (0,) * (n - 3))
+    got = _stacked(verify._adapted_pass, ps, ts, True)
+    assert got[5] is None and [k for k, r in enumerate(got) if r is None] == [5]
+    assert _outcome(verify._adapted_oracle, ps[5], ts[5])[1] == "adapted transform is degenerate: A0 vanishes"
+
+
+def _member_by_member(count, draw, stacked, single):
+    """The loop that the chunks replace: draw a trial, then its own route on demand."""
+    for _ in range(count):
+        x = draw()
+        yield x, functools.partial(single, *x)
+
+
+@pytest.mark.parametrize(
+    "check_id, trials, failing_call",
+    [
+        # one _tuple_dev call per trial: trial 21, the sixth of the second chunk
+        ("action-closed-forms-n6", 40, 21),
+        # two calls per trial, 20 trials per rank: trial 10 of n = 4
+        ("elementary-decomposition", 40, 21),
+        # one call per trial, 12 per cell: the sixth of the second cell's routed ten
+        ("single-orbit-classes-n7", 12, 17),
+    ],
+)
+def test_gate_failing_mid_chunk_matches_the_member_loop(monkeypatch, check_id, trials, failing_call):
+    # one trial's deviation is perturbed past its gate; drawing and routing
+    # a chunk ahead must report the same trial, note and worst value as the
+    # loop that routes one member at a time
+    real = verify._tuple_dev
+
+    def run(helper):
+        calls = itertools.count()
+        monkeypatch.setattr(verify, "_tuple_dev", lambda p, q: 2e-6 if next(calls) == failing_call else real(p, q))
+        monkeypatch.setattr(verify, "_trials", helper)
+        return _run_alone(monkeypatch, check_id, trials=trials)
+
+    chunked, looped = run(verify._trials), run(_member_by_member)
+    assert not chunked.passed and "2.000e-06" in chunked.notes
+    assert (chunked.notes, chunked.max_residual) == (looped.notes, looped.max_residual)
