@@ -3,8 +3,8 @@
 Times, at n = 4 and n = 8 on a seeded family member and a seeded
 transform: the tensor kernels (``change_basis``, ``leibniz_residual``,
 ``bracket``, ``lower_central_series``), the finiteness checks
-(``require_finite`` on a parameter tuple, the tensor layer's own on a
-structure tensor), the
+(``require_finite`` on a parameter tuple, ``StructureTensor``'s guard on
+a structure tensor), the
 sampler ``random_params`` (one generator shared across calls), the
 uncached constraint solve ``solve_leibniz_constraints.__wrapped__``, and
 ``build_table``, ``adapted_matrix``, ``act_on_params``, ``read_params``,
@@ -24,7 +24,8 @@ sweep.  ``oracle`` is the harness's tensor-route oracle,
 chunk of 16 seeded member/transform pairs: one stacked pass
 (``verify._adapted_pass``) where the checkout has it, one member after
 another where it does not; its figure is per member.  Each figure is the
-median over ``REPEATS`` rounds of the mean time per call in microseconds.
+median over ``REPEATS`` rounds of the mean time per call in microseconds,
+with one BLAS thread.
 The end-to-end entry ``verify_all.seed1_trials100_s`` is the median of
 ``E2E_RUNS`` runs of ``verify_all(seed=1, trials=100)``, in seconds.
 
@@ -94,10 +95,10 @@ def _rank_calls(fc, n: int) -> dict:
     import numpy as np
 
     AdaptedTransform = _sub(fc, "action").AdaptedTransform
-    StructureTensor = _sub(fc, "tensor").StructureTensor
+    tensor = _sub(fc, "tensor")
+    StructureTensor = tensor.StructureTensor
     random_transform = _sub(fc, "action").random_transform
     require_finite = _sub(fc, "tolerance").require_finite
-    require_finite_tensor = _sub(fc, "tensor")._require_finite
     rng = np.random.default_rng(1)
     p = fc.random_params(n, seed=1)
     q = fc.random_params(n, seed=2)
@@ -119,7 +120,7 @@ def _rank_calls(fc, n: int) -> dict:
         "adapted_transform": lambda: AdaptedTransform(n, tr.A0, tr.A1, tr.B),
         "structure_tensor": lambda: StructureTensor(t.gamma),
         "require_finite_params": lambda: require_finite(values, "parameters"),
-        "require_finite_tensor": lambda: require_finite_tensor(t.gamma, "structure constants"),
+        "require_finite_tensor": _tensor_guard(tensor, t.gamma),
         "random_params": lambda: fc.random_params(n, rng=rng),
         "solve_leibniz_constraints": lambda: fc.solve_leibniz_constraints.__wrapped__(n),
         "build_table": lambda: fc.build_table(p),
@@ -135,6 +136,13 @@ def _rank_calls(fc, n: int) -> dict:
         "isomorphic": lambda: fc.isomorphic(p, q),
         "isomorphic_image": lambda: fc.isomorphic(p, image),
     }
+
+
+def _tensor_guard(tensor, gamma):
+    """``StructureTensor``'s finiteness guard on ``gamma``, as the checkout spells it."""
+    if hasattr(tensor, "_require_finite"):  # a checkout from before the guards were masks
+        return lambda: tensor._require_finite(gamma, "structure constants")
+    return lambda: tensor._refuse(tensor.StructureTensor._guards(gamma))
 
 
 def _oracle_chunk(fc, n: int):
@@ -206,6 +214,11 @@ def main(argv=None) -> int:
     ap.add_argument("--label", default="current")
     ap.add_argument("--out", help="JSON file to merge the result into")
     args = ap.parse_args(argv)
+    # one caller on small matrices, as perfbench runs its workers: a second
+    # BLAS thread only adds noise (a stacked (16, 1, 6) @ (6, 729) product
+    # of the oracle took 2.3 ms with two threads and 50 us with one)
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ[var] = "1"
     src = package_dir(args.src)
     sys.path.insert(0, str(src))
     import filiform_ce

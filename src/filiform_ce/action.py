@@ -43,7 +43,7 @@ from .errors import (
     DomainError,
     TableShapeError,
 )
-from .family import ExtensionParams, _rand_nonzero, _slot_entries, build_table, params_from_tuple
+from .family import ExtensionParams, _build_stack, _rand_nonzero, _slot_entries, build_table, params_from_tuple
 from .subsets import PARAM_SLOTS, check_rank, free_pairs
 from .tolerance import require_finite
 
@@ -428,6 +428,18 @@ def read_params(t: StructureTensor) -> ExtensionParams:
             entries,
         )
     return p
+
+
+def _read_stack(n: int, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``read_params`` of the tables ``g`` (..., d, d, d) of rank ``n``, over
+    their leading stack axes: the slot values read off and, per member,
+    whether ``read_params`` keeps it: ``build_table`` admits the table
+    rebuilt from its values (``_build_stack``), and that table misses no
+    entry of ``g`` (``_deviating``).  A member kept reads back bit for bit
+    as it does alone."""
+    values = _read_off(n, g)
+    rebuilt, kept = _build_stack(n, values)
+    return values, kept & ~_deviating(g, rebuilt).any(axis=(-3, -2, -1))
 
 
 def _read_off(n: int, g: np.ndarray) -> np.ndarray:

@@ -54,7 +54,7 @@ def build_mu(n: int) -> StructureTensor:
     gamma = np.zeros((d, d, d), dtype=complex)
     for i in range(1, n):
         gamma[i, 0, i + 1] = 1.0
-    return _structure_tensor()(gamma)
+    return _tensor().StructureTensor(gamma)
 
 
 # ---------------------------------------------------------------------------
@@ -358,7 +358,7 @@ def build_table(p: ExtensionParams) -> StructureTensor:
     of the Leibniz constraints, so every forced coefficient follows from
     the solve rather than from a rule restated here.
     """
-    return _structure_tensor()(_table(p.n, p.as_tuple()))
+    return _tensor().StructureTensor(_table(p.n, p.as_tuple()))
 
 
 def _table(n: int, values) -> np.ndarray:
@@ -372,13 +372,22 @@ def _table(n: int, values) -> np.ndarray:
     return skeleton + flat.reshape(flat.shape[:-1] + skeleton.shape)
 
 
-@functools.cache
-def _structure_tensor() -> type:
-    """``tensor.StructureTensor``, imported on first use: the closed-form
-    path never loads numpy (a relative import in the call costs ~1.5 us)."""
-    from .tensor import StructureTensor
+def _build_stack(n: int, values) -> tuple[np.ndarray, np.ndarray]:
+    """``build_table`` over the leading stack axes of ``values`` (...,
+    slots): the tables (``_table``) and, per member, whether
+    ``StructureTensor``'s guards admit its table."""
+    tensor = _tensor()
+    gamma = _table(n, values)
+    return gamma, tensor._admitted(tensor.StructureTensor._guards(gamma))
 
-    return StructureTensor
+
+@functools.cache
+def _tensor():
+    """The module ``tensor``, imported on first use: the closed-form path
+    never loads numpy (a relative import in the call costs ~1.5 us)."""
+    from . import tensor
+
+    return tensor
 
 
 # ---------------------------------------------------------------------------

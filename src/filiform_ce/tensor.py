@@ -16,8 +16,15 @@ with leading stack axes: ``g`` of shape (..., d, d) and ``gamma`` of shape
 product is then a stack of the same BLAS call on the same shapes and
 strides, so every member comes out bit for bit as it does alone, while
 the fixed cost of each numpy call, which dominates at d <= 9, is paid
-once per stack instead of once per member.  ``change_basis`` is the
-one-member case.
+once per stack instead of once per member.
+
+Each condition on which a step refuses a member is written once, in the
+step's guards (``StructureTensor._guards``, ``_matrix_guards``): masks
+over those stack axes of the members each guard admits, in the order the
+step tests them.  The public one-member function raises the error of the
+first guard that fails (``_refuse``); a stack form such as
+``_change_stack`` keeps the members that every guard admits
+(``_admitted``), so a guard added to a step reaches its stack form too.
 """
 
 from __future__ import annotations
@@ -31,10 +38,25 @@ from .errors import DomainError, SingularMatrixError
 from .tolerance import RANK_RTOL
 
 
-def _require_finite(a: np.ndarray, what: str) -> None:
-    """The array form of ``tolerance.require_finite``, with its message."""
-    if not np.isfinite(a).all():
-        raise DomainError(f"{what} must be finite (no NaN or infinity)")
+def _finite(a: np.ndarray, axes: tuple) -> np.ndarray:
+    """Whether ``a`` holds only finite numbers along ``axes``, the axes of
+    one member: the array form of ``tolerance.require_finite``'s test."""
+    return np.logical_and.reduce(np.isfinite(a), axis=axes)
+
+
+def _refuse(guards) -> None:
+    """Raise the error of the first of a step's ``guards`` that fails on
+    its one member: ``guards`` are (admits, exception type, message) in
+    the order the step tests them, ``admits`` a mask over the leading
+    stack axes, here none."""
+    for admits, error, message in guards:
+        if not admits:
+            raise error(message)
+
+
+def _admitted(guards) -> np.ndarray:
+    """Per member of a stack, whether every one of a step's ``guards`` admits it."""
+    return functools.reduce(np.logical_and, [admits for admits, _, _ in guards])
 
 
 @dataclass(frozen=True)
@@ -49,10 +71,17 @@ class StructureTensor:
             raise DomainError(f"structure tensor must be cubic, got shape {arr.shape}")
         if arr.shape[0] < 1:
             raise DomainError("structure tensor needs a positive dimension")
-        _require_finite(arr, "structure constants")
+        _refuse(self._guards(arr))
         arr = arr.copy()
         arr.setflags(write=False)
         object.__setattr__(self, "gamma", arr)
+
+    @staticmethod
+    def _guards(gamma: np.ndarray) -> tuple:
+        """Guards of the tables ``gamma`` (..., d, d, d), over their leading
+        stack axes (see ``_refuse``): every constant is finite."""
+        finite = _finite(gamma, (-3, -2, -1))
+        return ((finite, DomainError, "structure constants must be finite (no NaN or infinity)"),)
 
     @property
     def dim(self) -> int:
@@ -144,9 +173,42 @@ def change_basis(t: StructureTensor, g) -> StructureTensor:
     g = np.asarray(g, dtype=complex)
     if g.shape != (t.dim, t.dim):
         raise DomainError(f"basis-change matrix must be {t.dim}x{t.dim}, got {g.shape}")
-    _require_finite(g, "basis-change matrix")
-    ginv = _scaled_inverse(g) if _above_diagonal(g) else _lower_inverse(g)
+    above = _above_diagonal(g)
+    _refuse(_matrix_guards(g, above))
+    ginv = _scaled_inverse(g) if above else _lower_inverse(g)
     return StructureTensor(_moved(t.gamma, g, ginv))
+
+
+def _matrix_guards(g: np.ndarray, above) -> tuple:
+    """``change_basis``'s guards of the matrices ``g`` (..., d, d), over
+    their leading stack axes (see ``_refuse``); ``above`` marks the members
+    with an entry above the diagonal, which take the scaled route.  Every
+    entry is finite; then a lower triangular member has no zero on its
+    diagonal, the only singular case of forward substitution.  The scaled
+    route tests its own rank."""
+    invertible = above | np.logical_and.reduce(np.diagonal(g, axis1=-2, axis2=-1), axis=-1)
+    return (
+        (_finite(g, (-2, -1)), DomainError, "basis-change matrix must be finite (no NaN or infinity)"),
+        (invertible, SingularMatrixError, "basis-change matrix is singular"),
+    )
+
+
+def _change_stack(gamma: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``change_basis`` of the tables ``gamma`` by the matrices ``g``, over
+    their shared leading stack axes, by the lower triangular route alone.
+
+    Returns the moved tables and, per member, whether the stack keeps it:
+    its matrix is lower triangular, ``change_basis``'s guards admit it
+    (``_matrix_guards``) and ``StructureTensor``'s admit its moved table.
+    A member left out moves by the identity, so it cannot stop the forward
+    substitution of the rest; every member kept comes out bit for bit as
+    ``change_basis`` gives it alone.
+    """
+    above = _above_diagonal(g)
+    kept = ~above & _admitted(_matrix_guards(g, above))
+    g = np.where(kept[..., None, None], g, np.eye(g.shape[-1]))
+    moved = _moved(gamma, g, _lower_inverse(g))
+    return moved, kept & _admitted(StructureTensor._guards(moved))
 
 
 def _above_diagonal(g: np.ndarray) -> np.ndarray:
@@ -204,14 +266,13 @@ def _lower_inverse(g: np.ndarray) -> np.ndarray:
     """Inverse of a lower triangular ``g`` by forward substitution, row by row,
     over any leading stack axes of ``g``.
 
-    Only an exact zero on the diagonal (of any member) is singular.  A
-    witness with a diagonal near 1e-30 under entries near 1 in its e_n row
-    looks rank deficient to the scaled singular-value test, yet substitution
-    inverts it to working accuracy (Higham, *Accuracy and Stability of
-    Numerical Algorithms*, 2nd ed., ch. 8).
+    Only an exact zero on the diagonal is singular; ``_matrix_guards``
+    refuses it before this runs.  A witness with a diagonal near 1e-30
+    under entries near 1 in its e_n row looks rank deficient to the scaled
+    singular-value test, yet substitution inverts it to working accuracy
+    (Higham, *Accuracy and Stability of Numerical Algorithms*, 2nd ed.,
+    ch. 8).
     """
-    if not np.diagonal(g, axis1=-2, axis2=-1).all():
-        raise SingularMatrixError("basis-change matrix is singular")
     inv = np.zeros_like(g)
     for row, left, above, pivot, diagonal in _substitution_steps(g.ndim, g.shape[-1]):
         r = -(g[left] @ inv[above])

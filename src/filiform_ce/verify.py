@@ -38,9 +38,8 @@ from .action import (
     AdaptedTransform,
     ElementaryTransform,
     _bracket_columns,
-    _deviating,
     _first_columns,
-    _read_off,
+    _read_stack,
     _require_nondegenerate,
     act_on_params,
     adapted_matrix,
@@ -75,7 +74,7 @@ from .errors import (
 )
 from .family import (
     ExtensionParams,
-    _table,
+    _build_stack,
     build_mu,
     build_table,
     params_from_tuple,
@@ -85,9 +84,8 @@ from .family import (
 from .subsets import PARAM_SLOTS, SUBSETS, free_pairs, parametric_subsets
 from .tensor import (
     StructureTensor,
-    _above_diagonal,
-    _lower_inverse,
-    _moved,
+    _change_stack,
+    _finite,
     bracket,
     change_basis,
     is_filiform,
@@ -114,10 +112,10 @@ class CheckResult:
 
     ``n`` is the rank the check is pinned to, or None for checks that sweep
     every rank.  ``max_residual`` is the largest value any of the check's
-    gates recorded; 1.0 marks a structural failure and -1.0 an aborted
-    check.  A check stops at its first failed gate, and a NaN fails its
-    gate.  ``notes`` carries either summary statistics or, on failure, the
-    inputs that witnessed the problem.
+    gates recorded, or NaN if one recorded a NaN; 1.0 marks a structural
+    failure and -1.0 an aborted check.  A check stops at its first failed
+    gate, and a NaN fails its gate.  ``notes`` carries either summary
+    statistics or, on failure, the inputs that witnessed the problem.
     """
 
     check_id: str
@@ -204,8 +202,8 @@ class _Ctx:
 
     def gate(self, value: float, bound: float, note) -> None:
         """Record ``value`` and stop the check unless ``value <= bound``, so
-        NaN fails; ``note()`` builds the failure note."""
-        self.worst = max(self.worst, value)
+        NaN fails and is recorded; ``note()`` builds the failure note."""
+        self.worst = _worst(self.worst, value)
         if not value <= bound:
             raise _Stop(note())
 
@@ -529,8 +527,9 @@ def _adapted_trials(ctx: _Ctx, n: int, count: int):
 def _adapted_pass(ps, ts, read: bool) -> list:
     """``_adapted_oracle`` (``read``) or the moved table's gamma (not
     ``read``) of each member p of ``ps`` (one rank) under its transform in
-    ``ts``, in one stacked pass; None where a transform is None or
-    ``adapted_matrix`` would raise (see ``_moved_pass``)."""
+    ``ts``, in one stacked pass; None where a transform is None, where
+    ``adapted_matrix`` refuses it, where ``build_table`` refuses p's table
+    (``_build_stack``), or where ``_moved_pass`` leaves the member out."""
     n = ps[0].n
     m = np.zeros((len(ps), n + 1, n + 1), dtype=complex)
     ok = np.ones(len(ps), dtype=bool)
@@ -545,15 +544,17 @@ def _adapted_pass(ps, ts, read: bool) -> list:
         else:
             _first_columns(m[k], t)
     with np.errstate(all="ignore"):
-        gamma = _table(n, np.array([p.as_tuple() for p in ps]))
+        gamma, kept = _build_stack(n, np.array([p.as_tuple() for p in ps]))
         _bracket_columns(m, gamma)
-    return _moved_pass(gamma, m, ok, read)
+    return _moved_pass(gamma, m, ok & kept, read)
 
 
 def _factor_pass(chunk) -> list:
     """``_factor_route`` of each (p, t) in ``chunk`` (one rank), with the
     generator matrices of one factor built across the chunk at a time;
-    None where the closed-form chain raises (see ``_moved_pass``)."""
+    None where the closed-form chain raises, where ``build_table`` refuses
+    a table the route builds (``_build_stack``), or where ``_moved_pass``
+    leaves the member out."""
     n = chunk[0][0].n
     ok = np.ones(len(chunk), dtype=bool)
     steps, images = [], []
@@ -574,12 +575,14 @@ def _factor_pass(chunk) -> list:
             for k, step in enumerate(steps):
                 if step:
                     _generator_columns(m[k], step[f][0])
-            gamma = _table(n, np.array([(step[f][1] if step else p).as_tuple() for step, (p, _) in zip(steps, chunk)]))
-            ok &= _finite(gamma)
+            values = [(step[f][1] if step else p).as_tuple() for step, (p, _) in zip(steps, chunk)]
+            gamma, kept = _build_stack(n, np.array(values))
+            ok &= kept
+            if f == 0:  # the first factor acts on p itself: these are the tables to move
+                tables = gamma
             _bracket_columns(m, gamma)
             total = total @ m
-    gamma = _table(n, np.array([p.as_tuple() for p, _ in chunk]))
-    read = _moved_pass(gamma, total, ok, read=True)
+    read = _moved_pass(tables, total, ok, read=True)
     return [None if r is None else (q, r) for q, r in zip(images, read)]
 
 
@@ -589,30 +592,22 @@ def _moved_pass(gamma: np.ndarray, g: np.ndarray, ok: np.ndarray, read: bool) ->
 
     A member's entry is the read-back parameters (or the moved gamma), bit
     for bit what ``change_basis`` and ``read_params`` give it alone, or None
-    where ``ok`` is False or where those calls would raise or warn: a table
-    or matrix that is not finite, a matrix that is not lower triangular or
-    has a zero on its diagonal, a result that is not finite, an entry the
-    read-back flags.  The caller then makes the member's own call.
+    where ``ok`` is False, where the steps' stack forms leave it out (each
+    step's own refusals; the pass takes only the lower triangular route,
+    see ``_change_stack`` and ``_read_stack``), or where non-finite
+    arithmetic would warn.  The caller then makes the member's own call.
     """
     n = g.shape[-1] - 1
     with np.errstate(all="ignore"):
-        ok = ok & _finite(gamma) & _finite(g) & np.diagonal(g, axis1=1, axis2=2).all(axis=1) & ~_above_diagonal(g)
-        # a member left out must not stop the forward substitution of the rest
-        g = np.where(ok[:, None, None], g, np.eye(n + 1))
-        moved = _moved(gamma, g, _lower_inverse(g))
+        moved, kept = _change_stack(gamma, g)
+        ok = ok & kept
         if not read:
-            ok &= _finite(moved)
             return [x if keep else None for x, keep in zip(moved, ok)]
-        values = _read_off(n, moved)
-        rebuilt = _table(n, values)
-        # a finite |entry| also keeps read_params' scale from overflowing, which warns
-        ok &= _finite(np.abs(moved)) & _finite(rebuilt) & ~_deviating(moved, rebuilt).any(axis=(1, 2, 3))
+        values, kept = _read_stack(n, moved)
+        # numpy warns where it makes an inf or a NaN: read_params' scale
+        # takes |entry|, which may overflow where nothing refuses the member
+        ok &= kept & _finite(np.abs(moved), (1, 2, 3))
     return [params_from_tuple(n, v) if keep else None for v, keep in zip(values.tolist(), ok)]
-
-
-def _finite(a: np.ndarray) -> np.ndarray:
-    """Per index of the first axis, whether every entry there is finite."""
-    return np.isfinite(a).reshape(len(a), -1).all(axis=1)
 
 
 def _chk_adapted_form(ctx: _Ctx) -> str:

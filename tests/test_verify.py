@@ -4,6 +4,7 @@ import functools
 import hashlib
 import itertools
 import json
+import math
 import os
 import re
 import shutil
@@ -27,6 +28,7 @@ from filiform_ce import (
     params_from_tuple,
     read_params,
     solve_leibniz_constraints,
+    tensor,
     verify,
     verify_all,
 )
@@ -162,6 +164,8 @@ def test_nan_deviation_fails_its_gate(monkeypatch, key, check_id, rebuild):
     result = _run_alone(monkeypatch, check_id, fn=fn)
     assert not result.passed
     assert "by nan" in result.notes
+    # the NaN that stopped the check is its worst value, not the last finite one
+    assert math.isnan(result.max_residual)
 
 
 def test_trials_must_be_positive():
@@ -422,6 +426,43 @@ def test_stacked_route_hands_rejected_members_to_their_own_call(n):
     got = _stacked(verify._adapted_pass, ps, ts, True)
     assert got[5] is None and [k for k, r in enumerate(got) if r is None] == [5]
     assert _outcome(verify._adapted_oracle, ps[5], ts[5])[1] == "adapted transform is degenerate: A0 vanishes"
+
+
+def test_a_guard_planted_in_change_basis_reaches_the_stacked_route(monkeypatch):
+    # one more refusal in change_basis's guard, and nothing else changed: the
+    # stacked passes leave out the one member it refuses, and that member's
+    # own route raises it at its turn
+    n, planted = 6, "planted refusal: |g[0, 0]| > 1.5"
+    rng = np.random.default_rng(26)
+    calm, wild = [], []
+    while len(calm) < verify._CHUNK - 1 or not wild:
+        p, t = verify._pair(n, rng)
+        (wild if abs(t.A0) > 1.5 else calm).append((p, t))
+    pairs = calm[:5] + wild[:1] + calm[5 : verify._CHUNK - 1]
+    ps, ts = zip(*pairs)
+    real = tensor._matrix_guards
+    monkeypatch.setattr(
+        tensor,
+        "_matrix_guards",
+        lambda g, above: (*real(g, above), (np.abs(g[..., 0, 0]) <= 1.5, DomainError, planted)),
+    )
+    gamma = np.array([build_table(p).gamma for p in ps])
+    g = np.array([adapted_matrix(t, p) for p, t in pairs])
+    passes = {
+        "adapted": (_stacked(verify._adapted_pass, ps, ts, True), verify._adapted_oracle),
+        "witness": (_stacked(verify._adapted_pass, ps, ts, False), lambda p, t: change_basis(build_table(p), adapted_matrix(t, p)).gamma),
+        "factor": (_stacked(verify._factor_pass, pairs), verify._factor_route),
+        "moved": (_stacked(verify._moved_pass, gamma, g, np.ones(len(pairs), dtype=bool), True), verify._adapted_oracle),
+    }
+    for name, (stacked, member_route) in passes.items():
+        assert [k for k, r in enumerate(stacked) if r is None] == [5], name
+        trials = verify._trials(len(pairs), iter(pairs).__next__, lambda chunk: stacked, member_route)
+        for k, ((p, t), route) in enumerate(trials):
+            if k == 5:
+                with pytest.raises(DomainError, match=re.escape(planted)):
+                    route()
+            else:
+                assert _bits(route()) == _outcome(member_route, p, t), (name, k)
 
 
 def _member_by_member(count, draw, stacked, single):
