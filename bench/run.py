@@ -21,9 +21,9 @@ transform, so it also builds and checks the witness.
 the rank in turn (9 cells at n = 4, 17 at n = 8), so one call is the whole
 sweep.  ``oracle`` is the harness's tensor-route oracle,
 ``read_params(change_basis(build_table(p), adapted_matrix(t, p)))``, on a
-chunk of 16 seeded member/transform pairs: one stacked pass
-(``verify._adapted_pass``) where the checkout has it, one member after
-another where it does not; its figure is per member.  Each figure is the
+chunk of 16 seeded member/transform pairs in one stacked pass
+(``verify._oracle_pass``, or ``verify._adapted_pass`` in a checkout from
+before it); its figure is per member.  Each figure is the
 median over ``REPEATS`` rounds of the mean time per call in microseconds,
 with one BLAS thread.
 The end-to-end entry ``verify_all.seed1_trials100_s`` is the median of
@@ -120,7 +120,7 @@ def _rank_calls(fc, n: int) -> dict:
         "adapted_transform": lambda: AdaptedTransform(n, tr.A0, tr.A1, tr.B),
         "structure_tensor": lambda: StructureTensor(t.gamma),
         "require_finite_params": lambda: require_finite(values, "parameters"),
-        "require_finite_tensor": _tensor_guard(tensor, t.gamma),
+        "require_finite_tensor": lambda: tensor._refuse(StructureTensor._guards(t.gamma)),
         "random_params": lambda: fc.random_params(n, rng=rng),
         "solve_leibniz_constraints": lambda: fc.solve_leibniz_constraints.__wrapped__(n),
         "build_table": lambda: fc.build_table(p),
@@ -138,13 +138,6 @@ def _rank_calls(fc, n: int) -> dict:
     }
 
 
-def _tensor_guard(tensor, gamma):
-    """``StructureTensor``'s finiteness guard on ``gamma``, as the checkout spells it."""
-    if hasattr(tensor, "_require_finite"):  # a checkout from before the guards were masks
-        return lambda: tensor._require_finite(gamma, "structure constants")
-    return lambda: tensor._refuse(tensor.StructureTensor._guards(gamma))
-
-
 def _oracle_chunk(fc, n: int):
     """One chunk of ``MEMBERS["oracle"]`` seeded (p, t) pairs through the tensor-route oracle."""
     import numpy as np
@@ -153,10 +146,12 @@ def _oracle_chunk(fc, n: int):
     rng = np.random.default_rng(4)
     ps = [fc.random_params(n, rng=rng) for _ in range(MEMBERS["oracle"])]
     ts = [_sub(fc, "action").random_transform(n, b=p.b, rng=rng) for p in ps]
-    stacked = getattr(verify, "_adapted_pass", None)
-    if stacked is None:  # a checkout from before the stacked route
-        return lambda: [fc.read_params(fc.change_basis(fc.build_table(p), fc.adapted_matrix(t, p))) for p, t in zip(ps, ts)]
-    return lambda: stacked(ps, ts, read=True)
+    if hasattr(verify, "_oracle_pass"):
+        steps = [[(t, p)] for p, t in zip(ps, ts)]
+        return lambda: verify._oracle_pass(ps, steps, read=True)
+    if hasattr(verify, "_adapted_pass"):  # a checkout from before the one stacked pass
+        return lambda: verify._adapted_pass(ps, ts, read=True)
+    raise AttributeError(f"{verify.__name__} has no stacked tensor-route pass to time")
 
 
 def measure(packages: dict) -> dict:

@@ -94,7 +94,9 @@ def identity_transform(n: int) -> AdaptedTransform:
 def _require_nondegenerate(t: AdaptedTransform, p: ExtensionParams) -> None:
     """Same n as ``p`` and invertible there: only an exact zero degenerates the
     scale factors A0 and B_1; the shear vanishes when it cancels to rounding level.
-    The tests run in that order and stop at the first that fires."""
+    The tests run in that order and stop at the first that fires.  A shear
+    whose magnitude leaves float range, though its parts are finite, is a
+    ``DomainError``."""
     if t.n != p.n:
         raise DomainError(f"transform has n={t.n} but parameters have n={p.n}")
     a0 = t.A0
@@ -104,10 +106,12 @@ def _require_nondegenerate(t: AdaptedTransform, p: ExtensionParams) -> None:
         name = "B_1"
     else:
         shear = t.A1 * p.b
-        if abs(a0 + shear) <= 1e-12 * max(abs(a0), abs(shear)):
-            name = "A0 + A1*b"
-        else:
-            return
+        try:
+            if not abs(a0 + shear) <= 1e-12 * max(abs(a0), abs(shear)):
+                return
+        except OverflowError as exc:  # ``abs`` raises where |.| of a finite complex overflows
+            raise DomainError("adapted transform leaves floating-point range: |A0 + A1*b| overflows") from exc
+        name = "A0 + A1*b"
     raise DegenerateTransformError(f"adapted transform is degenerate: {name} vanishes")
 
 

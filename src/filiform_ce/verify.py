@@ -16,8 +16,11 @@ same seed produce byte-identical reports.  Every pass/fail decision goes
 through ``_Ctx.gate`` or ``_Ctx.fail``: a check stops at its first failure,
 and the runner records it in the report together with the inputs that
 witnessed it, so a discrepancy can be replayed from the report alone.
-The tensor route of the action checks runs a chunk of trials at a time
-(``_trials``) without changing a byte of the report.
+Every check that takes the tensor route moves a member's table by the
+product of the adapted matrices of its steps and reads it back
+(``_oracle``); the checks differ only in their steps.  ``_trials`` runs
+that route on a chunk of trials at a time, in one stacked pass
+(``_oracle_pass``), without changing a byte of the report.
 
 ``MANIFEST`` is the frozen list of check ids.  It is compared against the
 registry on every run, so a check cannot be dropped silently.
@@ -404,21 +407,12 @@ def _coefficient_sum(t: AdaptedTransform, p: ExtensionParams, narrow: bool = Fal
 
 
 def _generator_matrix(e: ElementaryTransform, p: ExtensionParams) -> np.ndarray:
-    """Unreduced basis-change matrix of a generator on the table of ``p``."""
+    """Unreduced basis-change matrix of a shift (sigma) or shear (tau)
+    generator on the table of ``p``."""
     m = np.eye(p.n + 1, dtype=complex)
-    _generator_columns(m, e)
+    m[e.k, 1 if e.kind == "sigma" else 0] += e.a
     _bracket_columns(m, build_table(p).gamma)
     return m
-
-
-def _generator_columns(m: np.ndarray, e: ElementaryTransform) -> None:
-    """Write the generator ``e`` into columns 0 and 1 of an identity ``m``."""
-    if e.kind == "sigma":
-        m[e.k, 1] += e.a
-    elif e.kind == "tau":
-        m[e.k, 0] += e.a
-    else:
-        m[0, 0], m[1, 1] = e.a, e.b
 
 
 def _tail_generators(n: int, rng: np.random.Generator) -> list[ElementaryTransform]:
@@ -455,22 +449,24 @@ def _pair(n: int, rng: np.random.Generator) -> tuple[ExtensionParams, AdaptedTra
     return p, random_transform(n, b=p.b, rng=rng)
 
 
-def _adapted_oracle(p: ExtensionParams, t: AdaptedTransform) -> ExtensionParams:
-    """The tensor route's image of ``p`` under ``t``: its table moved by the
-    adapted matrix, read back."""
-    return read_params(change_basis(build_table(p), adapted_matrix(t, p)))
-
-
-def _factor_route(p: ExtensionParams, t: AdaptedTransform) -> tuple[ExtensionParams, ExtensionParams]:
+def _chain(p: ExtensionParams, t: AdaptedTransform) -> tuple[list, ExtensionParams]:
     """The closed-form action of ``t``'s elementary factors on ``p``, one
-    after another, and the tensor route's read-back of ``p`` moved by the
-    product of the factors' unreduced matrices."""
-    n = p.n
-    q, total = p, np.eye(n + 1, dtype=complex)
+    after another: the steps (reduced factor, member it acts on), in order,
+    and the image they end on."""
+    steps, q = [], p
     for e in elementary_factors(t):
-        total = total @ _generator_matrix(e, q)
-        q = act_on_params(elementary_to_adapted(e, n), q)
-    return q, read_params(change_basis(build_table(p), total))
+        f = elementary_to_adapted(e, p.n)
+        steps.append((f, q))
+        q = act_on_params(f, q)
+    return steps, q
+
+
+def _oracle(p: ExtensionParams, steps, read: bool):
+    """The tensor route: the table of ``p`` moved by the product of
+    ``adapted_matrix(t, q)`` over its ``steps`` (t, q), in order, then read
+    back (``read``) or given as its gamma array."""
+    moved = change_basis(build_table(p), functools.reduce(np.matmul, itertools.starmap(adapted_matrix, steps)))
+    return read_params(moved) if read else moved.gamma
 
 
 # ---------------------------------------------------------------------------
@@ -478,7 +474,7 @@ def _factor_route(p: ExtensionParams, t: AdaptedTransform) -> tuple[ExtensionPar
 
 #: members per stacked pass of the tensor route.  Each numpy call costs a
 #: few microseconds whatever its size at d <= 9, so a chunk spreads that
-#: cost over its members: per member of ``_adapted_pass``, 143 us alone,
+#: cost over its members: per member of one adapted step, 143 us alone,
 #: 21 at 16 and 14 at 100 for n = 4; 213, 49 and 60 for n = 8, where longer
 #: chunks fall out of cache.  The stacked arrays, and with them the
 #: harness's peak memory, grow with the chunk: 0.9 MB at 16 members of
@@ -486,19 +482,21 @@ def _factor_route(p: ExtensionParams, t: AdaptedTransform) -> tuple[ExtensionPar
 _CHUNK = 16
 
 
-def _trials(count: int, draw, stacked, single):
+def _trials(count: int, draw, steps, read: bool):
     """``count`` trials of a check, yielded one by one as (input, route).
 
-    ``draw()`` gives a trial's input.  Inputs are drawn in stream order, a
-    chunk of at most ``_CHUNK`` ahead of the trial being gated, and
-    ``stacked(chunk)`` computes the chunk's tensor-route results in one
+    ``draw()`` gives a trial's input, a tuple led by its member p, and
+    ``steps(*input)`` the steps of p's ``_oracle``, or None where the trial
+    has none (its check stops before it asks for the route).  Inputs are
+    drawn in stream order, a chunk of at most ``_CHUNK`` ahead of the trial
+    being gated, and ``_oracle_pass`` computes the chunk's routes in one
     pass.  ``route()`` gives the member's result or, where the pass gave
-    None, calls ``single(input)``, the member-by-member route, at the point
-    where the check asks for it, so it raises (or warns) where a loop over
-    single members would.  A draw that raises ends its chunk, and its
-    exception is raised once the trials drawn before it are handed out.
-    A check stops at its first failure, so its first failing trial, its
-    note and its worst value stay those of the member-by-member loop.
+    None, calls ``_oracle`` on the member alone, at the point where the
+    check asks for it, so it raises (or warns) where a loop over single
+    members would.  A draw that raises ends its chunk, and its exception is
+    raised once the trials drawn before it are handed out.  A check stops
+    at its first failure, so its first failing trial, its note and its
+    worst value stay those of the member-by-member loop.
     """
     for start in range(0, count, _CHUNK):
         chunk, error = [], None
@@ -508,99 +506,55 @@ def _trials(count: int, draw, stacked, single):
             except Exception as exc:
                 error = exc
                 break
-        for x, r in zip(chunk, stacked(chunk) if chunk else ()):
-            yield x, (lambda r=r: r) if r is not None else functools.partial(single, *x)
+        routes = [steps(*x) for x in chunk]
+        results = _oracle_pass([x[0] for x in chunk], routes, read) if chunk else ()
+        for x, s, r in zip(chunk, routes, results):
+            yield x, (lambda r=r: r) if r is not None else functools.partial(_oracle, x[0], s, read)
         if error is not None:
             raise error
 
 
-def _adapted_trials(ctx: _Ctx, n: int, count: int):
-    """``_trials`` of ``_pair(n)`` draws with ``_adapted_oracle`` as their route."""
-    return _trials(
-        count,
-        functools.partial(_pair, n, ctx.rng),
-        lambda chunk: _adapted_pass(*zip(*chunk), read=True),
-        _adapted_oracle,
-    )
+def _oracle_pass(ps, steps, read: bool) -> list:
+    """``_oracle`` of each member p of ``ps`` (one rank) with its steps in
+    ``steps``, in one stacked pass that builds the matrices of one step
+    across the chunk at a time.
 
-
-def _adapted_pass(ps, ts, read: bool) -> list:
-    """``_adapted_oracle`` (``read``) or the moved table's gamma (not
-    ``read``) of each member p of ``ps`` (one rank) under its transform in
-    ``ts``, in one stacked pass; None where a transform is None, where
-    ``adapted_matrix`` refuses it, where ``build_table`` refuses p's table
-    (``_build_stack``), or where ``_moved_pass`` leaves the member out."""
-    n = ps[0].n
-    m = np.zeros((len(ps), n + 1, n + 1), dtype=complex)
-    ok = np.ones(len(ps), dtype=bool)
-    for k, (p, t) in enumerate(zip(ps, ts)):
-        if t is None:
-            ok[k] = False
-            continue
-        try:
-            _require_nondegenerate(t, p)
-        except Exception:  # the member's own call raises it at its turn
-            ok[k] = False
-        else:
-            _first_columns(m[k], t)
-    with np.errstate(all="ignore"):
-        gamma, kept = _build_stack(n, np.array([p.as_tuple() for p in ps]))
-        _bracket_columns(m, gamma)
-    return _moved_pass(gamma, m, ok & kept, read)
-
-
-def _factor_pass(chunk) -> list:
-    """``_factor_route`` of each (p, t) in ``chunk`` (one rank), with the
-    generator matrices of one factor built across the chunk at a time;
-    None where the closed-form chain raises, where ``build_table`` refuses
-    a table the route builds (``_build_stack``), or where ``_moved_pass``
-    leaves the member out."""
-    n = chunk[0][0].n
-    ok = np.ones(len(chunk), dtype=bool)
-    steps, images = [], []
-    for k, (p, t) in enumerate(chunk):
-        q, step = p, []  # step: (factor, parameters it acts on), in order
-        try:
-            for e in elementary_factors(t):
-                step.append((e, q))
-                q = act_on_params(elementary_to_adapted(e, n), q)
-        except Exception:  # the member's own call raises it at its turn
-            ok[k], step = False, []
-        steps.append(step)
-        images.append(q)
-    total = np.eye(n + 1, dtype=complex)
-    with np.errstate(all="ignore"):
-        for f in range(n - 1):  # tau, the n-3 sigmas, upsilon
-            m = np.broadcast_to(np.eye(n + 1, dtype=complex), (len(chunk), n + 1, n + 1)).copy()
-            for k, step in enumerate(steps):
-                if step:
-                    _generator_columns(m[k], step[f][0])
-            values = [(step[f][1] if step else p).as_tuple() for step, (p, _) in zip(steps, chunk)]
-            gamma, kept = _build_stack(n, np.array(values))
-            ok &= kept
-            if f == 0:  # the first factor acts on p itself: these are the tables to move
-                tables = gamma
-            _bracket_columns(m, gamma)
-            total = total @ m
-    read = _moved_pass(tables, total, ok, read=True)
-    return [None if r is None else (q, r) for q, r in zip(images, read)]
-
-
-def _moved_pass(gamma: np.ndarray, g: np.ndarray, ok: np.ndarray, read: bool) -> list:
-    """The tables ``gamma`` moved by the basis changes ``g``, one member per
-    index of their first axis, and read back if ``read``.
-
-    A member's entry is the read-back parameters (or the moved gamma), bit
-    for bit what ``change_basis`` and ``read_params`` give it alone, or None
-    where ``ok`` is False, where the steps' stack forms leave it out (each
-    step's own refusals; the pass takes only the lower triangular route,
-    see ``_change_stack`` and ``_read_stack``), or where non-finite
+    A member's entry is bit for bit what ``_oracle`` gives it alone, or None
+    where its steps are None or one of its route's calls would refuse it or
+    warn: where ``adapted_matrix`` refuses a step (``_require_nondegenerate``,
+    or ``build_table`` on the member the step acts on: ``_build_stack``),
+    where the stack forms of ``change_basis`` and ``read_params`` leave it
+    out (each step's own refusals; the pass takes only the lower triangular
+    route, see ``_change_stack`` and ``_read_stack``), or where non-finite
     arithmetic would warn.  The caller then makes the member's own call.
     """
-    n = g.shape[-1] - 1
+    ok = np.array([s is not None for s in steps])
+    if not ok.any():
+        return [None] * len(ps)
+    n = ps[0].n
+    width = len(next(s for s in steps if s is not None))
     with np.errstate(all="ignore"):
-        moved, kept = _change_stack(gamma, g)
-        ok = ok & kept
+        tables, kept = _build_stack(n, np.array([p.as_tuple() for p in ps]))
+        ok &= kept
+        for f in range(width):
+            m = np.zeros((len(ps), n + 1, n + 1), dtype=complex)
+            for k, s in enumerate(steps):
+                if ok[k]:
+                    try:
+                        _require_nondegenerate(*s[f])
+                    except FiliformError:  # the member's own call raises it at its turn
+                        ok[k] = False
+                    else:
+                        _first_columns(m[k], s[f][0])
+            acted = [p if s is None else s[f][1] for p, s in zip(ps, steps)]
+            gamma = tables
+            if any(q is not p for q, p in zip(acted, ps)):
+                gamma, kept = _build_stack(n, np.array([q.as_tuple() for q in acted]))
+                ok &= kept
+            _bracket_columns(m, gamma)
+            total = m if f == 0 else total @ m
+        moved, kept = _change_stack(tables, total)
+        ok &= kept
         if not read:
             return [x if keep else None for x, keep in zip(moved, ok)]
         values, kept = _read_stack(n, moved)
@@ -658,14 +612,26 @@ def _chk_adapted_form(ctx: _Ctx) -> str:
 def _chk_elementary_decomposition(ctx: _Ctx) -> str:
     """Generator factorization reproduces the transform, at both levels."""
     for n in _RANKS:
-        draw = functools.partial(_pair, n, ctx.rng)
-        for (p, t), route in _trials(max(1, ctx.trials // 2), draw, _factor_pass, _factor_route):
+
+        def draw(n=n):
+            p, t = _pair(n, ctx.rng)
+            try:
+                return p, t, _chain(p, t)
+            except FiliformError as exc:  # raised at the trial's turn
+                return p, t, exc
+
+        def steps(p, t, chain):
+            return None if isinstance(chain, FiliformError) else chain[0]
+
+        for (p, t, chain), route in _trials(max(1, ctx.trials // 2), draw, steps, read=True):
             factors = elementary_factors(t)
             if factors[0].kind != "tau" or factors[-1].kind != "upsilon":
                 ctx.fail(f"factor order broken at n={n}")
             direct = act_on_params(t, p)
-            q, via_tensor = route()
-            dev = _worst(_tuple_dev(q, direct), _tuple_dev(via_tensor, direct))
+            if isinstance(chain, FiliformError):
+                raise chain
+            via_tensor = route()
+            dev = _worst(_tuple_dev(chain[1], direct), _tuple_dev(via_tensor, direct))
             ctx.gate(dev, 1e-9, lambda: f"factor composite deviates by {dev:.3e} for {_show_pt(p, t)}")
     return "triangular factor coefficients recompose exactly"
 
@@ -685,7 +651,8 @@ def _chk_tail_triviality(ctx: _Ctx) -> str:
 def _chk_action_general(ctx: _Ctx) -> str:
     """The double coefficient sum agrees with explicit basis changes."""
     for n in _RANKS:
-        for (p, t), route in _adapted_trials(ctx, n, max(1, ctx.trials // 5)):
+        draw = functools.partial(_pair, n, ctx.rng)
+        for (p, t), route in _trials(max(1, ctx.trials // 5), draw, lambda p, t: [(t, p)], read=True):
             summed = _coefficient_sum(t, p)
             oracle = route()
             dev = _worst(*(_dev(a, b) for a, b in zip(summed.b_even, oracle.b_even)))
@@ -697,7 +664,8 @@ def _make_closed_forms_check(n: int):
     """Closed-form parameter action equals the basis-change route at rank n."""
 
     def run(ctx: _Ctx) -> str:
-        for (p, t), route in _adapted_trials(ctx, n, ctx.trials):
+        draw = functools.partial(_pair, n, ctx.rng)
+        for (p, t), route in _trials(ctx.trials, draw, lambda p, t: [(t, p)], read=True):
             oracle = route()
             dev = _tuple_dev(act_on_params(t, p), oracle)
             ctx.gate(dev, 1e-8, lambda: f"closed form deviates by {dev:.3e} for {_show_pt(p, t)}")
@@ -813,7 +781,10 @@ def _make_single_orbit_check(n: int):
                     return p, exc
 
             # the first 10 members of a cell also take the witness through the tensor route
-            routed = _trials(min(10, ctx.trials), draw, _witness_pass, _witness_route)
+            def steps(p, label):
+                return None if isinstance(label, CanonicalizationError) else [(label.witness, p)]
+
+            routed = _trials(min(10, ctx.trials), draw, steps, read=False)
             for (p, label), route in itertools.chain(routed, ((draw(), None) for _ in range(ctx.trials - 10))):
                 if isinstance(label, CanonicalizationError):
                     ctx.fail(f"normal form unreachable for {_show(p)}: {label}")
@@ -826,19 +797,6 @@ def _make_single_orbit_check(n: int):
         return f"{len(cells)} single-orbit cells collapse to their normal forms"
 
     return run
-
-
-def _witness_pass(chunk) -> list:
-    """``_witness_route`` of each (p, label) in ``chunk`` in one stacked pass;
-    None where canonicalization raised (see ``_adapted_pass``)."""
-    ps, labels = zip(*chunk)
-    witnesses = [None if isinstance(label, CanonicalizationError) else label.witness for label in labels]
-    return _adapted_pass(ps, witnesses, read=False)
-
-
-def _witness_route(p: ExtensionParams, label) -> np.ndarray:
-    """The table of ``p`` moved by its normal-form witness, as a gamma array."""
-    return change_basis(build_table(p), adapted_matrix(label.witness, p)).gamma
 
 
 def _chk_representative_separation(ctx: _Ctx) -> str:
@@ -916,7 +874,7 @@ def _chk_variant_report(ctx: _Ctx) -> str:
     for _ in range(reps):
         p = random_params(5, "U_1", rng=ctx.rng)
         t = random_transform(5, b=p.b, rng=ctx.rng)
-        oracle = _adapted_oracle(p, t)
+        oracle = _oracle(p, [(t, p)], read=True)
         wide = _coefficient_sum(t, p)
         narrow = _coefficient_sum(t, p, narrow=True)
         ship = _worst(ship, *(_dev(a, b) for a, b in zip(wide.b_even, oracle.b_even)))
@@ -929,7 +887,7 @@ def _chk_variant_report(ctx: _Ctx) -> str:
     for _ in range(reps):
         p = random_params(7, "U_1", rng=ctx.rng)
         t = random_transform(7, b=p.b, rng=ctx.rng)
-        oracle = _adapted_oracle(p, t)
+        oracle = _oracle(p, [(t, p)], read=True)
         direct = act_on_params(t, p)
         ship = _worst(ship, _tuple_dev(direct, oracle))
         b1, b2, b3, b4, b5 = (t.coeff_B(k) for k in range(1, 6))

@@ -217,6 +217,23 @@ def test_zero_a0_is_reported_before_the_shear_is_formed():
     )
 
 
+def test_overflowing_shear_magnitude_is_domain_error():
+    # |A0 + A1*b| of the finite A0 = 1.5e308(1+1j) leaves float range, where
+    # ``abs`` raises OverflowError: every caller of the degeneracy test
+    # gives a typed error instead
+    p = random_params(5, seed=1)
+    wild, ident = AdaptedTransform(5, 1.5e308 + 1.5e308j, 0, (1, 0, 0)), identity_transform(5)
+    for call in (
+        lambda: act_on_params(wild, p),
+        lambda: adapted_matrix(wild, p),
+        lambda: compose(wild, ident, p),
+        lambda: compose(ident, wild, p),
+        lambda: inverse_transform(wild, p),
+    ):
+        with pytest.raises(DomainError, match=r"\|A0 \+ A1\*b\| overflows"):
+            call()
+
+
 # ---------------------------------------------------------------------------
 # matrix form
 

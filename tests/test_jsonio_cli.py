@@ -166,10 +166,8 @@ def test_cli_act(monkeypatch, capsys):
     assert max(abs(x - y) for x, y in zip(got.as_tuple(), want.as_tuple())) < 1e-12
 
 
-def test_cli_act_overflow_exits_3(monkeypatch, capsys):
-    # A0**(n-2) = 1e360 leaves float range: a domain error, not a traceback
-    p = random_params(8, seed=1)
-    t = AdaptedTransform(8, 1e60, 0, (1, 0, 0, 0, 0, 0))
+def _assert_act_exits_3(p, t, monkeypatch, capsys):
+    """``act`` on (p, t) fails with a one-line domain error, not a traceback."""
     text = json.dumps(
         {"params": jsonio.encode_params(p), "transform": jsonio.encode_transform(t)}
     )
@@ -177,6 +175,18 @@ def test_cli_act_overflow_exits_3(monkeypatch, capsys):
     assert code == 3
     assert out == ""
     assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+
+
+def test_cli_act_overflow_exits_3(monkeypatch, capsys):
+    # A0**(n-2) = 1e360 leaves float range
+    t = AdaptedTransform(8, 1e60, 0, (1, 0, 0, 0, 0, 0))
+    _assert_act_exits_3(random_params(8, seed=1), t, monkeypatch, capsys)
+
+
+def test_cli_act_overflowing_shear_exits_3(monkeypatch, capsys):
+    # |A0 + A1*b| leaves float range, though A0 = 1.5e308(1+1j) is finite
+    t = AdaptedTransform(5, 1.5e308 + 1.5e308j, 0, (1, 0, 0))
+    _assert_act_exits_3(random_params(5, seed=1), t, monkeypatch, capsys)
 
 
 def test_cli_isomorphic(monkeypatch, capsys):

@@ -19,9 +19,13 @@ import pytest
 
 from filiform_ce import (
     AdaptedTransform,
+    DegenerateTransformError,
     DomainError,
+    FiliformError,
     MANIFEST,
+    SingularMatrixError,
     StructureTensor,
+    TableShapeError,
     adapted_matrix,
     build_table,
     change_basis,
@@ -32,6 +36,7 @@ from filiform_ce import (
     verify,
     verify_all,
 )
+from filiform_ce.action import _read_stack
 from filiform_ce.classify import _ORBIT_MONOMIALS
 from filiform_ce.subsets import SUBSETS, free_pairs
 
@@ -369,69 +374,111 @@ def _scaled_pairs(n, magnitude, rng):
     return pairs
 
 
+def _factor_steps(p, t):
+    """The steps of ``elementary-decomposition``'s route, or None where the
+    closed-form factor chain raises."""
+    try:
+        return verify._chain(p, t)[0]
+    except FiliformError:
+        return None
+
+
+#: the routed checks' steps rules on a (member, transform) pair, and
+#: whether the route reads the moved table back
+_ROUTES = {
+    "adapted": (lambda p, t: [(t, p)], True),
+    "witness": (lambda p, t: [(t, p)], False),
+    "factor": (_factor_steps, True),
+}
+
+
 @pytest.mark.parametrize("n", range(4, 9))
 @pytest.mark.parametrize("magnitude", [1e-150, 1e-75, 1.0, 1e75, 1e150])
 def test_stacked_route_is_the_member_route_bit_for_bit(n, magnitude):
-    # each pass gives, member by member, the bytes of the member's own
+    # the pass gives, member by member, the bytes of the member's own
     # route, signed zeros included; it leaves out exactly the members whose
-    # own route raises or warns
+    # own route raises or warns, and those without steps
     pairs = _scaled_pairs(n, magnitude, np.random.default_rng([n, round(np.log10(magnitude)) + 200]))
-    ps, ts = zip(*pairs)
-    passes = [
-        (_stacked(verify._adapted_pass, ps, ts, True), verify._adapted_oracle),
-        (_stacked(verify._adapted_pass, ps, ts, False), lambda p, t: change_basis(build_table(p), adapted_matrix(t, p)).gamma),
-        (_stacked(verify._factor_pass, pairs), verify._factor_route),
-    ]
-    for results, member_route in passes:
-        for (p, t), got in zip(pairs, results):
-            want = _outcome(member_route, p, t)
+    ps = [p for p, _ in pairs]
+    passes = {}
+    for name, (rule, read) in _ROUTES.items():
+        steps = [rule(p, t) for p, t in pairs]
+        passes[name] = _stacked(verify._oracle_pass, ps, steps, read)
+        for p, s, got in zip(ps, steps, passes[name]):
+            if s is None:
+                assert got is None
+                continue
+            want = _outcome(verify._oracle, p, s, read)
             if got is None:
                 assert isinstance(want[0], type)
             else:
                 assert _bits(got) == want
-    # the read-off itself, against plain indexing and negation of each entry
-    for got, table in zip(passes[0][0], passes[1][0]):
+    # the read-off itself, against plain indexing and negation of each
+    # entry, on the members both passes kept
+    for got, table in zip(passes["adapted"], passes["witness"]):
+        if got is None or table is None:
+            continue
         want = [-table[i, j, n] if (i, j) == (1, n - 1) else table[i, j, n] for i, j in free_pairs(n)]
         assert _bits(got) == _bits(want)
 
 
 @pytest.mark.parametrize("n", range(4, 9))
 def test_stacked_route_hands_rejected_members_to_their_own_call(n):
-    # planted defects: the pass leaves each out, the member's route raises
-    # its own call's exception (a warning raises too) at its turn, and the
-    # members around it come out bit for bit
+    # planted transforms: the pass leaves each out, the member's route
+    # raises its own call's exception (a warning raises too) at its turn,
+    # and the members around it come out bit for bit
     rng = np.random.default_rng(n)
     pairs = [verify._pair(n, rng) for _ in range(verify._CHUNK)]
-    gamma = np.array([build_table(p).gamma for p, _ in pairs])
-    g = np.array([adapted_matrix(t, p) for p, t in pairs])
-    gamma[3, 2, 2, n] += 0.5  # an off-pattern entry: TableShapeError on reading back
-    g[7, 2, 2] = 0  # a zero on the diagonal: SingularMatrixError
-    g[11, 1, 0] = 1e300  # the moved table overflows: RuntimeWarning, then DomainError
-    g[13, 0, 1] = 0.5  # not lower triangular: the scaled inverse moves it, off the family
-    routes = {
-        True: ({3, 7, 11, 13}, lambda table, matrix: read_params(change_basis(StructureTensor(table), matrix))),
-        False: ({7, 11}, lambda table, matrix: change_basis(StructureTensor(table), matrix).gamma),
+    unit = (1,) + (0,) * (n - 3)
+    t7 = pairs[7][1]
+    planted = {
+        # degenerate: left out before its matrix is built
+        5: (AdaptedTransform(n, 0, 1, unit), DegenerateTransformError),
+        # A0*B_1 underflows to a zero on the diagonal
+        7: (AdaptedTransform(n, 1e-200, t7.A1, (1e-200, *t7.B[1:])), SingularMatrixError),
+        # |A0 + A1*b| overflows, though A0 is finite
+        9: (AdaptedTransform(n, 1.5e308 + 1.5e308j, 0, unit), DomainError),
+        # the moved table overflows
+        11: (AdaptedTransform(n, 1, 1e300, unit), RuntimeWarning),
     }
-    for read, (raising, member_route) in routes.items():
-        stacked = _stacked(verify._moved_pass, gamma, g, np.ones(len(pairs), dtype=bool), read)
-        assert [k for k, r in enumerate(stacked) if r is None] == sorted(raising | {13})
-        trials = verify._trials(len(pairs), iter(zip(gamma, g)).__next__, lambda chunk: stacked, member_route)
-        for k, ((table, matrix), route) in enumerate(trials):
+    for k, (t, _) in planted.items():
+        pairs[k] = (pairs[k][0], t)
+    ps = [p for p, _ in pairs]
+    for read in (True, False):
+        stacked = _stacked(verify._oracle_pass, ps, [[(t, p)] for p, t in pairs], read)
+        assert [k for k, r in enumerate(stacked) if r is None] == sorted(planted)
+        trials = _stacked(list, verify._trials(len(pairs), iter(pairs).__next__, lambda p, t: [(t, p)], read))
+        for k, ((p, t), route) in enumerate(trials):
             got = _outcome(route)
-            assert got == _outcome(member_route, table, matrix)
-            assert isinstance(got[0], type) == (k in raising)
-    # a degenerate transform is left out before its matrix is built
-    ps, ts = map(list, zip(*pairs))
-    ts[5] = AdaptedTransform(n, 0, 1, (1,) + (0,) * (n - 3))
-    got = _stacked(verify._adapted_pass, ps, ts, True)
-    assert got[5] is None and [k for k, r in enumerate(got) if r is None] == [5]
-    assert _outcome(verify._adapted_oracle, ps[5], ts[5])[1] == "adapted transform is degenerate: A0 vanishes"
+            assert got == _outcome(verify._oracle, p, [(t, p)], read)
+            assert got[0] is planted[k][1] if k in planted else not isinstance(got[0], type)
+    # an off-pattern entry and a matrix that is not lower triangular come
+    # from no adapted step: the stack forms of change_basis and read_params
+    # leave them out, and each member's own calls refuse it or, on the
+    # scaled route, move it off the family
+    gamma = np.array([build_table(p).gamma for p, _ in pairs])
+    g = np.array([np.eye(n + 1) if k in planted else adapted_matrix(t, p) for k, (p, t) in enumerate(pairs)])
+    gamma[3, 2, 2, n] += 0.5  # an off-pattern entry: TableShapeError on reading back
+    g[13, 0, 1] = 0.5  # not lower triangular: change_basis takes the scaled inverse
+    moved, kept = _stacked(tensor._change_stack, gamma, g)
+    assert list(np.flatnonzero(~kept)) == [13]
+    values, read = _stacked(_read_stack, n, moved)
+    assert list(np.flatnonzero(~(kept & read))) == [3, 13]
+    for k, (table, matrix) in enumerate(zip(gamma, g)):
+        member = change_basis(StructureTensor(table), matrix)
+        if kept[k]:
+            assert _bits(moved[k]) == _bits(member.gamma)
+        if kept[k] & read[k]:
+            assert _bits(values[k]) == _outcome(read_params, member)
+        else:
+            with pytest.raises(TableShapeError):
+                read_params(member)
 
 
 def test_a_guard_planted_in_change_basis_reaches_the_stacked_route(monkeypatch):
-    # one more refusal in change_basis's guard, and nothing else changed: the
-    # stacked passes leave out the one member it refuses, and that member's
-    # own route raises it at its turn
+    # one more refusal in change_basis's guard, and nothing else changed:
+    # the stacked pass leaves out the one member it refuses on every
+    # routed check's steps, and that member's own route raises it at its turn
     n, planted = 6, "planted refusal: |g[0, 0]| > 1.5"
     rng = np.random.default_rng(26)
     calm, wild = [], []
@@ -439,37 +486,30 @@ def test_a_guard_planted_in_change_basis_reaches_the_stacked_route(monkeypatch):
         p, t = verify._pair(n, rng)
         (wild if abs(t.A0) > 1.5 else calm).append((p, t))
     pairs = calm[:5] + wild[:1] + calm[5 : verify._CHUNK - 1]
-    ps, ts = zip(*pairs)
+    ps = [p for p, _ in pairs]
     real = tensor._matrix_guards
     monkeypatch.setattr(
         tensor,
         "_matrix_guards",
         lambda g, above: (*real(g, above), (np.abs(g[..., 0, 0]) <= 1.5, DomainError, planted)),
     )
-    gamma = np.array([build_table(p).gamma for p in ps])
-    g = np.array([adapted_matrix(t, p) for p, t in pairs])
-    passes = {
-        "adapted": (_stacked(verify._adapted_pass, ps, ts, True), verify._adapted_oracle),
-        "witness": (_stacked(verify._adapted_pass, ps, ts, False), lambda p, t: change_basis(build_table(p), adapted_matrix(t, p)).gamma),
-        "factor": (_stacked(verify._factor_pass, pairs), verify._factor_route),
-        "moved": (_stacked(verify._moved_pass, gamma, g, np.ones(len(pairs), dtype=bool), True), verify._adapted_oracle),
-    }
-    for name, (stacked, member_route) in passes.items():
+    for name, (rule, read) in _ROUTES.items():
+        stacked = _stacked(verify._oracle_pass, ps, [rule(p, t) for p, t in pairs], read)
         assert [k for k, r in enumerate(stacked) if r is None] == [5], name
-        trials = verify._trials(len(pairs), iter(pairs).__next__, lambda chunk: stacked, member_route)
+        trials = _stacked(list, verify._trials(len(pairs), iter(pairs).__next__, rule, read))
         for k, ((p, t), route) in enumerate(trials):
             if k == 5:
                 with pytest.raises(DomainError, match=re.escape(planted)):
                     route()
             else:
-                assert _bits(route()) == _outcome(member_route, p, t), (name, k)
+                assert _bits(route()) == _outcome(verify._oracle, p, rule(p, t), read), (name, k)
 
 
-def _member_by_member(count, draw, stacked, single):
+def _member_by_member(count, draw, steps, read):
     """The loop that the chunks replace: draw a trial, then its own route on demand."""
     for _ in range(count):
         x = draw()
-        yield x, functools.partial(single, *x)
+        yield x, functools.partial(verify._oracle, x[0], steps(*x), read)
 
 
 @pytest.mark.parametrize(
