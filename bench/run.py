@@ -22,8 +22,8 @@ the rank in turn (9 cells at n = 4, 17 at n = 8), so one call is the whole
 sweep.  ``oracle`` is the harness's tensor-route oracle,
 ``read_params(change_basis(build_table(p), adapted_matrix(t, p)))``, on a
 chunk of 16 seeded member/transform pairs in one stacked pass
-(``verify._oracle_pass``, or ``verify._adapted_pass`` in a checkout from
-before it); its figure is per member.  Each figure is the
+(``verify._oracle_pass``; a checkout without it raises); its figure is per
+member.  Each figure is the
 median over ``REPEATS`` rounds of the mean time per call in microseconds,
 with one BLAS thread.
 The end-to-end entry ``verify_all.seed1_trials100_s`` is the median of
@@ -142,16 +142,11 @@ def _oracle_chunk(fc, n: int):
     """One chunk of ``MEMBERS["oracle"]`` seeded (p, t) pairs through the tensor-route oracle."""
     import numpy as np
 
-    verify = _sub(fc, "verify")
+    oracle_pass = _sub(fc, "verify")._oracle_pass
     rng = np.random.default_rng(4)
     ps = [fc.random_params(n, rng=rng) for _ in range(MEMBERS["oracle"])]
-    ts = [_sub(fc, "action").random_transform(n, b=p.b, rng=rng) for p in ps]
-    if hasattr(verify, "_oracle_pass"):
-        steps = [[(t, p)] for p, t in zip(ps, ts)]
-        return lambda: verify._oracle_pass(ps, steps, read=True)
-    if hasattr(verify, "_adapted_pass"):  # a checkout from before the one stacked pass
-        return lambda: verify._adapted_pass(ps, ts, read=True)
-    raise AttributeError(f"{verify.__name__} has no stacked tensor-route pass to time")
+    steps = [[(_sub(fc, "action").random_transform(n, b=p.b, rng=rng), p)] for p in ps]
+    return lambda: oracle_pass(ps, steps, read=True)
 
 
 def measure(packages: dict) -> dict:

@@ -109,19 +109,17 @@ def _cmd_build(args) -> tuple[object, int]:
 
 
 def _cmd_check(args) -> tuple[object, int]:
-    import numpy as np
-
-    from .tensor import is_filiform, leibniz_residual, lower_central_series
+    from .tensor import _normalized, is_filiform, leibniz_residual, lower_central_series
 
     t = jsonio.decode_tensor(_read_input(args.input))
-    residual = leibniz_residual(t)
-    scale = max(1.0, float(np.max(np.abs(t.gamma))))
     payload = {
-        "leibniz_residual": residual,
+        "leibniz_residual": leibniz_residual(t),
         "filiform": is_filiform(t),
         "series": lower_central_series(t),
     }
-    ok = residual <= max(1e-12, 1e-9 * scale)
+    # the verdict is taken on the table scaled by a power of two, so that
+    # scaling the table by any power of two leaves it where it was
+    ok = leibniz_residual(_normalized(t)[0]) <= 1e-9
     return payload, 0 if ok else 1
 
 

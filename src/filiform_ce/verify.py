@@ -16,11 +16,12 @@ same seed produce byte-identical reports.  Every pass/fail decision goes
 through ``_Ctx.gate`` or ``_Ctx.fail``: a check stops at its first failure,
 and the runner records it in the report together with the inputs that
 witnessed it, so a discrepancy can be replayed from the report alone.
-Every check that takes the tensor route moves a member's table by the
-product of the adapted matrices of its steps and reads it back
-(``_oracle``); the checks differ only in their steps.  ``_trials`` runs
-that route on a chunk of trials at a time, in one stacked pass
-(``_oracle_pass``), without changing a byte of the report.
+Every check that takes the tensor route draws its trials through one
+protocol, ``_trials``: a draw gives a trial's input and its steps, and the
+route moves the member's table by the product of the adapted matrices of
+those steps and reads it back (``_oracle``).  ``_trials`` computes the
+routes of a chunk of trials in one stacked pass (``_oracle_pass``),
+without changing a byte of the report.
 
 ``MANIFEST`` is the frozen list of check ids.  It is compared against the
 registry on every run, so a check cannot be dropped silently.
@@ -443,18 +444,21 @@ def _naive_factors(t: AdaptedTransform) -> list[ElementaryTransform]:
     return [tau(t.A1 / t.A0, 1), *shifts, upsilon(t.A0, b1)]
 
 
-def _pair(n: int, rng: np.random.Generator) -> tuple[ExtensionParams, AdaptedTransform]:
-    """A member of rank n and a transform that keeps its shear away from zero."""
-    p = random_params(n, rng=rng)
-    return p, random_transform(n, b=p.b, rng=rng)
+def _pair(n: int, rng: np.random.Generator, cell: str | None = None) -> tuple[tuple, list]:
+    """A trial of a member (of rank n, in ``cell`` if given) and a transform
+    that keeps its shear away from zero, routed by the transform itself:
+    ((p, t), [(t, p)])."""
+    p = random_params(n, cell, rng=rng)
+    t = random_transform(n, b=p.b, rng=rng)
+    return (p, t), [(t, p)]
 
 
-def _chain(p: ExtensionParams, t: AdaptedTransform) -> tuple[list, ExtensionParams]:
-    """The closed-form action of ``t``'s elementary factors on ``p``, one
+def _chain(p: ExtensionParams, factors: list[ElementaryTransform]) -> tuple[list, ExtensionParams]:
+    """The closed-form action of the elementary ``factors`` on ``p``, one
     after another: the steps (reduced factor, member it acts on), in order,
     and the image they end on."""
     steps, q = [], p
-    for e in elementary_factors(t):
+    for e in factors:
         f = elementary_to_adapted(e, p.n)
         steps.append((f, q))
         q = act_on_params(f, q)
@@ -482,21 +486,21 @@ def _oracle(p: ExtensionParams, steps, read: bool):
 _CHUNK = 16
 
 
-def _trials(count: int, draw, steps, read: bool):
+def _trials(count: int, draw, read: bool):
     """``count`` trials of a check, yielded one by one as (input, route).
 
-    ``draw()`` gives a trial's input, a tuple led by its member p, and
-    ``steps(*input)`` the steps of p's ``_oracle``, or None where the trial
-    has none (its check stops before it asks for the route).  Inputs are
-    drawn in stream order, a chunk of at most ``_CHUNK`` ahead of the trial
-    being gated, and ``_oracle_pass`` computes the chunk's routes in one
-    pass.  ``route()`` gives the member's result or, where the pass gave
-    None, calls ``_oracle`` on the member alone, at the point where the
-    check asks for it, so it raises (or warns) where a loop over single
-    members would.  A draw that raises ends its chunk, and its exception is
-    raised once the trials drawn before it are handed out.  A check stops
-    at its first failure, so its first failing trial, its note and its
-    worst value stay those of the member-by-member loop.
+    ``draw()`` gives a trial's (input, steps): the input a tuple led by its
+    member p, and the steps those of p's ``_oracle``, or None for a trial
+    without a route, whose ``route`` is then None.  Inputs are drawn in
+    stream order, a chunk of at most ``_CHUNK`` ahead of the trial being
+    gated, and ``_oracle_pass`` computes the chunk's routes in one pass.
+    ``route()`` gives the member's result or, where the pass gave None,
+    calls ``_oracle`` on the member alone, at the point where the check
+    asks for it, so it raises (or warns) where a loop over single members
+    would.  A draw that raises ends its chunk, and its exception is raised
+    once the trials drawn before it are handed out.  A check stops at its
+    first failure, so its first failing trial, its note and its worst value
+    stay those of the member-by-member loop.
     """
     for start in range(0, count, _CHUNK):
         chunk, error = [], None
@@ -506,10 +510,14 @@ def _trials(count: int, draw, steps, read: bool):
             except Exception as exc:
                 error = exc
                 break
-        routes = [steps(*x) for x in chunk]
-        results = _oracle_pass([x[0] for x in chunk], routes, read) if chunk else ()
-        for x, s, r in zip(chunk, routes, results):
-            yield x, (lambda r=r: r) if r is not None else functools.partial(_oracle, x[0], s, read)
+        results = _oracle_pass([x[0] for x, _ in chunk], [s for _, s in chunk], read) if chunk else ()
+        for (x, s), r in zip(chunk, results):
+            if s is None:
+                yield x, None
+            elif r is not None:
+                yield x, lambda r=r: r
+            else:
+                yield x, functools.partial(_oracle, x[0], s, read)
         if error is not None:
             raise error
 
@@ -614,24 +622,22 @@ def _chk_elementary_decomposition(ctx: _Ctx) -> str:
     for n in _RANKS:
 
         def draw(n=n):
-            p, t = _pair(n, ctx.rng)
-            try:
-                return p, t, _chain(p, t)
-            except FiliformError as exc:  # raised at the trial's turn
-                return p, t, exc
-
-        def steps(p, t, chain):
-            return None if isinstance(chain, FiliformError) else chain[0]
-
-        for (p, t, chain), route in _trials(max(1, ctx.trials // 2), draw, steps, read=True):
+            (p, t), _ = _pair(n, ctx.rng)
             factors = elementary_factors(t)
+            try:
+                steps, image = _chain(p, factors)
+            except FiliformError as exc:  # raised at the trial's turn
+                return (p, t, factors, exc), None
+            return (p, t, factors, image), steps
+
+        for (p, t, factors, image), route in _trials(max(1, ctx.trials // 2), draw, read=True):
             if factors[0].kind != "tau" or factors[-1].kind != "upsilon":
                 ctx.fail(f"factor order broken at n={n}")
             direct = act_on_params(t, p)
-            if isinstance(chain, FiliformError):
-                raise chain
+            if isinstance(image, FiliformError):
+                raise image
             via_tensor = route()
-            dev = _worst(_tuple_dev(chain[1], direct), _tuple_dev(via_tensor, direct))
+            dev = _worst(_tuple_dev(image, direct), _tuple_dev(via_tensor, direct))
             ctx.gate(dev, 1e-9, lambda: f"factor composite deviates by {dev:.3e} for {_show_pt(p, t)}")
     return "triangular factor coefficients recompose exactly"
 
@@ -651,8 +657,7 @@ def _chk_tail_triviality(ctx: _Ctx) -> str:
 def _chk_action_general(ctx: _Ctx) -> str:
     """The double coefficient sum agrees with explicit basis changes."""
     for n in _RANKS:
-        draw = functools.partial(_pair, n, ctx.rng)
-        for (p, t), route in _trials(max(1, ctx.trials // 5), draw, lambda p, t: [(t, p)], read=True):
+        for (p, t), route in _trials(max(1, ctx.trials // 5), functools.partial(_pair, n, ctx.rng), read=True):
             summed = _coefficient_sum(t, p)
             oracle = route()
             dev = _worst(*(_dev(a, b) for a, b in zip(summed.b_even, oracle.b_even)))
@@ -664,8 +669,7 @@ def _make_closed_forms_check(n: int):
     """Closed-form parameter action equals the basis-change route at rank n."""
 
     def run(ctx: _Ctx) -> str:
-        draw = functools.partial(_pair, n, ctx.rng)
-        for (p, t), route in _trials(ctx.trials, draw, lambda p, t: [(t, p)], read=True):
+        for (p, t), route in _trials(ctx.trials, functools.partial(_pair, n, ctx.rng), read=True):
             oracle = route()
             dev = _tuple_dev(act_on_params(t, p), oracle)
             ctx.gate(dev, 1e-8, lambda: f"closed form deviates by {dev:.3e} for {_show_pt(p, t)}")
@@ -773,19 +777,17 @@ def _make_single_orbit_check(n: int):
         for cell in cells:
             rep_table = build_table(representative_params(n, cell))
 
-            def draw(cell=cell):
-                p = random_params(n, cell, rng=ctx.rng)
-                try:
-                    return p, canonicalize(p)
-                except CanonicalizationError as exc:
-                    return p, exc
-
             # the first 10 members of a cell also take the witness through the tensor route
-            def steps(p, label):
-                return None if isinstance(label, CanonicalizationError) else [(label.witness, p)]
+            def draw(cell=cell, drawn=itertools.count()):
+                p = random_params(n, cell, rng=ctx.rng)
+                routed = next(drawn) < 10
+                try:
+                    label = canonicalize(p)
+                except CanonicalizationError as exc:
+                    return (p, exc), None
+                return (p, label), [(label.witness, p)] if routed else None
 
-            routed = _trials(min(10, ctx.trials), draw, steps, read=False)
-            for (p, label), route in itertools.chain(routed, ((draw(), None) for _ in range(ctx.trials - 10))):
+            for (p, label), route in _trials(ctx.trials, draw, read=False):
                 if isinstance(label, CanonicalizationError):
                     ctx.fail(f"normal form unreachable for {_show(p)}: {label}")
                 if label.subset != cell or label.lam is not None:
@@ -871,10 +873,8 @@ def _chk_variant_report(ctx: _Ctx) -> str:
 
     # inner summation bounds of the even-row coefficient sum
     ship = var = 0.0
-    for _ in range(reps):
-        p = random_params(5, "U_1", rng=ctx.rng)
-        t = random_transform(5, b=p.b, rng=ctx.rng)
-        oracle = _oracle(p, [(t, p)], read=True)
+    for (p, t), route in _trials(reps, functools.partial(_pair, 5, ctx.rng, "U_1"), read=True):
+        oracle = route()
         wide = _coefficient_sum(t, p)
         narrow = _coefficient_sum(t, p, narrow=True)
         ship = _worst(ship, *(_dev(a, b) for a, b in zip(wide.b_even, oracle.b_even)))
@@ -884,10 +884,8 @@ def _chk_variant_report(ctx: _Ctx) -> str:
     # three variant readings of the rank-7 closed forms
     devs = {"e12-doubled-denominator": 0.0, "e12-cubed-shift": 0.0, "e14-row-scale": 0.0}
     ship = 0.0
-    for _ in range(reps):
-        p = random_params(7, "U_1", rng=ctx.rng)
-        t = random_transform(7, b=p.b, rng=ctx.rng)
-        oracle = _oracle(p, [(t, p)], read=True)
+    for (p, t), route in _trials(reps, functools.partial(_pair, 7, ctx.rng, "U_1"), read=True):
+        oracle = route()
         direct = act_on_params(t, p)
         ship = _worst(ship, _tuple_dev(direct, oracle))
         b1, b2, b3, b4, b5 = (t.coeff_B(k) for k in range(1, 6))
@@ -956,12 +954,7 @@ def _chk_variant_report(ctx: _Ctx) -> str:
             p = random_params(n, rng=ctx.rng)
             t = random_transform(n, b=p.b, rng=ctx.rng)
             direct = act_on_params(t, p)
-            devs = []
-            for factors in (elementary_factors(t), _naive_factors(t)):
-                q = p
-                for e in factors:
-                    q = act_on_params(elementary_to_adapted(e, n), q)
-                devs.append(_tuple_dev(q, direct))
+            devs = [_tuple_dev(_chain(p, f)[1], direct) for f in (elementary_factors(t), _naive_factors(t))]
             ship, var = _worst(ship, devs[0]), _worst(var, devs[1])
     gate("factor-coefficients-uncorrected", ship, var)
 

@@ -135,6 +135,17 @@ def test_orbit_value_none_on_degenerate_locus():
     assert orbit_invariant(thin) is None
 
 
+def test_orbit_value_none_where_the_normal_form_value_is_zero_and_the_power_negative():
+    # (8, U_5) takes 1/lam**4: a member with delta = 0 has lam = 0, and no
+    # finite orbit value
+    p = params_from_tuple(8, [0.8**2 / (4 * 1.3), 0.8, 1.3, 0.7, 1.1, 0])
+    assert _ORBIT_MONOMIALS[8, "U_5"][1] < 0
+    label = classify(p)
+    assert (label.subset, label.lam) == ("U_5", 0)
+    assert label.invariants.orbit_value is None
+    assert orbit_invariant(p) is None
+
+
 def test_orbit_value_overflow_is_domain_error():
     # lam stays finite (near 2e79), the orbit value -1024*lam**5 does not
     p = random_params(8, "U_1", seed=3)

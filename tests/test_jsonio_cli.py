@@ -3,8 +3,10 @@
 import hashlib
 import io
 import json
+import math
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -13,7 +15,11 @@ from filiform_ce import (
     AdaptedTransform,
     DomainError,
     InputFormatError,
+    StructureTensor,
+    adapted_matrix,
     build_table,
+    change_basis,
+    leibniz_residual,
     params_from_tuple,
     random_params,
     random_transform,
@@ -131,6 +137,97 @@ def test_cli_check_flags_invalid_table(monkeypatch, capsys):
     code, out, _ = run_cli(["check"], stdin_text=text, monkeypatch=monkeypatch, capsys=capsys)
     assert code == 1
     assert json.loads(out)["leibniz_residual"] > 1.0
+
+
+def _strict_json(text):
+    """Parse ``text`` as JSON that holds no NaN or Infinity token."""
+
+    def refuse(token):
+        raise ValueError(f"non-JSON constant {token}")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+def _check_inputs():
+    """A valid table (largest entry 7.0) and a built one, each as it is and
+    scaled: by 1e8, by the exact 2**30, and past where products of the
+    entries overflow."""
+    p = random_params(7, seed=1)
+    moved = change_basis(build_table(p), adapted_matrix(random_transform(7, seed=2, b=p.b), p)).gamma
+    built = build_table(random_params(5, seed=1)).gamma
+    return {
+        "moved": moved,
+        "moved*1e8": moved * 1e8,
+        "moved*2**30": moved * 2**30,
+        "built*1e150": built * 1e150,
+        "built*1e160": built * 1e160,
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_check_inputs()))
+def test_cli_check_verdict_holds_on_scaled_valid_tables(monkeypatch, capsys, name):
+    # the verdict is taken on the table scaled by a power of two, so scaling
+    # a valid table does not turn it invalid; the output is strict JSON and
+    # nothing warns
+    t = StructureTensor(_check_inputs()[name])
+    text = json.dumps(jsonio.encode_tensor(t))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(["check"], stdin_text=text, monkeypatch=monkeypatch, capsys=capsys)
+        residual = leibniz_residual(t)
+    assert (code, err) == (0, "")
+    payload = _strict_json(out)
+    assert payload["leibniz_residual"] == residual and math.isfinite(residual)
+    assert payload["filiform"] is True
+
+
+def test_cli_check_overflowing_table_is_silent_under_warnings_as_errors(tmp_path):
+    path = tmp_path / "table.json"
+    path.write_text(json.dumps(jsonio.encode_tensor(StructureTensor(_check_inputs()["built*1e160"]))))
+    run = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "filiform_ce.cli", "check", "--input", str(path)],
+        capture_output=True,
+        text=True,
+    )
+    assert (run.returncode, run.stderr) == (0, "")
+    assert _strict_json(run.stdout)["leibniz_residual"] == 0.0
+
+
+@pytest.mark.parametrize("scale", [1e-8, 1.0, 2.0**-40])
+def test_cli_check_verdict_on_a_generic_tensor_does_not_move_under_scaling(monkeypatch, capsys, scale):
+    g = np.random.default_rng(0).normal(size=(5, 5, 5)) * scale
+    text = json.dumps(jsonio.encode_tensor(StructureTensor(g)))
+    code, out, _ = run_cli(["check"], stdin_text=text, monkeypatch=monkeypatch, capsys=capsys)
+    assert code == 1
+    assert _strict_json(out)["leibniz_residual"] > 0
+
+
+def test_cli_check_residual_beyond_float_range_is_a_domain_error(monkeypatch, capsys):
+    # the residual of a generic tensor at 1e300 is near 1e600: exit 3, and
+    # no NaN or Infinity is printed
+    g = np.random.default_rng(0).normal(size=(5, 5, 5)) * 1e300
+    text = json.dumps(jsonio.encode_tensor(StructureTensor(g)))
+    code, out, err = run_cli(["check"], stdin_text=text, monkeypatch=monkeypatch, capsys=capsys)
+    assert code == 3
+    assert out == "" and "float range" in err
+
+
+def test_cli_reads_input_from_a_file(tmp_path, monkeypatch, capsys):
+    # --input FILE gives what the same JSON on stdin gives
+    text = json.dumps(jsonio.encode_params(random_params(6, seed=4)))
+    path = tmp_path / "member.json"
+    path.write_text(text)
+    from_file = run_cli(["classify", "--input", str(path)], capsys=capsys)
+    from_stdin = run_cli(["classify"], stdin_text=text, monkeypatch=monkeypatch, capsys=capsys)
+    assert from_file == from_stdin
+    assert from_file[0] == 0 and json.loads(from_file[1])["subset"].startswith("U_")
+
+
+def test_cli_unreadable_input_file_is_malformed_input(tmp_path, capsys):
+    for path in (tmp_path / "missing.json", tmp_path):  # absent, and a directory
+        code, out, err = run_cli(["classify", "--input", str(path)], capsys=capsys)
+        assert (code, out) == (2, "")
+        assert f"cannot read {path}" in err
 
 
 def test_cli_classify(monkeypatch, capsys):

@@ -5,6 +5,9 @@ references in ``oracles.py`` on random inputs, up to the harness's size
 d = 9, plus a handful of frozen cases.
 """
 
+import math
+import warnings
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -172,6 +175,33 @@ def test_worst_triple_flags_a_planted_violation():
     assert value > 0.2
     # the violated identity involves the broken pair in one of its slots
     assert {1, 2} & {i, j, k}
+
+
+def test_residual_past_overflow_is_the_scaled_residual_scaled_back():
+    # products of entries near 2**520 overflow; the residual is then taken on
+    # the table scaled by a power of two, which is exact, so it is the
+    # residual of the unscaled table times 2**1040, bit for bit, and its
+    # triple is the same
+    rng = np.random.default_rng(11)
+    for n in (4, 8):
+        p = random_params(n, rng=rng)
+        t = change_basis(build_table(p), adapted_matrix(random_transform(n, b=p.b, rng=rng), p))
+        big = StructureTensor(t.gamma * 2.0**520)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert leibniz_residual(big) == math.ldexp(leibniz_residual(t), 1040)
+            triple, value = worst_leibniz_triple(t)
+            assert worst_leibniz_triple(big) == (triple, math.ldexp(value, 1040))
+            # a built table stays exactly closed at any magnitude
+            assert leibniz_residual(StructureTensor(build_table(p).gamma * 1e160)) == 0.0
+
+
+def test_residual_beyond_float_range_is_a_domain_error():
+    t = rand_tensor(np.random.default_rng(4), 5, scale=1e300)
+    with pytest.raises(DomainError, match="float range"):
+        leibniz_residual(t)
+    with pytest.raises(DomainError, match="float range"):
+        worst_leibniz_triple(t)
 
 
 # ---------------------------------------------------------------------------

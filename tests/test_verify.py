@@ -19,6 +19,7 @@ import pytest
 
 from filiform_ce import (
     AdaptedTransform,
+    CanonicalizationError,
     DegenerateTransformError,
     DomainError,
     FiliformError,
@@ -29,6 +30,7 @@ from filiform_ce import (
     adapted_matrix,
     build_table,
     change_basis,
+    elementary_factors,
     params_from_tuple,
     read_params,
     solve_leibniz_constraints,
@@ -368,7 +370,7 @@ def _scaled_pairs(n, magnitude, rng):
     ``magnitude``, a quarter of their slots exact zeros."""
     pairs = []
     for _ in range(verify._CHUNK):
-        p, t = verify._pair(n, rng)
+        (p, t), _ = verify._pair(n, rng)
         values = [0j if rng.random() < 0.25 else v * magnitude for v in p.as_tuple()]
         pairs.append((params_from_tuple(n, values), t))
     return pairs
@@ -378,7 +380,7 @@ def _factor_steps(p, t):
     """The steps of ``elementary-decomposition``'s route, or None where the
     closed-form factor chain raises."""
     try:
-        return verify._chain(p, t)[0]
+        return verify._chain(p, elementary_factors(t))[0]
     except FiliformError:
         return None
 
@@ -390,6 +392,11 @@ _ROUTES = {
     "witness": (lambda p, t: [(t, p)], False),
     "factor": (_factor_steps, True),
 }
+
+
+def _drawing(pairs, rule):
+    """A draw that hands out ``pairs`` in turn, each with its steps by ``rule``."""
+    return iter([((p, t), rule(p, t)) for p, t in pairs]).__next__
 
 
 @pytest.mark.parametrize("n", range(4, 9))
@@ -428,7 +435,7 @@ def test_stacked_route_hands_rejected_members_to_their_own_call(n):
     # raises its own call's exception (a warning raises too) at its turn,
     # and the members around it come out bit for bit
     rng = np.random.default_rng(n)
-    pairs = [verify._pair(n, rng) for _ in range(verify._CHUNK)]
+    pairs = [verify._pair(n, rng)[0] for _ in range(verify._CHUNK)]
     unit = (1,) + (0,) * (n - 3)
     t7 = pairs[7][1]
     planted = {
@@ -447,7 +454,7 @@ def test_stacked_route_hands_rejected_members_to_their_own_call(n):
     for read in (True, False):
         stacked = _stacked(verify._oracle_pass, ps, [[(t, p)] for p, t in pairs], read)
         assert [k for k, r in enumerate(stacked) if r is None] == sorted(planted)
-        trials = _stacked(list, verify._trials(len(pairs), iter(pairs).__next__, lambda p, t: [(t, p)], read))
+        trials = _stacked(list, verify._trials(len(pairs), _drawing(pairs, _ROUTES["adapted"][0]), read))
         for k, ((p, t), route) in enumerate(trials):
             got = _outcome(route)
             assert got == _outcome(verify._oracle, p, [(t, p)], read)
@@ -483,7 +490,7 @@ def test_a_guard_planted_in_change_basis_reaches_the_stacked_route(monkeypatch):
     rng = np.random.default_rng(26)
     calm, wild = [], []
     while len(calm) < verify._CHUNK - 1 or not wild:
-        p, t = verify._pair(n, rng)
+        (p, t), _ = verify._pair(n, rng)
         (wild if abs(t.A0) > 1.5 else calm).append((p, t))
     pairs = calm[:5] + wild[:1] + calm[5 : verify._CHUNK - 1]
     ps = [p for p, _ in pairs]
@@ -496,7 +503,7 @@ def test_a_guard_planted_in_change_basis_reaches_the_stacked_route(monkeypatch):
     for name, (rule, read) in _ROUTES.items():
         stacked = _stacked(verify._oracle_pass, ps, [rule(p, t) for p, t in pairs], read)
         assert [k for k, r in enumerate(stacked) if r is None] == [5], name
-        trials = _stacked(list, verify._trials(len(pairs), iter(pairs).__next__, rule, read))
+        trials = _stacked(list, verify._trials(len(pairs), _drawing(pairs, rule), read))
         for k, ((p, t), route) in enumerate(trials):
             if k == 5:
                 with pytest.raises(DomainError, match=re.escape(planted)):
@@ -505,11 +512,11 @@ def test_a_guard_planted_in_change_basis_reaches_the_stacked_route(monkeypatch):
                 assert _bits(route()) == _outcome(verify._oracle, p, rule(p, t), read), (name, k)
 
 
-def _member_by_member(count, draw, steps, read):
+def _member_by_member(count, draw, read):
     """The loop that the chunks replace: draw a trial, then its own route on demand."""
     for _ in range(count):
-        x = draw()
-        yield x, functools.partial(verify._oracle, x[0], steps(*x), read)
+        x, steps = draw()
+        yield x, None if steps is None else functools.partial(verify._oracle, x[0], steps, read)
 
 
 @pytest.mark.parametrize(
@@ -538,3 +545,67 @@ def test_gate_failing_mid_chunk_matches_the_member_loop(monkeypatch, check_id, t
     chunked, looped = run(verify._trials), run(_member_by_member)
     assert not chunked.passed and "2.000e-06" in chunked.notes
     assert (chunked.notes, chunked.max_residual) == (looped.notes, looped.max_residual)
+
+
+@pytest.mark.parametrize(
+    "check_id, trials, planted, failing_call, note",
+    [
+        # canonicalize refuses the sixth member of the second cell's chunk
+        ("single-orbit-classes-n7", 12, ("canonicalize", CanonicalizationError, 17), None, "normal form unreachable"),
+        # the factor chain raises for trial 5 of n = 4, in the middle of its chunk
+        ("elementary-decomposition", 40, ("_chain", FiliformError, 5), None, "aborted: FiliformError: planted"),
+        # ... and trial 3, before it, fails its gate
+        ("elementary-decomposition", 40, ("_chain", FiliformError, 5), 7, "2.000e-06"),
+        # a draw raises an exception nothing catches: trial 21, in the second chunk
+        ("action-closed-forms-n6", 40, ("random_transform", RuntimeError, 21), None, "aborted: RuntimeError: planted"),
+        # ... and trial 19, drawn before it in the same chunk, fails its gate
+        ("action-closed-forms-n6", 40, ("random_transform", RuntimeError, 21), 19, "2.000e-06"),
+        # no trial of the first cell's second chunk has steps: trial 20 fails its gate
+        ("single-orbit-classes-n4", 40, None, 20, "2.000e-06"),
+    ],
+    ids=[
+        "refused-draw",
+        "raising-chain",
+        "gate-before-raising-chain",
+        "raising-draw",
+        "gate-before-raising-draw",
+        "chunk-without-steps",
+    ],
+)
+def test_failure_mid_chunk_matches_the_member_loop(monkeypatch, check_id, trials, planted, failing_call, note):
+    # a draw's captured refusal, a draw that raises, and a gate failing in a
+    # chunk without routes: drawing and routing a chunk ahead must report the
+    # same note and worst value as the loop that routes one member at a time
+    real_dev = verify._tuple_dev
+
+    def run(helper):
+        if planted is not None:
+            name, error, at = planted
+            real, calls = getattr(verify, name), itertools.count()
+
+            def call(*args, **kwargs):
+                if next(calls) == at:
+                    raise error("planted")
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(verify, name, call)
+        devs = itertools.count()
+        monkeypatch.setattr(verify, "_tuple_dev", lambda p, q: 2e-6 if next(devs) == failing_call else real_dev(p, q))
+        monkeypatch.setattr(verify, "_trials", helper)
+        try:
+            return _run_alone(monkeypatch, check_id, trials=trials)
+        finally:
+            monkeypatch.undo()
+
+    chunked, looped = run(verify._trials), run(_member_by_member)
+    assert not chunked.passed and note in chunked.notes
+    assert (chunked.notes, chunked.max_residual) == (looped.notes, looped.max_residual)
+
+
+def test_a_chunk_without_steps_takes_no_route():
+    n = 5
+    rng = np.random.default_rng(5)
+    pairs = [verify._pair(n, rng)[0] for _ in range(3)]
+    assert verify._oracle_pass([p for p, _ in pairs], [None] * 3, True) == [None] * 3
+    trials = list(verify._trials(len(pairs), _drawing(pairs, lambda p, t: None), read=True))
+    assert trials == [((p, t), None) for p, t in pairs]
