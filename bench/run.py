@@ -27,7 +27,11 @@ member.  Each figure is the
 median over ``REPEATS`` rounds of the mean time per call in microseconds,
 with one BLAS thread.
 The end-to-end entry ``verify_all.seed1_trials100_s`` is the median of
-``E2E_RUNS`` runs of ``verify_all(seed=1, trials=100)``, in seconds.
+``E2E_RUNS`` runs of ``verify_all(seed=1, trials=100)``, in seconds;
+``verify.single_orbit.seed1_trials100_s`` and
+``verify.orbit_family.seed1_trials100_s`` run the registered
+``single-orbit-classes-*`` and ``orbit-family-*`` checks alone, each
+seeded as ``verify_all(seed=1, trials=100)`` seeds it.
 
     python3 bench/run.py [--src DIR] [--parent DIR] [--label NAME] [--out FILE]
 
@@ -86,9 +90,21 @@ def calls(fc) -> dict:
     out = {}
     for n in (4, 8):
         out.update((f"{name}.n{n}_us", fn) for name, fn in _rank_calls(fc, n).items())
-    verify_all = _sub(fc, "verify").verify_all
-    out["verify_all.seed1_trials100_s"] = lambda: verify_all(seed=1, trials=100)
+    verify = _sub(fc, "verify")
+    out["verify_all.seed1_trials100_s"] = lambda: verify.verify_all(seed=1, trials=100)
+    for family, prefix in (("single_orbit", "single-orbit-classes-"), ("orbit_family", "orbit-family-")):
+        out[f"verify.{family}.seed1_trials100_s"] = lambda prefix=prefix: _run_checks(verify, prefix)
     return out
+
+
+def _run_checks(verify, prefix: str, seed: int = 1, trials: int = 100) -> None:
+    """Run the registered checks whose ids start with ``prefix``, each on
+    the generator ``verify_all(seed, trials)`` gives it; a failure raises."""
+    import numpy as np
+
+    for check_id, check in verify._REGISTRY.items():
+        if check_id.startswith(prefix):
+            check.fn(verify._Ctx(rng=np.random.default_rng(verify._check_seed(seed, check_id)), trials=trials))
 
 
 def _rank_calls(fc, n: int) -> dict:

@@ -53,7 +53,7 @@ import cmath
 import functools
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .action import (
@@ -98,6 +98,16 @@ class OrbitLabel:
     lam: complex | None
     witness: AdaptedTransform
     invariants: InvariantReport | None = None
+    #: ``act_on_params(witness, p)``, the image ``canonicalize`` checked
+    #: against the representative; the harness reads it off the label
+    _image: ExtensionParams = field(init=False, repr=False, compare=False)
+
+
+def _label(n, subset, rep, lam, witness, image, invariants=None) -> OrbitLabel:
+    """An :class:`OrbitLabel` that carries the witness image ``image``."""
+    label = OrbitLabel(n, subset, rep, lam, witness, invariants)
+    object.__setattr__(label, "_image", image)
+    return label
 
 
 # ---------------------------------------------------------------------------
@@ -404,7 +414,7 @@ def _canonicalize(p: ExtensionParams, spec: SubsetSpec) -> OrbitLabel:
             f"(worst slot deviation {err:.3e}); the input may sit on a "
             "degenerate locus of the cell"
         )
-    return OrbitLabel(p.n, name, rep, lam, witness)
+    return _label(p.n, name, rep, lam, witness, achieved)
 
 
 def classify(p: ExtensionParams) -> OrbitLabel:
@@ -420,7 +430,7 @@ def classify(p: ExtensionParams) -> OrbitLabel:
         canonical_lambda=label.lam,
         flag_margin=_margin(p, flags),
     )
-    return OrbitLabel(label.n, label.subset, label.representative, label.lam, label.witness, report)
+    return _label(label.n, label.subset, label.representative, label.lam, label.witness, label._image, report)
 
 
 # ---------------------------------------------------------------------------
@@ -448,8 +458,14 @@ def isomorphic(
     n = p.n
     if p.as_tuple() == q.as_tuple():
         return True, identity_transform(n)
-    label_p = canonicalize(p)
-    label_q = canonicalize(q)
+    return _isomorphic(p, canonicalize(p), q, canonicalize(q))
+
+
+def _isomorphic(
+    p: ExtensionParams, label_p: OrbitLabel, q: ExtensionParams, label_q: OrbitLabel
+) -> tuple[bool, AdaptedTransform | None]:
+    """:func:`isomorphic` given the labels of two members of one rank."""
+    n = p.n
     if label_p.subset != label_q.subset:
         return False, None
 

@@ -21,7 +21,12 @@ protocol, ``_trials``: a draw gives a trial's input and its steps, and the
 route moves the member's table by the product of the adapted matrices of
 those steps and reads it back (``_oracle``).  ``_trials`` computes the
 routes of a chunk of trials in one stacked pass (``_oracle_pass``),
-without changing a byte of the report.
+without changing a byte of the report.  The classification checks
+canonicalize each member they draw once and ask every later question of
+its label: the witness is gated on the image the label carries
+(``label._image``, the ``act_on_params(witness, p)`` that ``canonicalize``
+checked), orbit values are read off the label (``_orbit_value``), and
+isomorphism is decided on two labels already held (``_isomorphic``).
 
 ``MANIFEST`` is the frozen list of check ids.  It is compared against the
 registry on every run, so a check cannot be dropped silently.
@@ -60,11 +65,12 @@ from .action import (
 )
 from .classify import (
     STABILIZERS,
+    _isomorphic,
+    _orbit_value,
     canonicalize,
     classify,
     isomorphic,
     nonzero_flags,
-    orbit_invariant,
     representative_params,
     representatives,
     subset_of,
@@ -711,7 +717,7 @@ def _make_orbit_family_check(n: int, cell: str):
             label = classify(p)
             if label.subset != cell or label.lam is None:
                 ctx.fail(f"member classified as {label.subset} for {_show(p)}")
-            dev = _tuple_dev(act_on_params(label.witness, p), label.representative)
+            dev = _tuple_dev(label._image, label.representative)
             ctx.gate(dev, 1e-6, lambda: f"witness misses the normal form by {dev:.3e} for {_show(p)}")
             dev = _dev(label.invariants.orbit_value, published(p))
             ctx.gate(
@@ -723,7 +729,8 @@ def _make_orbit_family_check(n: int, cell: str):
             q = act_on_params(t, p)
             if subset_of(q) != cell:
                 ctx.fail(f"cell membership not stable for {_show_pt(p, t)}")
-            vp, vq = orbit_invariant(p), orbit_invariant(q)
+            label_p, label_q = canonicalize(p), canonicalize(q)
+            vp, vq = _orbit_value(label_p), _orbit_value(label_q)
             dev = _dev(vp, vq)
             ctx.gate(dev, 1e-6, lambda: f"orbit function drifts by {dev:.3e} for {_show_pt(p, t)}")
             dev = _worst(_dev(vp, published(p)), _dev(vq, published(q)))
@@ -732,7 +739,7 @@ def _make_orbit_family_check(n: int, cell: str):
                 1e-9,
                 lambda: f"orbit value off the published function by {dev:.3e} for {_show_pt(p, t)}",
             )
-            if not isomorphic(p, q)[0]:
+            if not _isomorphic(p, label_p, q, label_q)[0]:
                 ctx.fail(f"member not matched with its image for {_show_pt(p, t)}")
         order = STABILIZERS.get((n, cell), (1, 0))[0]
         for _ in range(max(1, ctx.trials // 2)):
@@ -745,18 +752,20 @@ def _make_orbit_family_check(n: int, cell: str):
                 lambda: f"normal-form value not recovered: {lam!r} -> {back.lam!r}",
             )
             other = representative_params(n, cell, 1.3 * lam)
-            if isomorphic(rep, other)[0]:
+            label = canonicalize(other)
+            if _isomorphic(rep, back, other, label)[0]:
                 ctx.fail(f"distinct normal forms conflated at lam={lam!r}")
             dev = _worst(
                 _dev(back.invariants.orbit_value, published(rep)),
-                _dev(orbit_invariant(other), published(other)),
+                _dev(_orbit_value(label), published(other)),
             )
             if order > 1:
                 root = complex(np.exp(2j * np.pi / order))
                 image = representative_params(n, cell, root * lam)
-                if not isomorphic(rep, image)[0]:
+                label = canonicalize(image)
+                if not _isomorphic(rep, back, image, label)[0]:
                     ctx.fail(f"stabilizer root refused at lam={lam!r}")
-                value = orbit_invariant(image)
+                value = _orbit_value(label)
                 ctx.gate(
                     _dev(back.invariants.orbit_value, value),
                     1e-9,
@@ -792,7 +801,7 @@ def _make_single_orbit_check(n: int):
                     ctx.fail(f"normal form unreachable for {_show(p)}: {label}")
                 if label.subset != cell or label.lam is not None:
                     ctx.fail(f"member of {cell} classified as {label.subset} for {_show(p)}")
-                dev = _tuple_dev(act_on_params(label.witness, p), label.representative)
+                dev = _tuple_dev(label._image, label.representative)
                 if route is not None:
                     dev = _worst(dev, float(np.max(np.abs(route() - rep_table.gamma))))
                 ctx.gate(dev, 1e-6, lambda: f"{cell} witness off by {dev:.3e} for {_show(p)}")
@@ -806,16 +815,18 @@ def _chk_representative_separation(ctx: _Ctx) -> str:
     pairs = 0
     for n in _RANKS:
         reps = representatives(n)
+        labels = []
         for cell, rep, _param in reps:
             if subset_of(rep) != cell:
                 ctx.fail(f"normal form of {cell} at n={n} classifies as {subset_of(rep)}")
             same, wit = isomorphic(rep, rep)
             if not same or not abs(wit.A0 - 1) <= 1e-9:
                 ctx.fail(f"self-equivalence broken for {cell} at n={n}")
+            labels.append(canonicalize(rep))
         for i in range(len(reps)):
             for j in range(i + 1, len(reps)):
                 pairs += 1
-                if isomorphic(reps[i][1], reps[j][1])[0]:
+                if _isomorphic(reps[i][1], labels[i], reps[j][1], labels[j])[0]:
                     ctx.fail(f"normal forms conflated at n={n}: {reps[i][0]} vs {reps[j][0]}")
     return f"{pairs} ordered pairs separated"
 
@@ -940,7 +951,7 @@ def _chk_variant_report(ctx: _Ctx) -> str:
         p = random_params(4, "U_2", rng=ctx.rng)
         rep = representative_params(4, "U_2")
         label = canonicalize(p)
-        ship = _worst(ship, _tuple_dev(act_on_params(label.witness, p), rep))
+        ship = _worst(ship, _tuple_dev(label._image, rep))
         a0 = (p.delta / 4) ** 0.25
         a1 = -a0 * p.b01 / (2 * p.b11)
         tvar = AdaptedTransform(4, a0, a1, (a0**3 / p.b11, 0))
@@ -1034,7 +1045,12 @@ def verify_all(seed: int = 1, trials: int = 100) -> VerificationReport:
     validity check naming the basis triple where the identity breaks.
 
     Failures never raise -- they are recorded with witnessing inputs.
+    A ``seed`` or ``trials`` that is not an ``int`` (a ``bool`` or a float
+    such as 2.0 included), or ``trials`` below 1, raises :class:`DomainError`.
     """
+    for name, value in (("seed", seed), ("trials", trials)):
+        if not isinstance(value, int) or isinstance(value, bool):
+            raise DomainError(f"{name} must be an int, got {value!r}")
     if trials < 1:
         raise DomainError(f"trials must be >= 1, got {trials}")
     if set(MANIFEST) != set(_REGISTRY) or len(MANIFEST) != len(_REGISTRY):

@@ -2,6 +2,7 @@
 
 import functools
 import hashlib
+import importlib
 import itertools
 import json
 import math
@@ -29,9 +30,12 @@ from filiform_ce import (
     TableShapeError,
     adapted_matrix,
     build_table,
+    canonicalize,
     change_basis,
     elementary_factors,
+    orbit_invariant,
     params_from_tuple,
+    random_params,
     read_params,
     solve_leibniz_constraints,
     tensor,
@@ -82,14 +86,18 @@ def test_report_text_form():
         assert check_id in text
 
 
+def _run_checks(monkeypatch, check_ids, trials):
+    """Run the checks ``check_ids`` alone through ``verify_all``."""
+    monkeypatch.setattr(verify, "_REGISTRY", {c: verify._REGISTRY[c] for c in check_ids})
+    monkeypatch.setattr(verify, "MANIFEST", tuple(check_ids))
+    return verify_all(seed=1, trials=trials)
+
+
 def _run_alone(monkeypatch, check_id, fn=None, trials=1):
     """Run one check, or ``fn`` in its place, through ``verify_all``."""
-    check = verify._REGISTRY[check_id]
     if fn is not None:
-        check = replace(check, fn=fn)
-    monkeypatch.setattr(verify, "_REGISTRY", {check_id: check})
-    monkeypatch.setattr(verify, "MANIFEST", (check_id,))
-    (result,) = verify_all(seed=1, trials=trials).checks
+        monkeypatch.setitem(verify._REGISTRY, check_id, replace(verify._REGISTRY[check_id], fn=fn))
+    (result,) = _run_checks(monkeypatch, [check_id], trials).checks
     return result
 
 
@@ -178,6 +186,85 @@ def test_nan_deviation_fails_its_gate(monkeypatch, key, check_id, rebuild):
 def test_trials_must_be_positive():
     with pytest.raises(DomainError):
         verify_all(trials=0)
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [{"trials": 2.5}, {"trials": 2.0}, {"trials": True}, {"seed": 1.0}, {"seed": False}, {"seed": "1"}],
+)
+def test_seed_and_trials_must_be_ints(kwargs):
+    # a float would abort most checks with a TypeError, and a bool would run
+    # and print true as the trial count
+    (name,) = kwargs
+    with pytest.raises(DomainError, match=f"^{name} must be an int"):
+        verify_all(**kwargs)
+
+
+def test_a_nan_in_the_closed_form_fails_the_label_and_its_checks(monkeypatch):
+    # the label keeps the witness image as a validated member, so a NaN
+    # slot of the whole action is refused where the image is built:
+    # ``_miss`` tests err > tol, which a NaN deviation would pass
+    action = importlib.import_module("filiform_ce.action")
+    real = action._compiled
+
+    def compiled(n, reads=None):
+        act = real(n, reads)
+        if reads is not None:
+            return act
+
+        def planted(*args):
+            slots = act(*args)
+            return (*slots[:3], complex("nan"), *slots[4:])
+
+        return planted
+
+    monkeypatch.setattr(action, "_compiled", compiled)
+    with pytest.raises(DomainError):
+        canonicalize(random_params(5, "U_1", seed=1))
+    report = _run_checks(monkeypatch, ["orbit-family-n5-U1", "single-orbit-classes-n5"], trials=2)
+    assert len(report.checks) == 2
+    assert not any(c.passed for c in report.checks)
+
+
+def _canonicalizations(monkeypatch) -> list:
+    """The (n, tuple) of each member the normal-form solve runs on, from now on."""
+    classify_module = importlib.import_module("filiform_ce.classify")
+    real, runs = classify_module._canonical_transform, []
+
+    def counted(p, spec):
+        runs.append((p.n, p.as_tuple()))
+        return real(p, spec)
+
+    monkeypatch.setattr(classify_module, "_canonical_transform", counted)
+    return runs
+
+
+def test_each_member_is_canonicalized_once(monkeypatch):
+    # the harness asks every question about a member of its one label
+    runs = _canonicalizations(monkeypatch)
+    checks = [c for c in MANIFEST if c.startswith("orbit-family-")] + ["representative-separation"]
+    assert _run_checks(monkeypatch, checks, trials=4).passed
+    assert runs and len(runs) == len(set(runs))
+
+
+@pytest.mark.parametrize("key", sorted(verify._PUBLISHED_ORBIT))
+def test_orbit_invariant_is_the_published_function(key):
+    # the harness reads orbit values off its labels; the public entry point
+    # that canonicalizes on its own is held to the same reference here
+    for seed in range(3):
+        p = random_params(*key, seed=seed)
+        assert verify._dev(orbit_invariant(p), verify._PUBLISHED_ORBIT[key](p)) <= 1e-9
+
+
+def test_each_single_orbit_draw_is_canonicalized_once(monkeypatch):
+    # a one-member cell draws the same tuple every time, so the runs count
+    # draws, not members
+    runs = _canonicalizations(monkeypatch)
+    draws, draw = itertools.count(), verify.random_params
+    monkeypatch.setattr(verify, "random_params", lambda *a, **k: (next(draws), draw(*a, **k))[1])
+    checks = [c for c in MANIFEST if c.startswith("single-orbit-classes-")]
+    assert _run_checks(monkeypatch, checks, trials=4).passed
+    assert len(runs) == next(draws) > len(set(runs))
 
 
 _LIFTED_PROBE = """
