@@ -43,7 +43,7 @@ from .errors import (
     DomainError,
     TableShapeError,
 )
-from .family import ExtensionParams, _build_stack, _rand_nonzero, _slot_entries, build_table, params_from_tuple
+from .family import ExtensionParams, _build_stack, _rand_nonzero, _seeded_rng, _slot_entries, build_table, params_from_tuple
 from .subsets import PARAM_SLOTS, check_rank, free_pairs
 from .tolerance import require_finite
 
@@ -485,11 +485,10 @@ def random_transform(
     rng=None,
 ) -> AdaptedTransform:
     """Random nondegenerate transform; pass the parameters' top coefficient
-    as ``b`` so the shear A0 + A1*b stays well away from zero."""
+    as ``b`` so the shear A0 + A1*b stays well away from zero.  Without
+    ``rng`` the draw is seeded with ``seed`` (``family._seeded_rng``)."""
     if rng is None:
-        import numpy as np
-
-        rng = np.random.default_rng(seed)
+        rng = _seeded_rng(seed)
 
     def any_size():  # uniform(-2, 2), drawn as ``_rand_nonzero`` draws it
         return complex(-2.0 + 4.0 * rng.random())

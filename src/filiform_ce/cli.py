@@ -4,8 +4,9 @@ Exit codes separate the failure modes: 0 success, 1 a verification that
 ran and failed (a table violating the bracket identity, a harness check
 failing), 2 malformed input (bad JSON, unusable invocation), 3 inputs
 that parse but fall outside the domain (unsupported rank, degenerate
-transform, mismatched dimensions).  Only ``build``, ``check`` and
-``verify-paper`` load numpy; the other verbs run on closed forms.
+transform, mismatched dimensions).  Only ``build --n/--seed`` (numpy's
+PCG64 draw), ``check`` (ranks by SVD) and ``verify-paper`` load numpy; the
+other verbs, ``build`` from JSON among them, run on closed forms.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from . import jsonio
 from .action import act_on_params
 from .classify import classify, isomorphic, representatives, warn_if_borderline
 from .errors import FiliformError, InputFormatError
-from .family import N_RANGE, build_table, random_params, solve_leibniz_constraints
+from .family import N_RANGE, _sparse_table, random_params, solve_leibniz_constraints
 
 VERBS = (
     "build",
@@ -105,7 +106,7 @@ def _cmd_build(args) -> tuple[object, int]:
         p = random_params(args.n, seed=0 if args.seed is None else args.seed)
     else:
         p = jsonio.decode_params(_read_input(args.input))
-    return jsonio.encode_tensor(build_table(p)), 0
+    return jsonio._encode_sparse(p.n + 1, _sparse_table(p)), 0
 
 
 def _cmd_check(args) -> tuple[object, int]:

@@ -13,7 +13,10 @@ skeleton plus each coordinate times its direction read off the solved
 relations (``_slot_entries``, which the closed-form action reads too), so
 the forced coefficients and their signs are never written out by hand.
 Only the tensor route here (``build_mu``, ``build_table`` and
-``random_params`` without a generator) imports numpy, on first use.
+``random_params`` without a generator) imports numpy, on first use; the
+command line's ``build`` writes the same table from ``_sparse_table``, the
+skeleton and ``_slot_entries`` in pure Python, so ``build`` from JSON never
+loads it.
 
 Parameter naming: the unknown b_ij, the e_n-coefficient of [e_i, e_j], is
 the pair (i, j) inside; its name ``bIJ`` (``subsets.label``) is spelled only
@@ -361,6 +364,20 @@ def build_table(p: ExtensionParams) -> StructureTensor:
     return _tensor().StructureTensor(_table(p.n, p.as_tuple()))
 
 
+def _sparse_table(p: ExtensionParams) -> dict:
+    """``build_table(p)`` in pure Python, as {(i, j, k): complex} over the
+    entries the chain skeleton and the slot directions (``_slot_entries``)
+    reach, the sources ``_unit_tables`` reads; every other entry is zero.
+    Each entry sums from a complex zero, as the dense table's does, so a
+    zero among them is +0.0 and the two tables agree bit for bit."""
+    n = p.n
+    ent = {(i, j, k): 0j + c for (i, j), (k, c) in _chain(n).items()}
+    for v, slot in zip(p.as_tuple(), _slot_entries(n)):
+        for (i, j), c in slot.items():
+            ent[i, j, n] = ent.get((i, j, n), 0j) + c * v
+    return ent
+
+
 def _table(n: int, values) -> np.ndarray:
     """``build_table``'s gamma array, unvalidated, for slot values in
     ``as_tuple`` order; an array ``values`` of shape (..., slots) gives a
@@ -395,6 +412,16 @@ def _tensor():
 
 #: resampling margin for quantities that classification routines divide by
 _MARGIN = 0.05
+
+
+def _seeded_rng(seed):
+    """numpy's default generator seeded with ``seed``, None or an ``int``
+    >= 0; any other seed, a ``bool`` included, raises :class:`DomainError`."""
+    if seed is not None and (not isinstance(seed, int) or isinstance(seed, bool) or seed < 0):
+        raise DomainError(f"seed must be None or an int >= 0, got {seed!r}")
+    import numpy as np
+
+    return np.random.default_rng(seed)
 
 
 def _rand_nonzero(rng) -> complex:
@@ -438,13 +465,12 @@ def random_params(
     Equalities like delta = 0 hold exactly by construction.  Samples are
     redrawn while any quantity the downstream normal-form routines divide
     by sits within ``0.05`` of zero, so golden-path classification never
-    grazes a removable singularity.
+    grazes a removable singularity.  Without ``rng`` the draw is seeded
+    with ``seed`` (``_seeded_rng``).
     """
     check_rank(n)
     if rng is None:
-        import numpy as np
-
-        rng = np.random.default_rng(seed)
+        rng = _seeded_rng(seed)
     try:
         slot_wants, want_delta = _sampling_wants(n)[subset]
     except (KeyError, TypeError):

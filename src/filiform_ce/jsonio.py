@@ -112,9 +112,19 @@ def decode_params(obj) -> ExtensionParams:
 
 
 def encode_tensor(t: StructureTensor) -> dict:
-    d = t.dim
+    return _encode_table(t.dim, t.gamma.__getitem__)
+
+
+def _encode_sparse(d: int, entries: dict) -> dict:
+    """``encode_tensor``'s layout for the d x d x d table holding ``entries``
+    {(i, j, k): z} and zeros elsewhere, without numpy."""
+    return _encode_table(d, lambda key: entries.get(key, 0j))
+
+
+def _encode_table(d: int, entry) -> dict:
+    """The one writer of the tensor layout: entry (i, j, k) is ``entry((i, j, k))``."""
     gamma = [
-        [[dump_complex(t.gamma[i, j, k]) for k in range(d)] for j in range(d)]
+        [[dump_complex(entry((i, j, k))) for k in range(d)] for j in range(d)]
         for i in range(d)
     ]
     return {"dim": d, "gamma": gamma}

@@ -21,6 +21,7 @@ from filiform_ce import (
     leibniz_residual,
     params_from_tuple,
     random_params,
+    random_transform,
     read_params,
     representative_params,
     representatives,
@@ -244,6 +245,29 @@ def test_random_params_land_in_requested_cell():
 def test_random_params_unknown_cell():
     with pytest.raises(DomainError):
         random_params(4, "U_99")
+
+
+SEEDED_DRAWS = {
+    "random_params": lambda seed, rng=None: random_params(4, seed=seed, rng=rng),
+    "random_transform": lambda seed, rng=None: random_transform(4, seed=seed, rng=rng),
+}
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5, True, "1", [1, 2]])
+@pytest.mark.parametrize("draw", sorted(SEEDED_DRAWS))
+def test_seed_must_be_none_or_a_non_negative_int(draw, seed):
+    # numpy would raise ValueError or TypeError from SeedSequence instead
+    with pytest.raises(DomainError) as err:
+        SEEDED_DRAWS[draw](seed)
+    assert str(err.value) == f"seed must be None or an int >= 0, got {seed!r}"
+
+
+@pytest.mark.parametrize("draw", sorted(SEEDED_DRAWS))
+def test_seed_is_not_read_when_a_generator_is_passed(draw):
+    # the harness passes rng=, so its draws never meet the seed test
+    call = SEEDED_DRAWS[draw]
+    assert call(-1, rng=np.random.default_rng(7)) == call(7)
+    assert call(None) is not None
 
 
 # ---------------------------------------------------------------------------

@@ -36,6 +36,7 @@ PARAMS = {"n": 5, "b00": [0.7, 0], "b01": [-1.2, 0], "b11": [1.3, 0], "b_even": 
 TRANSFORM = {"n": 5, "A0": [1.5, 0], "A1": [0.3, 0], "B": [[0.8, 0], [0.2, 0], [-0.4, 0]]}
 
 CLOSED_FORM_CALLS = {
+    "build": (["build"], PARAMS),
     "act": (["act"], {"params": PARAMS, "transform": TRANSFORM}),
     "classify": (["classify"], PARAMS),
     "isomorphic": (["isomorphic"], {"first": PARAMS, "second": PARAMS}),
@@ -72,6 +73,33 @@ def test_closed_form_verb_loads_no_numpy(verb):
         "print(json.dumps([code, 'numpy' in sys.modules]))"
     )
     assert json.loads(out) == [0, False]
+
+
+#: ``build`` inputs that fail, and the exit code each must give: 2 for
+#: malformed input, 3 for input that parses but leaves the family
+BUILD_FAILURES = [
+    ("{oops", 2),
+    (json.dumps({**PARAMS, "n": 5.0}), 2),
+    (json.dumps({**PARAMS, "b00": [0.7]}), 2),
+    (json.dumps({**PARAMS, "n": 9, "b_even": [[0.9, 0], [0, 0], [0, 0]]}), 3),
+    (json.dumps({**PARAMS, "b01": [1e400, 0]}), 3),
+    (json.dumps({**PARAMS, "n": 4}), 3),  # b = 1.1 at even n
+]
+
+
+def test_build_exit_codes_load_no_numpy():
+    out = run_fresh(
+        "import io, json, sys\n"
+        "from filiform_ce import cli\n"
+        "seen = []\n"
+        f"for text in {[text for text, _ in BUILD_FAILURES]!r}:\n"
+        "    sys.stdin, sys.stderr = io.StringIO(text), io.StringIO()\n"
+        "    code = cli.main(['build'])\n"
+        "    seen.append([code, sys.stderr.getvalue().startswith('error: '), 'numpy' in sys.modules])\n"
+        "sys.stderr = sys.__stderr__\n"
+        "print(json.dumps(seen))"
+    )
+    assert json.loads(out) == [[code, True, False] for _, code in BUILD_FAILURES]
 
 
 def test_elementary_factors_loads_no_numpy():

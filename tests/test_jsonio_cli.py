@@ -19,13 +19,15 @@ from filiform_ce import (
     adapted_matrix,
     build_table,
     change_basis,
+    from_entries,
     leibniz_residual,
     params_from_tuple,
     random_params,
     random_transform,
 )
-from filiform_ce import jsonio
+from filiform_ce import family, jsonio
 from filiform_ce.cli import main
+from filiform_ce.subsets import SUBSETS
 
 
 # ---------------------------------------------------------------------------
@@ -73,6 +75,45 @@ def test_tensor_roundtrip():
     t = build_table(random_params(6, seed=2))
     back = jsonio.decode_tensor(json.loads(json.dumps(jsonio.encode_tensor(t))))
     assert np.max(np.abs(back.gamma - t.gamma)) == 0.0
+
+
+def _sparse_build_members():
+    """Every cell at seeds 0-2, members scaled to the ends of float range, and
+    members whose slots hold signed zeros and subnormals."""
+    out = {
+        f"{n} {spec.name} seed {seed}": random_params(n, spec.name, seed=seed)
+        for n in SUBSETS
+        for spec in SUBSETS[n]
+        for seed in range(3)
+    }
+    for n in range(4, 9):
+        values = random_params(n, seed=n).as_tuple()
+        for scale in (1.0, -1e-300, 1e300, 2.0**-1070):
+            out[f"{n} times {scale!r}"] = params_from_tuple(n, [v * scale for v in values])
+        slots = len(values)
+        for name, z in (("[-0.0, -0.0]", complex(-0.0, -0.0)), ("[0.0, -0.0]", complex(0.0, -0.0))):
+            out[f"{n} all {name}"] = params_from_tuple(n, [z] * slots)
+        odd = [complex(5e-324, -0.0), complex(-2.0**-1060, 2.0**-1074), complex(-0.0, -5e-324), 1.5]
+        out[f"{n} subnormals"] = params_from_tuple(n, (odd * slots)[: slots - n % 2] + [complex(-0.0, 1e-310)] * (n % 2))
+    return out
+
+
+def _same_bits(a, b) -> bool:
+    return np.array_equal(a, b) and all(
+        np.array_equal(np.signbit(part(a)), np.signbit(part(b))) for part in (np.real, np.imag)
+    )
+
+
+def test_sparse_build_writes_the_dense_table_bit_for_bit():
+    # ``build`` writes the table from the skeleton and the slot directions
+    # without numpy; the bytes and every bit, signed zeros included, are the
+    # dense table's
+    for name, p in _sparse_build_members().items():
+        sparse = family._sparse_table(p)
+        dense = build_table(p)
+        text = jsonio.dumps(jsonio._encode_sparse(p.n + 1, sparse))
+        assert text == jsonio.dumps(jsonio.encode_tensor(dense)), name
+        assert _same_bits(from_entries(p.n + 1, sparse).gamma, dense.gamma), name
 
 
 def test_tensor_decode_validates_shape():
@@ -125,6 +166,13 @@ def test_cli_build_deterministic(capsys):
     code2, out2, _ = run_cli(["build", "--n", "5", "--seed", "11"], capsys=capsys)
     assert code1 == code2 == 0
     assert out1 == out2
+
+
+def test_cli_build_refuses_a_negative_seed(capsys):
+    # numpy's SeedSequence would abort with a ValueError traceback, exit 1
+    code, out, err = run_cli(["build", "--n", "4", "--seed", "-1"], capsys=capsys)
+    assert (code, out) == (3, "")
+    assert err == "error: seed must be None or an int >= 0, got -1\n"
 
 
 def test_cli_check_flags_invalid_table(monkeypatch, capsys):
