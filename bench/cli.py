@@ -12,14 +12,18 @@ transform for ``act`` and the member's image under it for ``isomorphic``.
 for n = 4..9, called in turn in a fresh process right after ``import
 filiform_ce`` (``cold_solve.import_ms``).  With ``--parent`` every process
 runs on both checkouts back to back, the side that goes first alternating,
-and the result holds ``before`` (the parent) and ``after`` (``--src``);
-``--out`` merges the result into that JSON file, keeping the entries and
-the ``unit`` note of ``bench/run.py`` there (``run.merge_into``).
+and the result holds ``before`` (the parent) and ``after`` (``--src``).
+Each checkout is byte-compiled (``compileall``) before any process is
+timed, so no side pays for compiling its modules, whatever
+``PYTHONDONTWRITEBYTECODE`` says.  ``--out`` merges the result into that
+JSON file, keeping the entries and the ``unit`` note of ``bench/run.py``
+there (``run.merge_into``).
 """
 
 from __future__ import annotations
 
 import argparse
+import compileall
 import json
 import os
 import pathlib
@@ -117,6 +121,8 @@ def main(argv=None) -> int:
     sources = {"current": src}
     if args.parent:
         sources = {"before": package_dir(args.parent), "after": src}
+    for path in sources.values():
+        compileall.compile_dir(path, quiet=1)
     with tempfile.TemporaryDirectory() as tmp:
         calls = write_inputs(pathlib.Path(tmp))
         figures = measure(sources, calls, args.runs)

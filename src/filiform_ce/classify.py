@@ -12,6 +12,10 @@ value of the cell's rational orbit function, and ``isomorphic`` decides
 equivalence of two members (up to the finite stabilizer of the normal
 form, where one exists) and returns an explicit witness.
 
+A member's zero tests (each slot, then delta) are taken in one place,
+``_zero_tests``; the flags that select the cell, ``flag_margin`` and the
+report of ``classify`` all read that pass.
+
 Each published orbit function is invariant, so it takes its value on the
 normal form, where delta = -4*lam and its other factors read 1: (-4*lam)**k,
 k = order/gcd(order, e) for a stabilizer moving lam by A0**e (1 without
@@ -65,7 +69,7 @@ from .action import (
     inverse_transform,
 )
 from .errors import CanonicalizationError, DomainError, FiliformError
-from .family import ExtensionParams, params_from_tuple
+from .family import ExtensionParams, _shear, params_from_tuple
 from .subsets import _LEAD, LAM, PARAM_SLOTS, SUBSETS, SubsetSpec, check_rank, free_pairs, get_spec, parametric_subsets
 from .tolerance import FLAG_WARN_MARGIN, ZERO_FLAG_RTOL
 
@@ -114,34 +118,41 @@ def _label(n, subset, rep, lam, witness, image, invariants=None) -> OrbitLabel:
 # zero flags and cell membership
 
 
-def _delta_scale(p: ExtensionParams) -> float:
-    s = max(abs(p.b00), abs(p.b01), abs(p.b11))
-    return s * s if s > 0 else 1.0
+#: n -> names of the zero tests ``_zero_tests`` takes: the slots, then delta
+_TESTS = {n: (*PARAM_SLOTS[n], "delta") for n in SUBSETS}
+
+
+def _zero_tests(p: ExtensionParams) -> tuple[list[float], list[float]]:
+    """Magnitudes and scales of the tests ``_TESTS[p.n]``: each slot against the
+    largest slot (1.0 if all are 0), delta against the largest lead slot squared
+    (1.0 if the lead slots are 0; the square underflows to 0 below ~1e-162)."""
+    mags = list(map(abs, p.as_tuple()))
+    lead = max(mags[0], mags[1], mags[2])
+    scales = [max(mags) or 1.0] * len(mags)  # ``p.scale()``, off these magnitudes
+    mags.append(abs(p.delta))
+    scales.append(lead * lead if lead else 1.0)
+    return mags, scales
+
+
+def _flags(n: int, mags: list, scales: list) -> dict:
+    return {name: m > ZERO_FLAG_RTOL * s for name, m, s in zip(_TESTS[n], mags, scales)}
 
 
 def nonzero_flags(p: ExtensionParams) -> dict:
     """Slot -> True when numerically nonzero; includes the discriminant."""
-    mags = list(map(abs, p.as_tuple()))
-    scale = max(mags)  # ``p.scale()``, off the magnitudes the flags read
-    cut = ZERO_FLAG_RTOL * (scale if scale > 0 else 1.0)
-    flags = {slot: m > cut for slot, m in zip(PARAM_SLOTS[p.n], mags)}
-    flags["delta"] = abs(p.delta) > ZERO_FLAG_RTOL * _delta_scale(p)
-    return flags
-
-
-def _margin(p: ExtensionParams, flags: dict) -> float:
-    scale = p.scale()
-    rel = [abs(v) / scale for slot, v in zip(PARAM_SLOTS[p.n], p.as_tuple()) if flags[slot]]
-    if flags["delta"]:
-        # a scale that underflows to 0 puts the delta test at the rounding floor
-        delta_scale = _delta_scale(p)
-        rel.append(abs(p.delta) / delta_scale if delta_scale else 0.0)
-    return min([1.0, *rel])
+    return _flags(p.n, *_zero_tests(p))
 
 
 def flag_margin(p: ExtensionParams) -> float:
     """Smallest relative magnitude among nonzero-flagged quantities (<= 1)."""
-    return _margin(p, nonzero_flags(p))
+    return _flags_and_margin(p)[1]
+
+
+def _flags_and_margin(p: ExtensionParams) -> tuple[dict, float]:
+    """``nonzero_flags(p)`` and ``flag_margin(p)`` off one pass; a 0.0 scale gives a 0.0 term."""
+    mags, scales = _zero_tests(p)
+    flags = _flags(p.n, mags, scales)
+    return flags, min([1.0, *(m / s if s else 0.0 for m, s, on in zip(mags, scales, flags.values()) if on)])
 
 
 #: n -> (chain slots, top first; options -> cell): what ``_cell`` scans and looks up
@@ -252,13 +263,8 @@ def _canonical_transform(p: ExtensionParams, spec: SubsetSpec) -> AdaptedTransfo
     that passes the ill-conditioned witness check more often at extreme
     magnitudes; the shifts are solved on the witness itself for that reason.
     """
-    n, plan, lead = p.n, _PLANS[p.n, spec.name], spec.options[1]
-    if lead == "b11":
-        num, den = -p.b01, 2 * p.b11
-    elif lead == "b01":
-        num, den = -p.b00, p.b01
-    else:
-        num, den = 0j, 1
+    n, plan = p.n, _PLANS[p.n, spec.name]
+    num, den = _shear(p, spec.options[1])
     s = num / den
     if n % 2 == 1 and abs(1 + s * p.b) <= ZERO_FLAG_RTOL:
         raise CanonicalizationError(
@@ -420,15 +426,15 @@ def _canonicalize(p: ExtensionParams, spec: SubsetSpec) -> OrbitLabel:
 def classify(p: ExtensionParams) -> OrbitLabel:
     """Full classification: normal form plus invariant report."""
     # through the public ``canonicalize``, whose call the benchmark tracer
-    # counts inside ``classify``: the flags are taken once more here
+    # counts inside ``classify``: the report takes the zero tests once more
     label = canonicalize(p)
-    flags = nonzero_flags(p)
+    flags, margin = _flags_and_margin(p)
     report = InvariantReport(
         delta=p.delta,
         flags={name: not on for name, on in flags.items()},
         orbit_value=_orbit_value(label),
         canonical_lambda=label.lam,
-        flag_margin=_margin(p, flags),
+        flag_margin=margin,
     )
     return _label(label.n, label.subset, label.representative, label.lam, label.witness, label._image, report)
 

@@ -110,14 +110,11 @@ def _cmd_build(args) -> tuple[object, int]:
 
 
 def _cmd_check(args) -> tuple[object, int]:
-    from .tensor import _normalized, is_filiform, leibniz_residual, lower_central_series
+    from .tensor import _filiform_series, _normalized, leibniz_residual, lower_central_series
 
     t = jsonio.decode_tensor(_read_input(args.input))
-    payload = {
-        "leibniz_residual": leibniz_residual(t),
-        "filiform": is_filiform(t),
-        "series": lower_central_series(t),
-    }
+    residual, series = leibniz_residual(t), lower_central_series(t)
+    payload = {"leibniz_residual": residual, "filiform": series == _filiform_series(t.dim), "series": series}
     # the verdict is taken on the table scaled by a power of two, so that
     # scaling the table by any power of two leaves it where it was
     ok = leibniz_residual(_normalized(t)[0]) <= 1e-9

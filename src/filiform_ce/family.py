@@ -483,22 +483,24 @@ def random_params(
             # all delta = 0 cells require b11 != 0
             values[0] = values[1] ** 2 / (4 * values[2])
         p = params_from_tuple(n, values)
-        if want_delta is True and abs(p.delta) < 2 * _MARGIN:
-            continue
-        if not _clears_margins(p):
-            continue
-        return p
+        if not (want_delta is True and abs(p.delta) < 2 * _MARGIN) and _clears_margins(p):
+            return p
     raise FiliformError("random_params failed to clear sampling margins")
+
+
+def _shear(p: ExtensionParams, lead: str | None) -> tuple[complex, complex]:
+    """(num, den) of the normal form's shear A1/A0 by the lead option (``classify``, step 1)."""
+    if lead == "b11":
+        return -p.b01, 2 * p.b11
+    if lead == "b01":
+        return -p.b00, p.b01
+    return 0j, 1
 
 
 def _clears_margins(p: ExtensionParams) -> bool:
     if p.n % 2 == 1 and p.b != 0:
-        if p.b11 != 0 and abs(2 * p.b11 - p.b01 * p.b) < _MARGIN:
+        num, den = _shear(p, "b11" if p.b11 != 0 else "b01" if p.b01 != 0 else None)
+        if abs(den + num * p.b) < _MARGIN:
             return False
-        if p.b11 == 0 and p.b01 != 0 and abs(p.b01 - p.b00 * p.b) < _MARGIN:
-            return False
-    if p.n == 8 and p.b16 == 0 and p.b14 != 0 and p.b11 != 0:
-        # the orbit function on this cell divides by delta
-        if abs(p.delta) < _MARGIN:
-            return False
-    return True
+    # the orbit function of the n = 8 cell with b14 on top and b11 lead divides by delta
+    return not (p.n == 8 and p.b16 == 0 and p.b14 != 0 and p.b11 != 0 and abs(p.delta) < _MARGIN)

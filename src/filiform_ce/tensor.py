@@ -149,24 +149,25 @@ def _normalized(t: StructureTensor) -> tuple[StructureTensor, int]:
     Scaling by a power of two is exact for every entry that stays in the
     normal range (Higham, Accuracy and Stability of Numerical Algorithms,
     2nd ed., ch. 7)."""
-    parts = t.gamma.view(np.float64)
-    e = math.frexp(float(np.max(np.abs(parts))))[1]
-    return StructureTensor(np.ldexp(parts, -e).view(complex)), e
+    e = math.frexp(float(np.max(np.abs(t.gamma.view(np.float64)))))[1]
+    return StructureTensor(_times_power_of_two(t.gamma, -e)), e
 
 
-def _residual_abs(t: StructureTensor) -> np.ndarray:
-    """|``leibniz_residual_tensor(t)``|, with an inf or a NaN, not a warning,
-    where products of the entries leave float range."""
+def _worst_entry(t: StructureTensor) -> tuple[int, float]:
+    """Flat index and size of the largest |``leibniz_residual_tensor(t)``|
+    entry, taken as ``leibniz_residual`` describes."""
     with np.errstate(over="ignore", invalid="ignore"):
-        return np.abs(leibniz_residual_tensor(t))
-
-
-def _scaled_back(value: float, e: int) -> float:
-    """``value * 2**e``, or a ``DomainError`` where that leaves float range."""
+        r = np.abs(leibniz_residual_tensor(t))
+    flat = int(np.argmax(r))  # the first NaN, if there is one, as ``max`` reads it
+    peak = r.item(flat)
+    if math.isfinite(peak):
+        return flat, peak
+    scaled, e = _normalized(t)
+    flat, peak = _worst_entry(scaled)
     try:
-        return math.ldexp(value, e)
+        return flat, math.ldexp(peak, 2 * e)
     except OverflowError:
-        raise DomainError(f"Leibniz residual {value!r} * 2**{e} leaves float range") from None
+        raise DomainError(f"Leibniz residual {peak!r} * 2**{2 * e} leaves float range") from None
 
 
 def leibniz_residual(t: StructureTensor) -> float:
@@ -178,24 +179,14 @@ def leibniz_residual(t: StructureTensor) -> float:
     scaled by a power of two (``_normalized``) and scaled back; a residual
     beyond float range raises ``DomainError``.
     """
-    peak = float(_residual_abs(t).max())
-    if math.isfinite(peak):
-        return peak
-    scaled, e = _normalized(t)
-    return _scaled_back(leibniz_residual(scaled), 2 * e)
+    return _worst_entry(t)[1]
 
 
 def worst_leibniz_triple(t: StructureTensor) -> tuple[tuple[int, int, int], float]:
     """Basis triple (i, j, k) realizing the largest Leibniz defect, and its
     size, taken as ``leibniz_residual`` takes it."""
-    r = _residual_abs(t)
-    i, j, k, _ = np.unravel_index(int(np.argmax(r)), r.shape)
-    peak = float(np.max(r[i, j, k]))
-    if math.isfinite(peak):
-        return (int(i), int(j), int(k)), peak
-    scaled, e = _normalized(t)
-    triple, peak = worst_leibniz_triple(scaled)
-    return triple, _scaled_back(peak, 2 * e)
+    flat, peak = _worst_entry(t)
+    return tuple(map(int, np.unravel_index(flat, (t.dim,) * 4)[:3])), peak
 
 
 def change_basis(t: StructureTensor, g) -> StructureTensor:
@@ -385,6 +376,9 @@ def lower_central_series(t: StructureTensor) -> list[int]:
 
 def is_filiform(t: StructureTensor) -> bool:
     """Slowest-possible nilpotent decay: the k-th term has dimension d - k."""
-    d = t.dim
-    expected = [d] + [d - k for k in range(2, d + 1)]
-    return lower_central_series(t) == expected
+    return lower_central_series(t) == _filiform_series(t.dim)
+
+
+def _filiform_series(d: int) -> list[int]:
+    """``lower_central_series`` of a filiform algebra of dimension d."""
+    return [d] + [d - k for k in range(2, d + 1)]

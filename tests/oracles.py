@@ -15,7 +15,9 @@ import numpy as np
 from filiform_ce import AdaptedTransform, act_on_params, adapted_matrix, family, transform_from_matrix
 from filiform_ce.action import _sum_terms
 from filiform_ce.classify import _PLANS, _cell, _root, nonzero_flags
-from filiform_ce.subsets import free_pairs, label
+from filiform_ce.family import _MARGIN, ExtensionParams
+from filiform_ce.subsets import PARAM_SLOTS, free_pairs, label
+from filiform_ce.tolerance import ZERO_FLAG_RTOL
 from filiform_ce.tensor import StructureTensor, leibniz_residual_tensor
 
 
@@ -400,6 +402,51 @@ def full_action_witness(p):
         bvec[k - 1] = f0 / d
         bvec[k - 1] += slot(i) / d
     return AdaptedTransform(n, a0, a1, tuple(bvec))
+
+
+# The zero tests and the sampler's thin-locus margin as they were written
+# before ``classify._zero_tests`` and ``family._shear`` took each of them once:
+# the flags, then every magnitude and scale again for the margin, delta
+# through its own scale, and the shear's den + num*b spelled out per lead.
+# Kept verbatim (renamed) as references the library must match bit for bit.
+
+
+def frozen_delta_scale(p: ExtensionParams) -> float:
+    s = max(abs(p.b00), abs(p.b01), abs(p.b11))
+    return s * s if s > 0 else 1.0
+
+
+def frozen_nonzero_flags(p: ExtensionParams) -> dict:
+    """Slot -> True when numerically nonzero; includes the discriminant."""
+    mags = list(map(abs, p.as_tuple()))
+    scale = max(mags)  # ``p.scale()``, off the magnitudes the flags read
+    cut = ZERO_FLAG_RTOL * (scale if scale > 0 else 1.0)
+    flags = {slot: m > cut for slot, m in zip(PARAM_SLOTS[p.n], mags)}
+    flags["delta"] = abs(p.delta) > ZERO_FLAG_RTOL * frozen_delta_scale(p)
+    return flags
+
+
+def frozen_margin(p: ExtensionParams, flags: dict) -> float:
+    scale = p.scale()
+    rel = [abs(v) / scale for slot, v in zip(PARAM_SLOTS[p.n], p.as_tuple()) if flags[slot]]
+    if flags["delta"]:
+        # a scale that underflows to 0 puts the delta test at the rounding floor
+        delta_scale = frozen_delta_scale(p)
+        rel.append(abs(p.delta) / delta_scale if delta_scale else 0.0)
+    return min([1.0, *rel])
+
+
+def frozen_clears_margins(p: ExtensionParams) -> bool:
+    if p.n % 2 == 1 and p.b != 0:
+        if p.b11 != 0 and abs(2 * p.b11 - p.b01 * p.b) < _MARGIN:
+            return False
+        if p.b11 == 0 and p.b01 != 0 and abs(p.b01 - p.b00 * p.b) < _MARGIN:
+            return False
+    if p.n == 8 and p.b16 == 0 and p.b14 != 0 and p.b11 != 0:
+        # the orbit function on this cell divides by delta
+        if abs(p.delta) < _MARGIN:
+            return False
+    return True
 
 
 #: parameter slot names, in tuple order, as they were written out by hand for

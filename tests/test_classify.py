@@ -5,6 +5,7 @@ import itertools
 import math
 import sys
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -28,7 +29,7 @@ from filiform_ce import (
     subset_of,
     warn_if_borderline,
 )
-from filiform_ce.classify import _ORBIT_MONOMIALS, STABILIZERS, _cell, _weight
+from filiform_ce.classify import _ORBIT_MONOMIALS, STABILIZERS, _cell, _weight, flag_margin, nonzero_flags
 from filiform_ce.subsets import PARAM_SLOTS, SUBSETS, parametric_subsets
 from filiform_ce.verify import _PUBLISHED_ORBIT
 
@@ -498,6 +499,49 @@ def test_delta_scale_underflow_reads_as_borderline():
     assert label.subset == "U_8"
     assert label.invariants.flag_margin == 0.0
     assert "margin 0.00e+00" in warn_if_borderline(p)
+
+
+def _zero_test_sweep():
+    """One seeded member of every cell, seeds 0-5, each slot turned by its own
+    random phase and the member scaled by 10**k, k across float range; then
+    the delta-underflow member, and members whose zeros, and the zero
+    imaginary parts of their nonzero slots, carry a negative sign."""
+    rng = np.random.default_rng(2024)
+    for n in SUBSETS:
+        for spec in SUBSETS[n]:
+            for seed in range(6):
+                values = random_params(n, spec.name, seed=seed).as_tuple()
+                for k in (0, 30, -30, 160, -160, -170, 150, 300, -300, -320):
+                    turns = np.exp(2j * np.pi * rng.random(len(values)))
+                    yield params_from_tuple(n, [v * 10.0**k * complex(t) for v, t in zip(values, turns)])
+                if seed == 0:
+                    for zero in (complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0)):
+                        yield params_from_tuple(n, [complex(v.real, -0.0) if v else zero for v in values])
+    yield DELTA_UNDERFLOW_MEMBER
+
+
+def _bits(x: float) -> tuple:
+    return x, math.copysign(1.0, x)
+
+
+def test_zero_tests_match_the_frozen_flags_and_margins():
+    # flags, margin and classify's report all read one pass of the zero tests
+    # (``_zero_tests``); each matches the frozen flags-then-margin references
+    # bit for bit, signs of zero included
+    classified = 0
+    for p in _zero_test_sweep():
+        flags = oracles.frozen_nonzero_flags(p)
+        margin = oracles.frozen_margin(p, flags)
+        assert list(nonzero_flags(p).items()) == list(flags.items()), p
+        assert _bits(flag_margin(p)) == _bits(margin), p
+        try:
+            inv = classify(p).invariants
+        except (CanonicalizationError, DomainError):
+            continue
+        classified += 1
+        assert list(inv.flags.items()) == [(name, not on) for name, on in flags.items()], p
+        assert _bits(inv.flag_margin) == _bits(margin), p
+    assert classified > 2000
 
 
 def test_representative_params_requires_lambda():

@@ -242,6 +242,49 @@ def test_random_params_land_in_requested_cell():
                 assert subset_of(p) == spec.name, (n, spec.name, seed)
 
 
+def _draws(n, cell):
+    """random_params(n, cell, seed=s) for s = 0..19, as bits, and each generator's end state."""
+    out = []
+    for seed in range(20):
+        rng = np.random.default_rng(seed)  # the generator ``seed=seed`` draws from
+        p = random_params(n, cell, rng=rng)
+        out.append(([(z.real.hex(), z.imag.hex()) for z in p.as_tuple()], rng.bit_generator.state))
+    return out
+
+
+def test_sampler_margins_match_the_frozen_margins(monkeypatch):
+    # with the thin-locus term den + num*b read off ``family._shear``, the
+    # sampler rejects exactly the draws the frozen margins reject, so every
+    # cell draws the same stream and leaves its generator in the same state
+    cells = [(n, name) for n in SUBSETS for name in (None, *(s.name for s in SUBSETS[n]))]
+    today = {cell: _draws(*cell) for cell in cells}
+    monkeypatch.setattr(family, "_clears_margins", oracles.frozen_clears_margins)
+    for cell in cells:
+        assert _draws(*cell) == today[cell], cell
+
+
+def test_thin_locus_margin_matches_the_frozen_margin():
+    # members drawn across the margin around the thin locus, where
+    # den + num*b is near 0 for each lead option: the verdicts agree
+    rng = np.random.default_rng(5)
+    near = 0
+    for n in (5, 7):
+        for lead in ("b11", "b01", None):
+            for _ in range(500):
+                b00, b01, b11, b = (complex(*rng.normal(size=2)) for _ in range(4))
+                if lead != "b11":
+                    b11 = 0j
+                if lead is None:
+                    b01 = 0j
+                else:  # b such that den + num*b is 0.1 times a point of the unit square
+                    num, den = (-b01, 2 * b11) if lead == "b11" else (-b00, b01)
+                    b = (0.1 * complex(*rng.uniform(-1, 1, size=2)) - den) / num
+                    near += abs(den + num * b) < family._MARGIN
+                p = params_from_tuple(n, [b00, b01, b11, *[1] * ((n - 2) // 2), b])
+                assert family._clears_margins(p) == oracles.frozen_clears_margins(p), p
+    assert near > 200
+
+
 def test_random_params_unknown_cell():
     with pytest.raises(DomainError):
         random_params(4, "U_99")

@@ -196,6 +196,35 @@ def test_residual_past_overflow_is_the_scaled_residual_scaled_back():
             assert leibniz_residual(StructureTensor(build_table(p).gamma * 1e160)) == 0.0
 
 
+@pytest.mark.parametrize("scale", [1.0, 2.0**-600, 2.0**300, 2.0**520, 1e150])
+def test_residual_is_the_worst_triple_size(scale):
+    # one pass reads both: the size is the largest |residual| entry, on the
+    # table itself or, past overflow, on the scaled table scaled back
+    rng = np.random.default_rng(17)
+    for n in (4, 6, 8):
+        p = random_params(n, rng=rng)
+        moved = change_basis(build_table(p), adapted_matrix(random_transform(n, b=p.b, rng=rng), p))
+        for g in (rand_tensor(rng, n + 1).gamma, build_table(p).gamma, moved.gamma):
+            t = StructureTensor(g * scale)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                residual = _outcome(leibniz_residual, t)
+                assert residual == _outcome(lambda t: worst_leibniz_triple(t)[1], t)
+            with np.errstate(over="ignore", invalid="ignore"):
+                peak = float(np.abs(leibniz_residual_tensor(t)).max())
+            if math.isfinite(peak):
+                assert residual == (peak, math.copysign(1.0, peak))
+
+
+def _outcome(f, t):
+    """``f(t)`` with the sign of a zero, or the message of its DomainError."""
+    try:
+        x = f(t)
+    except DomainError as exc:
+        return str(exc)
+    return x, math.copysign(1.0, x)
+
+
 def test_residual_beyond_float_range_is_a_domain_error():
     t = rand_tensor(np.random.default_rng(4), 5, scale=1e300)
     with pytest.raises(DomainError, match="float range"):
